@@ -29,6 +29,7 @@ from .ctmc import ForwardSolveError, forward_solve, independent_generator
 from .model import (
     InfeasibleTargetsError,
     FitConvergenceError,
+    ZeroProbabilityError,
     extract_interactions,
     fit_moments,
     full_distribution,
@@ -178,6 +179,7 @@ def cmd_search(config, args) -> int:
     search_block = dict(config.get("search", {}))
     if args.seed is not None:
         search_block["seed"] = args.seed
+        config = {**config, "search": search_block}  # every writer hashes the config actually run
     search_config = SearchConfig(
         restarts=int(search_block.get("restarts", 16)),
         max_iter=search_block.get("max_iter"),
@@ -270,7 +272,7 @@ def main(argv=None) -> int:
     except InfeasibleTargetsError as exc:
         print(f"infeasible input: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ForwardSolveError, FitConvergenceError) as exc:
+    except (ForwardSolveError, FitConvergenceError, ZeroProbabilityError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (KeyError, TypeError, ValueError) as exc:

@@ -249,7 +249,7 @@ def write_restarts_csv(path, result, config=None):
     )
     write_csv(
         path,
-        ("restart", "iteration", "objective", "terminal_mismatch", "residual_floor"),
+        ("restart", "n_evaluations", "objective", "terminal_mismatch", "residual_max"),
         rows,
         config,
     )

@@ -13,7 +13,8 @@ admissible rate choice exists for the requested terminal parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -21,11 +22,13 @@ from scipy.linalg import lstsq as scipy_lstsq
 from scipy.optimize import least_squares, minimize
 
 from ._num import (
+    _phi_minus_prime,
     alpha_prime_value,
     exp_alpha_value,
     exp_beta_pair,
     exp_beta_single,
     geometric_grid,
+    inv_softplus,
     popcounts,
     softplus,
     subset_bit_matrix,
@@ -237,15 +240,6 @@ def reduced_curves_I(
     return ReducedCurvesI(n_vertices, float(lam0), float(lam1), float(lam2))
 
 
-def _residual_I_kernel(lam, n, prof: SharedAlphaProfile) -> np.ndarray:
-    k = np.arange(1, n + 1, dtype=float)[:, None]
-    inflow = lam[:-1, None] * (k / (n - k + 1.0)) * prof.exp_neg_alpha[None, :] * np.exp(
-        -(k - 1.0) * prof.beta[None, :]
-    )
-    lhs = k * prof.alpha_prime[None, :] + 0.5 * k * (k - 1.0) * prof.beta_prime[None, :]
-    return lhs - (lam[0] - lam[1:, None]) - inflow
-
-
 def residual_I(lumped: LumpedRatesI, curves: ReducedCurvesI, t) -> np.ndarray:
     """Lumped master-equation residuals, one row per occupancy k = 1..N.
 
@@ -258,7 +252,13 @@ def residual_I(lumped: LumpedRatesI, curves: ReducedCurvesI, t) -> np.ndarray:
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t <= 0.0):
         raise ValueError("t must be positive")
-    return _residual_I_kernel(lumped.lam, lumped.n_vertices, curves.profile(t))
+    lam, n, prof = lumped.lam, lumped.n_vertices, curves.profile(t)
+    k = np.arange(1, n + 1, dtype=float)[:, None]
+    inflow = lam[:-1, None] * (k / (n - k + 1.0)) * prof.exp_neg_alpha[None, :] * np.exp(
+        -(k - 1.0) * prof.beta[None, :]
+    )
+    lhs = k * prof.alpha_prime[None, :] + 0.5 * k * (k - 1.0) * prof.beta_prime[None, :]
+    return lhs - (lam[0] - lam[1:, None]) - inflow
 
 
 @dataclass(frozen=True)
@@ -360,26 +360,6 @@ def _shift_check(table):
     return out
 
 
-def _residual_II_kernel_raw(hat, check, m_hat, n_check, prof: SharedAlphaProfile) -> np.ndarray:
-    r = hat[0, 0] + check[0, 0]
-    m = np.arange(m_hat + 1, dtype=float)[:, None, None]
-    n = np.arange(n_check + 1, dtype=float)[None, :, None]
-    hat_in = _shift_hat(hat)[:, :, None]
-    check_in = _shift_check(check)[:, :, None]
-    exp_nb = np.exp(-n * prof.beta[None, None, :])
-    exp_mb = np.exp(-m * prof.beta[None, None, :])
-    inflow = (m / (m_hat - m + 1.0)) * hat_in * prof.exp_neg_alpha * exp_nb
-    inflow += (n / (n_check - n + 1.0)) * check_in * prof.exp_neg_alpha * exp_mb
-    lhs = (m + n) * prof.alpha_prime[None, None, :] + m * n * prof.beta_prime[None, None, :]
-    res = lhs - (r - hat[:, :, None] - check[:, :, None]) - inflow
-    res[0, 0, :] = 0.0
-    return res
-
-
-def _residual_II_kernel(lumped: LumpedRatesBi, prof: SharedAlphaProfile) -> np.ndarray:
-    return _residual_II_kernel_raw(lumped.hat_rates, lumped.check_rates, lumped.n_hat, lumped.n_check, prof)
-
-
 def residual_II(lumped: LumpedRatesBi, curves: ReducedCurvesII, t) -> np.ndarray:
     """Occupancy-equation residuals, shape (M+1, N+1, len(t)); entry (0,0) is zero.
 
@@ -393,7 +373,20 @@ def residual_II(lumped: LumpedRatesBi, curves: ReducedCurvesII, t) -> np.ndarray
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t <= 0.0):
         raise ValueError("t must be positive")
-    return _residual_II_kernel(lumped, curves.profile(t))
+    hat, check, prof = lumped.hat_rates, lumped.check_rates, curves.profile(t)
+    r = hat[0, 0] + check[0, 0]
+    m = np.arange(m_hat + 1, dtype=float)[:, None, None]
+    n = np.arange(n_check + 1, dtype=float)[None, :, None]
+    hat_in = _shift_hat(hat)[:, :, None]
+    check_in = _shift_check(check)[:, :, None]
+    exp_nb = np.exp(-n * prof.beta[None, None, :])
+    exp_mb = np.exp(-m * prof.beta[None, None, :])
+    inflow = (m / (m_hat - m + 1.0)) * hat_in * prof.exp_neg_alpha * exp_nb
+    inflow += (n / (n_check - n + 1.0)) * check_in * prof.exp_neg_alpha * exp_mb
+    lhs = (m + n) * prof.alpha_prime[None, None, :] + m * n * prof.beta_prime[None, None, :]
+    res = lhs - (r - hat[:, :, None] - check[:, :, None]) - inflow
+    res[0, 0, :] = 0.0
+    return res
 
 
 def coeff_check_II(n_hat: int, n_check: int, beta_star: float) -> float:
@@ -540,7 +533,20 @@ def reduced_curves_III(lumped: LumpedRatesBi) -> ReducedCurvesIII:
     )
 
 
-def _residual_III_kernel_raw(hat, check, m_hat, n_check, prof: TwoAlphaProfile) -> np.ndarray:
+def residual_III(lumped: LumpedRatesBi, curves: ReducedCurvesIII, t) -> np.ndarray:
+    """Occupancy-equation residuals with class-dependent alphas; (0,0) is zero.
+
+    Entry (m, n) holds m alpha_hat' + n alpha_check' + m n beta' - r
+    + hat_mn + check_mn - (m/(M-m+1)) hat_{m-1,n} e^{-alpha_hat - n beta}
+    - (n/(N-n+1)) check_{m,n-1} e^{-alpha_check - m beta}.
+    """
+    m_hat, n_check = lumped.n_hat, lumped.n_check
+    if (m_hat, n_check) != (curves.n_hat, curves.n_check):
+        raise ValueError("lumped rates and curves disagree on (M, N)")
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(t <= 0.0):
+        raise ValueError("t must be positive")
+    hat, check, prof = lumped.hat_rates, lumped.check_rates, curves.profile(t)
     r = hat[0, 0] + check[0, 0]
     m = np.arange(m_hat + 1, dtype=float)[:, None, None]
     n = np.arange(n_check + 1, dtype=float)[None, :, None]
@@ -560,26 +566,6 @@ def _residual_III_kernel_raw(hat, check, m_hat, n_check, prof: TwoAlphaProfile) 
     res = lhs - (r - hat[:, :, None] - check[:, :, None]) - inflow
     res[0, 0, :] = 0.0
     return res
-
-
-def _residual_III_kernel(lumped: LumpedRatesBi, prof: TwoAlphaProfile) -> np.ndarray:
-    return _residual_III_kernel_raw(lumped.hat_rates, lumped.check_rates, lumped.n_hat, lumped.n_check, prof)
-
-
-def residual_III(lumped: LumpedRatesBi, curves: ReducedCurvesIII, t) -> np.ndarray:
-    """Occupancy-equation residuals with class-dependent alphas; (0,0) is zero.
-
-    Entry (m, n) holds m alpha_hat' + n alpha_check' + m n beta' - r
-    + hat_mn + check_mn - (m/(M-m+1)) hat_{m-1,n} e^{-alpha_hat - n beta}
-    - (n/(N-n+1)) check_{m,n-1} e^{-alpha_check - m beta}.
-    """
-    m_hat, n_check = lumped.n_hat, lumped.n_check
-    if (m_hat, n_check) != (curves.n_hat, curves.n_check):
-        raise ValueError("lumped rates and curves disagree on (M, N)")
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t <= 0.0):
-        raise ValueError("t must be positive")
-    return _residual_III_kernel(lumped, curves.profile(t))
 
 
 @dataclass(frozen=True)
@@ -701,8 +687,15 @@ class RestartRecord:
     objective: float
     residual_max: float
     terminal_mismatch: float
-    n_evaluations: int
+    n_warm_evaluations: int
+    n_polish_evaluations: int
     rounds: int
+    wall_s: float = field(compare=False)
+
+    @property
+    def n_evaluations(self) -> int:
+        """Objective-equivalent evaluations: warm start (with Jacobian columns) plus Nelder-Mead."""
+        return self.n_warm_evaluations + self.n_polish_evaluations
 
 
 @dataclass(frozen=True)
@@ -725,6 +718,7 @@ class SearchResult:
     terminal_mismatch: float
     restarts_used: int
     trace: Tuple[RestartRecord, ...]
+    wall_s: float = field(compare=False)
 
 
 def _parse_model(model):
@@ -778,180 +772,255 @@ class _SearchProblem:
     leaving a well-conditioned outer problem of 6-8 variables.  The reported
     objective is always evaluated on the full space, so floors are
     max-residuals of explicit positive rate tables.
+
+    Every index map and coefficient column depends only on the sizes and is
+    built here, once.  A call then works on one flat raw table (Model I:
+    lam; bipartite: hat and check row-major, then a zero that stands in for
+    absent upstream entries) and repeats the floating-point operations of
+    reduced_curves_X(...).profile and residual_X in their order, so its
+    numbers equal those references bit for bit.  LumpedRates* tables are
+    built, and validated, only for rates that are reported.
     """
 
     def __init__(self, kind, sizes, targets, config):
         self.kind = kind
         self.sizes = sizes
-        self.targets = targets
         self.config = config
         self.grid = geometric_grid(config.horizon, config.grid_points, config.t_min_fraction)
-        self.horizon = np.array([config.horizon])
+        self.t_min = self.grid.min()
+        names = ("alpha_hat", "alpha_check", "beta") if kind == "III" else ("alpha", "beta")
+        self.targets = np.array([targets[name] for name in names])
+        self.sqrt_penalty = np.sqrt(config.penalty_weight)
         if kind == "I":
             (n,) = sizes
-            self.dim = n
-            self.outer_dim = n
-            keep = np.zeros(n, dtype=bool)
-            keep[2:] = True  # rows are k = 1..N; score k >= 3
-            self.keep_I = keep
-            return
-        m, n = sizes
-        grid_m, grid_n = np.meshgrid(np.arange(m + 1), np.arange(n + 1), indexing="ij")
-        keep = np.ones((m + 1, n + 1), dtype=bool)
-        keep[0, 0] = keep[1, 0] = keep[1, 1] = False
-        if kind == "III":
-            keep[0, 1] = False
-        self.keep_bi = keep
-        if kind == "II":
-            hat_free = (grid_m < m) & ~((grid_m == 0) & (grid_n == 0))
-            check_free = (grid_n < n) & ~((grid_m == 0) & (grid_n == 0))
-            hat_ctor = {(0, 0), (1, 0), (0, 1), (1, 1)}
-            check_ctor = {(0, 0), (1, 0), (1, 1)}
-            self.outer_dim = 6  # s, hat10, hat01, hat11, check10, check11
+            self.dim = self.outer_dim = n
+            self.table_size = n + 1
+            self.scatter = np.arange(n)
+            self.positive = np.arange(max(n, 3))  # lam2 enters the curves; it is lam[N] = 0 when N = 2
+            k = np.arange(3, n + 1)  # rows k = 1, 2 hold by construction; score k >= 3
+            self.gather = np.array([k - 1, k])  # upstream lam_{k-1}, own lam_k
+            self.inflow_coef = (k / (n - k + 1.0))[None]
+            self.exp_row = (k - 1)[None]
+            self.lhs_coef = np.array([k, 0.5 * k * (k - 1.0)])[:, :, None]
+            self.neg_j = -np.arange(n, dtype=float)[:, None]
         else:
-            hat_free = grid_m < m
-            check_free = grid_n < n
-            hat_ctor = {(0, 0), (1, 0), (0, 1), (1, 1)}
-            check_ctor = {(0, 0), (1, 0), (0, 1), (1, 1)}
-            self.outer_dim = 8
-        self.hat_idx = np.where(hat_free)
-        self.check_idx = np.where(check_free)
-        self.dim = (self.kind == "II") + len(self.hat_idx[0]) + len(self.check_idx[0])
-        self.hat_inner = [
-            (mm, nn)
-            for mm, nn in zip(*self.hat_idx)
-            if (mm, nn) not in hat_ctor
-        ]
-        self.check_inner = [
-            (mm, nn)
-            for mm, nn in zip(*self.check_idx)
-            if (mm, nn) not in check_ctor
-        ]
-        self.scored_cells = [(mm, nn) for mm, nn in zip(*np.where(keep))]
-        self.cell_row = {cell: i for i, cell in enumerate(self.scored_cells)}
+            self._init_bipartite(*sizes)
+        self.ls_length = self.gather.shape[1] * len(self.grid) + len(self.targets)
+
+    def _init_bipartite(self, m, n):
+        kind = self.kind
+        p = (m + 1) * (n + 1)
+        hat = np.arange(p).reshape(m + 1, n + 1)  # table positions of hat[i, j] and check[i, j]
+        check, zero = p + hat, 2 * p
+        self.table_size = 2 * p + 1
+        cells = [(i, j) for i in range(m + 1) for j in range(n + 1)]
+        ctor = [(0, 0), (1, 0), (0, 1), (1, 1)]
+        skip = [(0, 0), (1, 0), (1, 1)] + ([(0, 1)] if kind == "III" else [])  # hold by construction
+        scored = [cell for cell in cells if cell not in skip]
+        row = {cell: r for r, cell in enumerate(scored)}
+        # Model II pins check00 = (N/M) hat00 through one shared coordinate s
+        hat_free = [(i, j) for i, j in cells if i < m and (kind == "III" or (i, j) != (0, 0))]
+        check_free = [(i, j) for i, j in cells if j < n and (kind == "III" or (i, j) != (0, 0))]
+        check_ctor = ctor if kind == "III" else skip
+        hat_inner = [cell for cell in hat_free if cell not in ctor]
+        check_inner = [cell for cell in check_free if cell not in check_ctor]
+        self.dim = (kind == "II") + len(hat_free) + len(check_free)
+        self.scatter = np.array([hat[c] for c in hat_free] + [check[c] for c in check_free])
+        self.positive = np.concatenate([hat[:-1].ravel(), check[:, :-1].ravel()])  # interior rates
+        self.ctor = [hat[c] for c in ctor] + [check[c] for c in ctor]
+        # outer coordinates: Model II s, hat10, hat01, hat11, check10, check11; Model III all of ctor
+        self.outer_pos = np.array(self.ctor)[[1, 2, 3, 5, 7] if kind == "II" else slice(None)]
+        self.outer_dim = (kind == "II") + len(self.outer_pos)
+        i, j = np.array(scored).T
+        # upstream hat_{i-1,j} and check_{i,j-1} (the zero when absent), then own hat_ij, check_ij
+        up_hat, up_check = np.where(i > 0, hat[i - 1, j], zero), np.where(j > 0, check[i, j - 1], zero)
+        self.gather = np.array([up_hat, up_check, hat[i, j], check[i, j]])
+        self.inflow_coef = np.array([i / (m - i + 1.0), j / (n - j + 1.0)])
+        self.exp_row = np.array([j, i])
+        lhs = [i + j, i * j] if kind == "II" else [i, j, i * j]
+        self.lhs_coef = np.array(lhs, dtype=float)[:, :, None]
+        self.neg_j = -np.arange(max(m, n) + 1, dtype=float)[:, None]
+
+        # _solve_inner's design matrix: each unknown enters its own cell with
+        # weight t and its downstream cell through one inflow term
+        n_grid = len(self.grid)
+        unknowns = [(c, True) for c in hat_inner] + [(c, False) for c in check_inner]
+        self.inner = np.array([hat[c] if is_hat else check[c] for c, is_hat in unknowns])
+        self.design = np.zeros((len(scored) * n_grid, len(unknowns)))
+        down_at, down_coef, self.down_ena, self.down_exp = [], [], [], []
+        for u, ((mm, nn), is_hat) in enumerate(unknowns):
+            if (mm, nn) in row:
+                self.design[row[(mm, nn)] * n_grid : (row[(mm, nn)] + 1) * n_grid, u] = self.grid
+            down = (mm + 1, nn) if is_hat else (mm, nn + 1)
+            if down in row:
+                down_at.append((row[down] * n_grid + np.arange(n_grid)) * len(unknowns) + u)
+                down_coef.append((mm + 1.0) / (m - mm) if is_hat else (nn + 1.0) / (n - nn))
+                self.down_ena.append(0 if is_hat or kind == "II" else 1)
+                self.down_exp.append(nn if is_hat else mm)
+        self.down_at = np.array(down_at)
+        self.down_coef = np.array(down_coef)[:, None]
+
+    def _fill(self, rates, positions):
+        """Raw table holding rates at positions; Model II's leading s sets hat00 = M s, check00 = N s."""
+        tab = np.zeros(self.table_size)
+        if self.kind == "II":
+            s, rates = rates[0], rates[1:]
+            tab[self.ctor[0]], tab[self.ctor[4]] = self.sizes[0] * s, self.sizes[1] * s
+        tab[positions] = rates
+        return tab
+
+    def _table(self, x):
+        """Raw table of full-space coordinates; None when the curves would reject it."""
+        tab = self._fill(softplus(np.asarray(x, dtype=float)), self.scatter)
+        return None if (tab[self.positive] <= 0.0).any() else tab
+
+    def _raw(self, rates):
+        if self.kind == "I":
+            return rates.lam
+        return np.concatenate([rates.hat_rates.ravel(), rates.check_rates.ravel(), [0.0]])
+
+    def _validated(self, tab):
+        if self.kind == "I":
+            return LumpedRatesI(self.sizes[0], tab)
+        m, n = self.sizes
+        return LumpedRatesBi(m, n, *tab[:-1].reshape(2, m + 1, n + 1))
 
     def unpack(self, x):
-        rates = softplus(np.asarray(x, dtype=float))
-        if self.kind == "I":
-            (n,) = self.sizes
-            lam = np.zeros(n + 1)
-            lam[:n] = rates
-            return LumpedRatesI(n, lam)
-        m, n = self.sizes
-        hat = np.zeros((m + 1, n + 1))
-        check = np.zeros((m + 1, n + 1))
-        if self.kind == "II":
-            s = rates[0]
-            hat[0, 0] = m * s
-            check[0, 0] = n * s
-            n_hat = len(self.hat_idx[0])
-            hat[self.hat_idx] = rates[1 : 1 + n_hat]
-            check[self.check_idx] = rates[1 + n_hat :]
-        else:
-            n_hat = len(self.hat_idx[0])
-            hat[self.hat_idx] = rates[:n_hat]
-            check[self.check_idx] = rates[n_hat:]
-        return LumpedRatesBi(m, n, hat, check)
+        return self._validated(self._fill(softplus(np.asarray(x, dtype=float)), self.scatter))
 
     def pack(self, rates) -> np.ndarray:
         """Inverse of unpack, for seeding full-space polish from a table."""
-        from ._num import inv_softplus
-
-        if self.kind == "I":
-            return np.asarray(inv_softplus(rates.lam[:-1]), dtype=float)
-        hat, check = rates.hat_rates, rates.check_rates
-        parts = []
+        tab = self._raw(rates)
+        values = tab[self.scatter]
         if self.kind == "II":
-            parts.append([hat[0, 0] / self.sizes[0]])
-        parts.append(hat[self.hat_idx])
-        parts.append(check[self.check_idx])
-        return np.asarray(inv_softplus(np.concatenate([np.atleast_1d(p) for p in parts])), dtype=float)
+            values = np.concatenate([[tab[self.ctor[0]] / self.sizes[0]], values])
+        return np.asarray(inv_softplus(values), dtype=float)
+
+    def _products(self, coefs, n_expm1):
+        """Rows coef * t, and expm1(y)/y (limit 1 at y = 0) of the first n_expm1.
+
+        Every product of a curve constant with the grid is formed once here.
+        A row with coef d gives expm1_over(d t); one with coef -x gives
+        phi_minus(x t), because expm1(-y)/(-y) and (1 - e^{-y})/y round alike.
+        """
+        y = np.array(coefs)[:, None] * self.grid
+        head = y[:n_expm1]
+        if head.all():
+            return y, np.expm1(head) / head
+        return y, np.divide(np.expm1(head), head, out=np.ones_like(head), where=head != 0.0)
+
+    def _phi_diff(self, phi_a, phi_b, gap, a, b):
+        """phi_minus_diff(a, b, t) from phi_minus(a t), phi_minus(b t) and gap = (b - a) t."""
+        # |(b - a) t| is smallest at the earliest time, which decides whether
+        # phi_minus_diff switches to its midpoint derivative anywhere on the grid
+        if abs((b - a) * self.t_min) >= 1e-6:
+            return (phi_a - phi_b) / gap
+        small = np.abs(gap) < 1e-6
+        with np.errstate(invalid="ignore", over="ignore"):
+            direct = (phi_a - phi_b) / np.where(small, 1.0, gap)
+        return np.where(small, -_phi_minus_prime(0.5 * (a + b) * self.grid), direct)
+
+    def _shared_profile(self, q, d, b1, c):
+        """Models I and II: _shared_alpha_profile on the grid."""
+        c0 = c - 2.0 * d
+        a, b = c0 + d, c0 + 2.0 * d
+        # rows: expm1_over(d t), phi_minus at d t, a t, b t; then q t, c0 t, (b - a) t
+        y, ratio = self._products([d, -d, -a, -b, q, c0, b - a], 4)
+        pm = ratio[1]
+        w = np.exp(y[5]) * (b1 / q * self._phi_diff(ratio[2], ratio[3], y[6], a, b)) / (pm * pm)
+        ea = y[4:5] * ratio[:1]
+        ena = 1.0 / ea
+        ap = 1.0 / (self.grid * ratio[1:2])
+        return self._finish(ea, ena, ap, c - 2.0 * ap[0] + b1 * ena[0] / w, w)
+
+    def _pair_profile(self, q_hat, d_hat, q_check, d_check, drive_hat, drive_check, c):
+        """Model III: ReducedCurvesIII.profile on the grid."""
+        c0 = c - d_hat - d_check
+        a_hat, a_check = c0 + d_hat, c0 + d_check
+        b = c0 + d_hat + d_check
+        # rows: expm1_over for both deltas, phi_minus at both deltas, a_hat, a_check
+        # and b (times t); then q_hat t, q_check t, c0 t and the two gaps (b - a) t
+        y, ratio = self._products(
+            [d_hat, d_check, -d_hat, -d_check, -a_hat, -a_check, -b, q_hat, q_check, c0, b - a_hat, b - a_check], 7
+        )
+        pm = ratio[2:4]
+        num = drive_hat / q_hat * self._phi_diff(ratio[4], ratio[6], y[10], a_hat, b)
+        num = num + drive_check / q_check * self._phi_diff(ratio[5], ratio[6], y[11], a_check, b)
+        w = np.exp(y[9]) * num / (pm[0] * pm[1])
+        ea = y[7:9] * ratio[:2]
+        ena = 1.0 / ea
+        ap = 1.0 / (self.grid * pm)
+        drive = drive_hat * ena[0] + drive_check * ena[1]
+        return self._finish(ea, ena, ap, c - ap[0] - ap[1] + drive / w, w)
+
+    def _finish(self, ea, ena, ap, bp, w):
+        """Profile tuple: e^{-alpha} and alpha' rows, beta', the e^{-j beta} table, terminal deltas.
+
+        The grid ends exactly at the horizon, so terminal values are the last
+        profile entries.
+        """
+        beta = np.log(w)
+        deltas = np.array([*np.log(ea[:, -1]), beta[-1]]) - self.targets
+        return ena, ap, bp, np.exp(self.neg_j * beta), deltas
+
+    def _table_profile(self, tab):
+        """Profile of the curves reduced_curves_X builds from a table."""
+        if self.kind == "I":
+            (n,) = self.sizes
+            lam0, lam1, lam2 = tab[:3].tolist()
+            return self._shared_profile(lam0 / n, lam0 - lam1, 2.0 * lam1 / (n - 1), lam0 - lam2)
+        m, n = self.sizes
+        h00, h10, h01, h11, c00, c10, c01, c11 = tab[self.ctor].tolist()
+        r = h00 + c00
+        if self.kind == "II":
+            return self._shared_profile(h00 / m, r - (h10 + c10), h01 / m + c10 / n, r - (h11 + c11))
+        return self._pair_profile(
+            h00 / m, r - (h10 + c10), c00 / n, r - (h01 + c01), h01 / m, c10 / n, r - (h11 + c11)
+        )
+
+    def _block(self, tab, prof):
+        """Kept residual block (cells x grid) of a raw table under a profile."""
+        ena, ap, bp, exp_nb, _ = prof
+        v = tab[self.gather]
+        # every inflow term at once (bipartite: hat, then check); a shared-alpha
+        # profile has a single e^{-alpha} row
+        upstream = self.inflow_coef * v[: len(self.inflow_coef)]
+        terms = upstream[:, :, None] * ena[:, None, :] * exp_nb[self.exp_row]
+        lhs = self.lhs_coef[0] * ap[0]
+        if self.kind == "III":
+            lhs = lhs + self.lhs_coef[1] * ap[1]
+        if self.kind == "I":
+            own, inflow = tab[0] - v[1], terms[0]
+        else:
+            own, inflow = tab[self.ctor[0]] + tab[self.ctor[4]] - v[2] - v[3], terms[0] + terms[1]
+        return lhs + self.lhs_coef[-1] * bp - own[:, None] - inflow
+
+    def _parts(self, tab):
+        """Kept residual block and terminal deltas of a raw table: the one evaluation path."""
+        prof = self._table_profile(tab)
+        return self._block(tab, prof), prof[-1]
+
+    def _scores(self, tab):
+        """(residual_max, terminal_mismatch) of a raw table."""
+        res, d = self._parts(tab)
+        mismatch = np.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2) if self.kind == "III" else np.hypot(d[0], d[1])
+        return float(np.abs(res).max()), float(mismatch)
 
     def evaluate(self, rates):
-        """(residual_max, terminal_mismatch) for a rate table.
-
-        The grid ends exactly at the horizon, so terminal values are the
-        last profile entries.
-        """
-        targets = self.targets
-        if self.kind == "I":
-            lam = rates.lam
-            curves = reduced_curves_I(lam[0], lam[1], lam[2], rates.n_vertices)
-            prof = curves.profile(self.grid)
-            res = _residual_I_kernel(lam, rates.n_vertices, prof)[self.keep_I]
-            mismatch = float(
-                np.hypot(prof.alpha[-1] - targets["alpha"], prof.beta[-1] - targets["beta"])
-            )
-        elif self.kind == "II":
-            curves = reduced_curves_II(rates)
-            prof = curves.profile(self.grid)
-            res = _residual_II_kernel(rates, prof)[self.keep_bi]
-            mismatch = float(
-                np.hypot(prof.alpha[-1] - targets["alpha"], prof.beta[-1] - targets["beta"])
-            )
-        else:
-            curves = reduced_curves_III(rates)
-            prof = curves.profile(self.grid)
-            res = _residual_III_kernel(rates, prof)[self.keep_bi]
-            mismatch = float(
-                np.sqrt(
-                    (prof.alpha_hat[-1] - targets["alpha_hat"]) ** 2
-                    + (prof.alpha_check[-1] - targets["alpha_check"]) ** 2
-                    + (prof.beta[-1] - targets["beta"]) ** 2
-                )
-            )
-        residual_max = float(np.max(np.abs(res))) if res.size else 0.0
-        return residual_max, mismatch
+        """(residual_max, terminal_mismatch) for a rate table."""
+        tab = self._raw(rates)
+        if (tab[self.positive] <= 0.0).any():
+            raise ValueError("lumped rates entering the curves must be positive")
+        return self._scores(tab)
 
     def objective(self, x):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            try:
-                residual_max, mismatch = self.evaluate(self.unpack(x))
-            except (ValueError, FloatingPointError):
+            tab = self._table(x)
+            if tab is None:
                 return 1e12
-        value = residual_max + self.config.penalty_weight * mismatch * mismatch
-        if not np.isfinite(value):
-            return 1e12
-        return value
-
-    def _parts(self, rates):
-        """Kept residual block (cells x grid) and terminal deltas for a table."""
-        targets = self.targets
-        if self.kind == "I":
-            lam = rates.lam
-            curves = reduced_curves_I(lam[0], lam[1], lam[2], rates.n_vertices)
-            prof = curves.profile(self.grid)
-            res = _residual_I_kernel(lam, rates.n_vertices, prof)[self.keep_I]
-            deltas = np.array(
-                [prof.alpha[-1] - targets["alpha"], prof.beta[-1] - targets["beta"]]
-            )
-        elif self.kind == "II":
-            prof = reduced_curves_II(rates).profile(self.grid)
-            res = _residual_II_kernel(rates, prof)[self.keep_bi]
-            deltas = np.array(
-                [prof.alpha[-1] - targets["alpha"], prof.beta[-1] - targets["beta"]]
-            )
-        else:
-            prof = reduced_curves_III(rates).profile(self.grid)
-            res = _residual_III_kernel(rates, prof)[self.keep_bi]
-            deltas = np.array(
-                [
-                    prof.alpha_hat[-1] - targets["alpha_hat"],
-                    prof.alpha_check[-1] - targets["alpha_check"],
-                    prof.beta[-1] - targets["beta"],
-                ]
-            )
-        return res, deltas
-
-    @property
-    def ls_length(self):
-        if self.kind == "I":
-            kept = int(np.sum(self.keep_I))
-            n_deltas = 2
-        else:
-            kept = len(self.scored_cells)
-            n_deltas = 2 if self.kind == "II" else 3
-        return kept * len(self.grid) + n_deltas
+            residual_max, mismatch = self._scores(tab)
+            value = residual_max + self.config.penalty_weight * mismatch * mismatch
+        return value if np.isfinite(value) else 1e12
 
     def ls_residual(self, outer_x):
         """Smooth companion residual vector for the trust-region warm start.
@@ -960,81 +1029,43 @@ class _SearchProblem:
         lower edge) stacked with sqrt(penalty)-scaled terminal deltas; its
         zeros are exactly the zeros of the search objective.
         """
-        targets = self.targets
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             try:
                 if self.kind == "I":
-                    res, deltas = self._parts(self.unpack(outer_x))
+                    tab = self._table(outer_x)
+                    if tab is None:
+                        return np.full(self.ls_length, 1e6)
+                    res, deltas = self._parts(tab)
                 else:
-                    outer_rates = softplus(np.asarray(outer_x, dtype=float))
-                    hat, check, curves = self._tables_from_outer(outer_rates)
-                    prof = curves.profile(self.grid)
-                    hat, check = self._solve_inner(hat, check, prof)
-                    m, n = self.sizes
-                    if self.kind == "II":
-                        res = _residual_II_kernel_raw(hat, check, m, n, prof)[self.keep_bi]
-                        deltas = np.array(
-                            [prof.alpha[-1] - targets["alpha"], prof.beta[-1] - targets["beta"]]
-                        )
-                    else:
-                        res = _residual_III_kernel_raw(hat, check, m, n, prof)[self.keep_bi]
-                        deltas = np.array(
-                            [
-                                prof.alpha_hat[-1] - targets["alpha_hat"],
-                                prof.alpha_check[-1] - targets["alpha_check"],
-                                prof.beta[-1] - targets["beta"],
-                            ]
-                        )
-            except (ValueError, FloatingPointError, np.linalg.LinAlgError):
+                    tab, prof = self._warm(outer_x)
+                    res, deltas = self._block(tab, prof), prof[-1]
+            except (ValueError, np.linalg.LinAlgError):
                 return np.full(self.ls_length, 1e6)
-        vec = np.concatenate(
-            [
-                (res * self.grid).reshape(-1),
-                np.sqrt(self.config.penalty_weight) * deltas,
-            ]
-        )
+            vec = np.concatenate([(res * self.grid).reshape(-1), self.sqrt_penalty * deltas])
         return np.where(np.isfinite(vec), vec, 1e6)
 
-    def _tables_from_outer(self, outer_rates):
-        """Constructor-only tables (inner entries zero), plus curves and profile."""
-        m, n = self.sizes
-        hat = np.zeros((m + 1, n + 1))
-        check = np.zeros((m + 1, n + 1))
-        if self.kind == "II":
-            s, hat10, hat01, hat11, check10, check11 = outer_rates
-            hat[0, 0], check[0, 0] = m * s, n * s
-            hat[1, 0], hat[0, 1], hat[1, 1] = hat10, hat01, hat11
-            check[1, 0], check[1, 1] = check10, check11
-            r = hat[0, 0] + check[0, 0]
-            curves = ReducedCurvesII(
-                m,
-                n,
-                q=s,
-                delta=r - hat10 - check10,
-                b1=hat01 / m + check10 / n,
-                c=r - hat11 - check11,
-                identity_violation=0.0,
-            )
-        else:
-            hat00, hat10, hat01, hat11, check00, check10, check01, check11 = outer_rates
-            hat[0, 0], check[0, 0] = hat00, check00
-            hat[1, 0], hat[0, 1], hat[1, 1] = hat10, hat01, hat11
-            check[1, 0], check[0, 1], check[1, 1] = check10, check01, check11
-            r = hat00 + check00
-            curves = ReducedCurvesIII(
-                m,
-                n,
-                q_hat=hat00 / m,
-                delta_hat=r - hat10 - check10,
-                q_check=check00 / n,
-                delta_check=r - hat01 - check01,
-                drive_hat=hat01 / m,
-                drive_check=check10 / n,
-                c=r - hat11 - check11,
-            )
-        return hat, check, curves
+    def _warm(self, outer_x):
+        """Full raw table from outer softplus coordinates (inner solved), and its profile.
 
-    def _solve_inner(self, hat, check, prof):
+        The warm start builds its curves straight from the outer rates: drift
+        gaps grouped as (r - a) - b and Model II's q = s, unlike
+        reduced_curves_II/III.
+        """
+        outer = softplus(np.asarray(outer_x, dtype=float))
+        m, n = self.sizes
+        if self.kind == "II":
+            s, h10, h01, h11, c10, c11 = outer
+            r = m * s + n * s
+            prof = self._shared_profile(s, r - h10 - c10, h01 / m + c10 / n, r - h11 - c11)
+        else:
+            h00, h10, h01, h11, c00, c10, c01, c11 = outer
+            r = h00 + c00
+            prof = self._pair_profile(
+                h00 / m, r - h10 - c10, c00 / n, r - h01 - c01, h01 / m, c10 / n, r - h11 - c11
+            )
+        return self._solve_inner(self._fill(outer, self.outer_pos), prof), prof
+
+    def _solve_inner(self, tab, prof):
         """Fill the non-constructor entries by weighted least squares.
 
         Those entries enter the scored residuals linearly (own-cell sum plus
@@ -1043,59 +1074,19 @@ class _SearchProblem:
         to tame the 1/t growth of the residuals near the grid's lower edge;
         the solution is floored at a tiny positive rate to stay admissible.
         """
-        m_hat, n_check = self.sizes
-        n_grid = len(self.grid)
-        unknowns = self.hat_inner + self.check_inner
-        n_unknown = len(unknowns)
-        rows = len(self.scored_cells) * n_grid
-        if self.kind == "II":
-            ena_hat = ena_check = prof.exp_neg_alpha
-        else:
-            ena_hat, ena_check = prof.exp_neg_alpha_hat, prof.exp_neg_alpha_check
-        beta = prof.beta
-        weight = self.grid
-        a = np.zeros((rows, n_unknown))
-        n_hat_inner = len(self.hat_inner)
-        for j, (mm, nn) in enumerate(unknowns):
-            is_hat = j < n_hat_inner
-            own = self.cell_row.get((mm, nn))
-            if own is not None:
-                a[own * n_grid : (own + 1) * n_grid, j] = weight
-            if is_hat:
-                down = self.cell_row.get((mm + 1, nn))
-                if down is not None:
-                    coef = (mm + 1.0) / (m_hat - mm) * ena_hat * np.exp(-nn * beta)
-                    a[down * n_grid : (down + 1) * n_grid, j] = -coef * weight
-            else:
-                down = self.cell_row.get((mm, nn + 1))
-                if down is not None:
-                    coef = (nn + 1.0) / (n_check - nn) * ena_check * np.exp(-mm * beta)
-                    a[down * n_grid : (down + 1) * n_grid, j] = -coef * weight
-        if self.kind == "II":
-            base = _residual_II_kernel_raw(hat, check, m_hat, n_check, prof)
-        else:
-            base = _residual_III_kernel_raw(hat, check, m_hat, n_check, prof)
-        b = np.empty(rows)
-        for i, (mm, nn) in enumerate(self.scored_cells):
-            b[i * n_grid : (i + 1) * n_grid] = -base[mm, nn, :] * weight
+        ena, _, _, exp_nb, _ = prof
+        a = self.design.copy()
+        coef = self.down_coef * ena[self.down_ena] * exp_nb[self.down_exp]
+        a.reshape(-1)[self.down_at] = -coef * self.grid
+        b = (-self._block(tab, prof) * self.grid).ravel()
         solution = scipy_lstsq(a, b, lapack_driver="gelsy", check_finite=False)[0]
-        solution = np.maximum(solution, 1e-10)
-        hat = hat.copy()
-        check = check.copy()
-        for j, (mm, nn) in enumerate(unknowns):
-            if j < n_hat_inner:
-                hat[mm, nn] = solution[j]
-            else:
-                check[mm, nn] = solution[j]
-        return hat, check
+        tab = tab.copy()
+        tab[self.inner] = np.maximum(solution, 1e-10)
+        return tab
 
     def assemble(self, outer_x):
         """Full rate table from outer softplus coordinates (inner solved)."""
-        outer_rates = softplus(np.asarray(outer_x, dtype=float))
-        hat, check, curves = self._tables_from_outer(outer_rates)
-        prof = curves.profile(self.grid)
-        hat, check = self._solve_inner(hat, check, prof)
-        return LumpedRatesBi(self.sizes[0], self.sizes[1], hat, check)
+        return self._validated(self._warm(outer_x)[0])
 
 
 def _nm_rounds(objective, x0, budget, max_rounds, gain, adaptive):
@@ -1149,10 +1140,12 @@ def feasibility_search(model, targets, config: SearchConfig = SearchConfig()) ->
     kind, sizes = _parse_model(model)
     targets = _normalize_targets(kind, targets)
     problem = _SearchProblem(kind, sizes, targets, config)
+    search_start = time.perf_counter()
     records: List[RestartRecord] = []
     best: Dict[str, object] = {}
     full_budget = config.max_iter if config.max_iter is not None else max(800, 80 * problem.dim)
     for index in range(config.restarts):
+        restart_start = time.perf_counter()
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, index)))
         x_outer = rng.normal(0.5, 1.0, problem.outer_dim)
         warm = least_squares(
@@ -1164,7 +1157,7 @@ def feasibility_search(model, targets, config: SearchConfig = SearchConfig()) ->
             gtol=1e-13,
             max_nfev=150,
         )
-        n_evals = int(warm.nfev) * (problem.outer_dim + 1)  # include jacobian columns
+        n_warm = int(warm.nfev) * (problem.outer_dim + 1)  # include jacobian columns
         if kind == "I":
             x_full = warm.x
         else:
@@ -1176,7 +1169,7 @@ def feasibility_search(model, targets, config: SearchConfig = SearchConfig()) ->
             budget, max_rounds = min(600, full_budget), 1
         else:
             budget, max_rounds = full_budget, 1 + config.polish_rounds
-        x_full, value, extra_evals, rounds = _nm_rounds(
+        x_full, value, n_polish, rounds = _nm_rounds(
             problem.objective,
             x_full,
             budget,
@@ -1184,7 +1177,6 @@ def feasibility_search(model, targets, config: SearchConfig = SearchConfig()) ->
             config.polish_gain,
             adaptive=problem.dim > 6,
         )
-        n_evals += extra_evals
         residual_max, mismatch = problem.evaluate(problem.unpack(x_full))
         records.append(
             RestartRecord(
@@ -1192,8 +1184,10 @@ def feasibility_search(model, targets, config: SearchConfig = SearchConfig()) ->
                 objective=value,
                 residual_max=residual_max,
                 terminal_mismatch=mismatch,
-                n_evaluations=n_evals,
+                n_warm_evaluations=n_warm,
+                n_polish_evaluations=n_polish,
                 rounds=rounds,
+                wall_s=time.perf_counter() - restart_start,
             )
         )
         if not best or value < best["value"]:
@@ -1211,4 +1205,5 @@ def feasibility_search(model, targets, config: SearchConfig = SearchConfig()) ->
         terminal_mismatch=best_record.terminal_mismatch,
         restarts_used=config.restarts,
         trace=tuple(records),
+        wall_s=time.perf_counter() - search_start,
     )

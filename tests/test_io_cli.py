@@ -230,6 +230,15 @@ class TestCmdDynamics:
             )
         assert outputs[0] == outputs[1]
 
+    def test_zero_probability_cells_exit_4(self, tmp_path):
+        # forward_solve's absolute tolerance zeroes cells of order t^|A| at
+        # n = 10; membership then has empty cells, a numeric failure
+        gen_path = tmp_path / "gen.json"
+        cdio.write_generator_json(gen_path, random_generator(10, seed=1))
+        cfg_path = tmp_path / "run.json"
+        write_json(cfg_path, {"io": {"generator_file": str(gen_path), "out_dir": str(tmp_path / "out")}})
+        assert main(["dynamics", "--config", str(cfg_path)]) == 4
+
     def test_missing_generator_exits_2(self, tmp_path):
         cfg_path = tmp_path / "run.json"
         write_json(cfg_path, {"io": {"out_dir": str(tmp_path / "out")}})
@@ -291,6 +300,28 @@ class TestCmdSearch:
         assert code == 0
         report = json.loads((out / "coeff_check.json").read_text())
         assert report["inconsistency"] == pytest.approx(2.0 * np.exp(0.5) - 2.0, abs=1e-12)
+
+    def test_seed_override_is_hashed(self, tmp_path):
+        config = {
+            "model": "I",
+            "N": 3,
+            "targets": {"alpha": 0.3, "beta": 0.5},
+            "search": {"restarts": 1, "max_iter": 200},
+        }
+        cfg_path = tmp_path / "run.json"
+        write_json(cfg_path, config)
+        headers = {}
+        for seed in (None, "0", "7"):
+            out = tmp_path / f"out{seed}"
+            argv = ["search", "--config", str(cfg_path), "--out", str(out)]
+            assert main(argv + (["--seed", seed] if seed else [])) == 0
+            lines = (out / "restarts.csv").read_text().splitlines()
+            headers[seed] = lines[1]
+            assert lines[2] == "restart,n_evaluations,objective,terminal_mismatch,residual_max"
+            meta = json.loads((out / "result.json").read_text())["meta"]
+            assert lines[1] == f"# config_hash={meta['config_hash']}"
+        assert headers[None] == f"# config_hash={cdio.config_hash(config)}"
+        assert len(set(headers.values())) == 3
 
     def test_invalid_size_exits_2(self, tmp_path):
         code = self._run(

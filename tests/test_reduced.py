@@ -2,6 +2,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from corrdefault._num import geometric_grid, softplus
 from corrdefault.ctmc import MonotoneGenerator, forward_solve, independent_generator
@@ -9,7 +11,11 @@ from corrdefault.model import SubsetDist, extract_interactions
 from corrdefault.reduced import (
     LumpedRatesBi,
     LumpedRatesI,
+    ReducedCurvesII,
+    ReducedCurvesIII,
     SearchConfig,
+    _normalize_targets,
+    _SearchProblem,
     coeff_check_I,
     coeff_check_II,
     coeff_check_III,
@@ -449,3 +455,118 @@ class TestFeasibilitySearch:
             feasibility_search(("IV", 3, 3), (0.3, 0.0))
         with pytest.raises(ValueError, match="keys"):
             feasibility_search(("II", 3, 3), {"alpha": 0.1})
+
+
+TARGETS = {"I": (0.3, 0.5), "II": (0.3, 0.25), "III": (0.5, -0.5, 0.1)}
+
+
+def _coords(data, size):
+    """Ordinary softplus coordinates, up to two of them replaced by large ones.
+
+    -800 gives a rate of exactly 0, which must be rejected; 700 gives rates
+    whose curves overflow.
+    """
+    x = np.array(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=size, max_size=size)))
+    extremes = st.tuples(st.integers(0, size - 1), st.sampled_from([-800.0, -60.0, 60.0, 700.0]))
+    for index, value in data.draw(st.lists(extremes, max_size=2)):
+        x[index] = value
+    return x
+
+
+def _problem(kind, sizes):
+    return _SearchProblem(kind, sizes, _normalize_targets(kind, TARGETS[kind]), SearchConfig())
+
+
+def _scored(problem, lumped, curves):
+    """Kept residual block and terminal deltas from the public curves and residuals."""
+    grid, targets = problem.grid, problem.targets
+    prof = curves.profile(grid)
+    if problem.kind == "I":
+        return residual_I(lumped, curves, grid)[2:], [prof.alpha[-1] - targets[0], prof.beta[-1] - targets[1]]
+    keep = np.ones((lumped.n_hat + 1, lumped.n_check + 1), dtype=bool)
+    keep[0, 0] = keep[1, 0] = keep[1, 1] = False
+    if problem.kind == "II":
+        res = residual_II(lumped, curves, grid)[keep]
+        return res, [prof.alpha[-1] - targets[0], prof.beta[-1] - targets[1]]
+    keep[0, 1] = False
+    deltas = [prof.alpha_hat[-1] - targets[0], prof.alpha_check[-1] - targets[1], prof.beta[-1] - targets[2]]
+    return residual_III(lumped, curves, grid)[keep], deltas
+
+
+def reference_objective(problem, x):
+    with np.errstate(all="ignore"):
+        try:
+            lumped = problem.unpack(x)
+            if problem.kind == "I":
+                curves = reduced_curves_I(*lumped.lam[:3], lumped.n_vertices)
+            else:
+                curves = (reduced_curves_II if problem.kind == "II" else reduced_curves_III)(lumped)
+        except ValueError:
+            return 1e12
+        res, d = _scored(problem, lumped, curves)
+        if problem.kind == "III":
+            mismatch = float(np.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2))
+        else:
+            mismatch = float(np.hypot(d[0], d[1]))
+        value = float(np.max(np.abs(res))) + problem.config.penalty_weight * mismatch * mismatch
+    return value if np.isfinite(value) else 1e12
+
+
+def warm_curves(problem, outer_x):
+    """Curves of the warm start, built from the outer rates as the search builds them."""
+    m, n = problem.sizes
+    rates = softplus(np.asarray(outer_x, dtype=float))
+    if problem.kind == "II":
+        s, h10, h01, h11, c10, c11 = rates
+        r = m * s + n * s
+        return ReducedCurvesII(m, n, s, r - h10 - c10, h01 / m + c10 / n, r - h11 - c11, 0.0)
+    h00, h10, h01, h11, c00, c10, c01, c11 = rates
+    r = h00 + c00
+    return ReducedCurvesIII(
+        m, n, h00 / m, r - h10 - c10, c00 / n, r - h01 - c01, h01 / m, c10 / n, r - h11 - c11
+    )
+
+
+def reference_ls_residual(problem, outer_x):
+    with np.errstate(all="ignore"):
+        if problem.kind == "I":
+            try:
+                lumped = problem.unpack(outer_x)
+                curves = reduced_curves_I(*lumped.lam[:3], lumped.n_vertices)
+            except ValueError:
+                return np.full(problem.ls_length, 1e6)
+        else:
+            lumped, curves = problem.assemble(outer_x), warm_curves(problem, outer_x)
+        res, deltas = _scored(problem, lumped, curves)
+        scaled = np.sqrt(problem.config.penalty_weight) * np.array(deltas)
+        vec = np.concatenate([(res * problem.grid).reshape(-1), scaled])
+    return np.where(np.isfinite(vec), vec, 1e6)
+
+
+def _check_evaluation_path(problem, data):
+    x = _coords(data, problem.dim)
+    assert problem.objective(x) == reference_objective(problem, x)
+    outer = _coords(data, problem.outer_dim)
+    if problem.kind != "I":
+        # assemble validates its table; a constructor rate of exactly 0 has none
+        assume(np.all(softplus(outer) > 0.0))
+    np.testing.assert_array_equal(problem.ls_residual(outer), reference_ls_residual(problem, outer))
+
+
+class TestSearchEvaluationPath:
+    """The search's one-pass evaluation equals the public reference bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 5), data=st.data())
+    def test_model_I(self, n, data):
+        _check_evaluation_path(_problem("I", (n,)), data)
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(2, 4), n=st.integers(2, 4), data=st.data())
+    def test_model_II(self, m, n, data):
+        _check_evaluation_path(_problem("II", (m, n)), data)
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(2, 4), n=st.integers(2, 4), data=st.data())
+    def test_model_III(self, m, n, data):
+        _check_evaluation_path(_problem("III", (m, n)), data)
