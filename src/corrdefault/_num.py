@@ -164,3 +164,8 @@ def zeta_over_subsets(values):
         g = g.reshape(-1, 2, 1 << v)
         g[:, 1, :] += g[:, 0, :]
     return g.reshape(size)
+
+
+def zeta_over_supersets(values):
+    """Superset sums g[A] = sum_{B supseteq A} f[B], as subset sums over complemented bitmasks."""
+    return zeta_over_subsets(np.asarray(values)[::-1])[::-1]

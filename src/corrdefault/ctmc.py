@@ -158,10 +158,6 @@ class ForwardSolution:
     def dist(self, index: int) -> SubsetDist:
         return SubsetDist(self.n_vertices, self.probs[index])
 
-    @property
-    def dists(self) -> List[SubsetDist]:
-        return [self.dist(i) for i in range(len(self.t_grid))]
-
 
 def _forward_rhs(gen: MonotoneGenerator):
     n = gen.n_vertices

@@ -18,6 +18,9 @@ from .model import Graph, ModelParams, IsingParams, InteractionCoeffs, SubsetDis
 
 TOOL_VERSION = "0.1.0"
 
+# Lattice writers format this many rows per write; 2^16 rows of text is a few MB.
+_LATTICE_CHUNK = 1 << 16
+
 
 def config_hash(config: Mapping) -> str:
     """Stable hash of a JSON-serializable config."""
@@ -40,13 +43,16 @@ def _meta(config: Optional[Mapping]) -> dict:
     return meta
 
 
-def write_csv(path, columns: Sequence[str], rows: Iterable[Sequence], config=None, extra_meta=None):
+def _csv_head(columns: Sequence[str], config, extra_meta=None) -> str:
     meta = _meta(config)
     if extra_meta:
         meta.update(extra_meta)
+    return _header_lines(meta) + ",".join(columns) + "\n"
+
+
+def write_csv(path, columns: Sequence[str], rows: Iterable[Sequence], config=None, extra_meta=None):
     with open(path, "w") as handle:
-        handle.write(_header_lines(meta))
-        handle.write(",".join(columns) + "\n")
+        handle.write(_csv_head(columns, config, extra_meta))
         for row in rows:
             handle.write(
                 ",".join(
@@ -146,9 +152,17 @@ def read_generator_json(path) -> MonotoneGenerator:
         return generator_from_dict(json.load(handle))
 
 
+def _write_lattice_csv(path, column: str, values: np.ndarray, config, first_mask: int = 0):
+    """write_csv's bytes for the rows (mask, values[mask]), mask >= first_mask, formatted in bulk."""
+    with open(path, "w") as handle:
+        handle.write(_csv_head(("subset_bitmask", column), config))
+        for start in range(first_mask, len(values), _LATTICE_CHUNK):
+            chunk = values[start : start + _LATTICE_CHUNK].tolist()
+            handle.write("".join([f"{mask},{value!r}\n" for mask, value in enumerate(chunk, start)]))
+
+
 def write_distribution_csv(path, dist: SubsetDist, config=None):
-    rows = ((mask, float(p)) for mask, p in enumerate(dist.probs))
-    write_csv(path, ("subset_bitmask", "probability"), rows, config)
+    _write_lattice_csv(path, "probability", dist.probs, config)
 
 
 def read_distribution_csv(path) -> SubsetDist:
@@ -255,10 +269,6 @@ def write_restarts_csv(path, result, config=None):
     )
 
 
-def interactions_rows(coeffs: InteractionCoeffs):
-    for mask in range(1, 1 << coeffs.n_vertices):
-        yield (mask, float(coeffs.coeffs[mask]))
-
-
 def write_interactions_csv(path, coeffs: InteractionCoeffs, config=None):
-    write_csv(path, ("subset_bitmask", "coefficient"), interactions_rows(coeffs), config)
+    """Every coefficient but the empty set's, which is 0 by definition."""
+    _write_lattice_csv(path, "coefficient", coeffs.coeffs, config, first_mask=1)

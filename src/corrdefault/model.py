@@ -21,6 +21,7 @@ from ._num import (
     popcounts,
     subset_bit_matrix,
     zeta_over_subsets,
+    zeta_over_supersets,
 )
 
 SubsetLike = Union[int, Iterable[int]]
@@ -195,13 +196,6 @@ class ModelParams:
         object.__setattr__(self, "alpha", _frozen_array(self.alpha, self.graph.n_vertices, "alpha"))
         object.__setattr__(self, "beta", _frozen_array(self.beta, self.graph.n_edges, "beta"))
 
-    def beta_of(self, u: int, v: int) -> float:
-        """Edge weight, 0 for non-edges."""
-        if self.graph.has_edge(u, v):
-            return float(self.beta[self.graph.edge_position(u, v)])
-        _canonical_edge(u, v)
-        return 0.0
-
 
 @dataclass(frozen=True)
 class IsingParams:
@@ -240,16 +234,6 @@ class SubsetDist:
 
     def probability(self, subset: SubsetLike) -> float:
         return float(self.probs[subset_mask(subset, self.n_vertices)])
-
-    def vertex_marginals(self) -> np.ndarray:
-        bits = subset_bit_matrix(self.n_vertices)
-        return bits.T.astype(float) @ self.probs
-
-    def pair_probability(self, u: int, v: int) -> float:
-        u, v = _canonical_edge(u, v)
-        masks = np.arange(1 << self.n_vertices)
-        both = ((masks >> u) & 1).astype(bool) & ((masks >> v) & 1).astype(bool)
-        return float(self.probs[both].sum())
 
     def relabel(self, perm: Iterable[int]) -> "SubsetDist":
         """Distribution after renaming vertex v to perm[v]."""
@@ -297,15 +281,23 @@ class InteractionCoeffs:
         return float(np.max(np.abs(self.coeffs[sel]))) if np.any(sel) else 0.0
 
 
+def _edge_masks(graph: Graph) -> np.ndarray:
+    """Bitmask (1 << u) | (1 << v) of every edge, in graph.edges order."""
+    edges = np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
+    return (1 << edges[:, 0]) | (1 << edges[:, 1])
+
+
 def hamiltonian_vector(params: ModelParams) -> np.ndarray:
-    """H(A) for every bitmask A; H(empty) = 0 exactly."""
+    """H(A) for every bitmask A; H(empty) = 0 exactly.
+
+    One zeta transform of alpha on the singletons and beta on the edge pairs.
+    """
     graph = params.graph
     _check_cap(graph.n_vertices)
-    bits = subset_bit_matrix(graph.n_vertices).astype(float)
-    h = bits @ params.alpha
-    for (u, v), b in zip(graph.edges, params.beta):
-        h += b * bits[:, u] * bits[:, v]
-    return h
+    coeffs = np.zeros(1 << graph.n_vertices)
+    coeffs[1 << np.arange(graph.n_vertices)] = params.alpha
+    coeffs[_edge_masks(graph)] = params.beta
+    return zeta_over_subsets(coeffs)
 
 
 def hamiltonian(params: ModelParams, subset: SubsetLike) -> float:
@@ -366,15 +358,13 @@ def from_ising(ising: IsingParams) -> ModelParams:
 
 
 def spin_distribution(ising: IsingParams) -> SubsetDist:
-    """Spin-model pmf indexed by the subset where the spin is +1."""
-    graph = ising.graph
-    _check_cap(graph.n_vertices)
-    signs = 2.0 * subset_bit_matrix(graph.n_vertices).astype(float) - 1.0
-    energy = signs @ ising.gamma
-    for (u, v), d in zip(graph.edges, ising.delta):
-        energy += d * signs[:, u] * signs[:, v]
-    log_z = float(logsumexp(energy))
-    return SubsetDist(graph.n_vertices, np.exp(energy - log_z), log_partition=log_z)
+    """Spin-model pmf indexed by the subset where the spin is +1.
+
+    The spin energy is from_ising's H plus energy(empty) = sum(delta) - sum(gamma).
+    """
+    dist = full_distribution(from_ising(ising))
+    shift = float(ising.delta.sum() - ising.gamma.sum())
+    return SubsetDist(dist.n_vertices, dist.probs, log_partition=dist.log_partition + shift)
 
 
 def extract_interactions(dist: SubsetDist) -> InteractionCoeffs:
@@ -410,13 +400,10 @@ def family_membership_residual(dist: SubsetDist, graph: Graph) -> float:
     if dist.n_vertices != graph.n_vertices:
         raise ValueError("distribution and graph sizes differ")
     coeffs = extract_interactions(dist)
-    pc = popcounts(dist.n_vertices)
-    out = pc >= 3
-    masks = np.arange(1 << dist.n_vertices)
-    for u in range(dist.n_vertices):
-        for v in range(u + 1, dist.n_vertices):
-            if not graph.has_edge(u, v):
-                out |= masks == ((1 << u) | (1 << v))
+    n = dist.n_vertices
+    out = popcounts(n) >= 3
+    non_edges = [(1 << u) | (1 << v) for u in range(n) for v in range(u + 1, n) if not graph.has_edge(u, v)]
+    out[np.array(non_edges, dtype=np.int64)] = True
     return float(np.max(np.abs(coeffs.coeffs[out]))) if np.any(out) else 0.0
 
 
@@ -433,14 +420,10 @@ def exact_sample(params: ModelParams, n_draws: int, seed: int) -> np.ndarray:
 
 
 def moments(params: ModelParams) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact vertex marginals and edge pair probabilities."""
-    dist = full_distribution(params)
-    bits = subset_bit_matrix(params.graph.n_vertices).astype(float)
-    vertex = bits.T @ dist.probs
-    pair = np.array(
-        [float(np.dot(bits[:, u] * bits[:, v], dist.probs)) for (u, v) in params.graph.edges]
-    )
-    return vertex, pair
+    """Exact vertex marginals and edge pair probabilities, from one superset-sum transform."""
+    graph = params.graph
+    covered = zeta_over_supersets(full_distribution(params).probs)
+    return covered[1 << np.arange(graph.n_vertices)], covered[_edge_masks(graph)]
 
 
 def _logit(p):
@@ -521,12 +504,6 @@ def fit_moments(
         f"moment fit did not reach tol={tol} in {max_iter} sweeps (residual {residual:.3e})",
         residual,
     )
-
-
-def independent_params(graph: Graph, marginals) -> ModelParams:
-    """Edge-free parameters whose marginals are the given probabilities."""
-    marginals = np.asarray(marginals, dtype=float)
-    return ModelParams(graph, _logit(marginals), np.zeros(graph.n_edges))
 
 
 def bernoulli_product_distribution(n_vertices: int, marginals) -> SubsetDist:

@@ -728,6 +728,8 @@ def _parse_model(model):
     if kind == "I":
         if len(model) != 2 or model[1] < 2:
             raise ValueError("Model I needs ('I', N) with N >= 2")
+        if model[1] == 2:
+            raise ValueError("Model I needs N >= 3: at N = 2 the pair rate lam2 is the absorbing lam[N] = 0")
         return "I", (int(model[1]),)
     if kind in ("II", "III"):
         if len(model) != 3 or model[1] < 2 or model[2] < 2:
@@ -1018,7 +1020,10 @@ class _SearchProblem:
             tab = self._table(x)
             if tab is None:
                 return 1e12
-            residual_max, mismatch = self._scores(tab)
+            try:
+                residual_max, mismatch = self._scores(tab)
+            except ZeroDivisionError:  # a subnormal rate whose curve constant q underflows to 0
+                return 1e12
             value = residual_max + self.config.penalty_weight * mismatch * mismatch
         return value if np.isfinite(value) else 1e12
 
@@ -1039,7 +1044,7 @@ class _SearchProblem:
                 else:
                     tab, prof = self._warm(outer_x)
                     res, deltas = self._block(tab, prof), prof[-1]
-            except (ValueError, np.linalg.LinAlgError):
+            except (ValueError, ZeroDivisionError, np.linalg.LinAlgError):
                 return np.full(self.ls_length, 1e6)
             vec = np.concatenate([(res * self.grid).reshape(-1), self.sqrt_penalty * deltas])
         return np.where(np.isfinite(vec), vec, 1e6)

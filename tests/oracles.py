@@ -63,6 +63,26 @@ def brute_force_interactions(probs):
     return coeffs
 
 
+def bit_matrix_moments(probs, edges):
+    """Vertex marginals and edge pair probabilities as dot products with 0/1 membership columns."""
+    size = len(probs)
+    n = size.bit_length() - 1
+    bits = ((np.arange(size)[:, None] >> np.arange(n)) & 1).astype(float)
+    vertex = bits.T @ probs
+    pair = np.array([(bits[:, u] * bits[:, v]) @ probs for (u, v) in edges])
+    return vertex, pair
+
+
+def spin_energies(gamma, delta, edges, n_vertices):
+    """Spin energy sum gamma_v s_v + sum delta_uv s_u s_v of every bitmask, s = +1 on the subset."""
+    masks = np.arange(1 << n_vertices)
+    signs = 2.0 * ((masks[:, None] >> np.arange(n_vertices)) & 1) - 1.0
+    energy = signs @ np.asarray(gamma, dtype=float)
+    for (u, v), d in zip(edges, delta):
+        energy += d * signs[:, u] * signs[:, v]
+    return energy
+
+
 def two_vertex_exact(q_u, q_v, q_uv, q_vu, t):
     """Closed-form occupation probabilities of the 2-vertex monotone chain.
 

@@ -1,12 +1,24 @@
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from corrdefault import io as cdio
 from corrdefault.cli import main
 from corrdefault.ctmc import random_generator
-from corrdefault.model import Graph, ModelParams, extract_interactions, full_distribution
+from corrdefault.model import (
+    Graph,
+    InteractionCoeffs,
+    ModelParams,
+    SubsetDist,
+    extract_interactions,
+    full_distribution,
+)
 
 from conftest import random_model
 
@@ -70,6 +82,49 @@ class TestFileFormats:
         cdio.write_distribution_csv(path, dist)
         back = cdio.read_distribution_csv(path)
         assert np.array_equal(back.probs, dist.probs)
+
+
+@st.composite
+def lattice_floats(draw, elements):
+    n = draw(st.integers(0, 6))
+    return np.array(draw(st.lists(elements, min_size=1 << n, max_size=1 << n)))
+
+
+def _lattice_bytes(write, payload, reference_rows, columns, chunk):
+    """Bytes of a bulk lattice writer (chunked every `chunk` rows) and of write_csv over the same rows."""
+    config = {"seed": 1}
+    with tempfile.TemporaryDirectory() as folder:
+        bulk, rows = Path(folder) / "bulk.csv", Path(folder) / "rows.csv"
+        with mock.patch.object(cdio, "_LATTICE_CHUNK", chunk):
+            write(bulk, payload, config)
+        cdio.write_csv(rows, columns, reference_rows, config)
+        return bulk.read_bytes(), rows.read_bytes()
+
+
+class TestLatticeWriters:
+    """The bulk lattice writers emit the bytes write_csv emits for the same rows."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(lattice_floats(st.floats(0.0, 1e300)), st.integers(1, 5))
+    def test_distribution(self, weights, chunk):
+        total = weights.sum()
+        assume(0.0 < total < np.inf)
+        dist = SubsetDist(len(weights).bit_length() - 1, weights / total)
+        rows = [(mask, float(p)) for mask, p in enumerate(dist.probs)]
+        bulk, reference = _lattice_bytes(
+            cdio.write_distribution_csv, dist, rows, ("subset_bitmask", "probability"), chunk
+        )
+        assert bulk == reference
+
+    @settings(max_examples=40, deadline=None)
+    @given(lattice_floats(st.floats(allow_nan=True, allow_infinity=True)), st.integers(1, 5))
+    def test_interactions(self, values, chunk):
+        coeffs = InteractionCoeffs(len(values).bit_length() - 1, values, 0.0)
+        rows = [(mask, float(coeffs.coeffs[mask])) for mask in range(1, len(values))]
+        bulk, reference = _lattice_bytes(
+            cdio.write_interactions_csv, coeffs, rows, ("subset_bitmask", "coefficient"), chunk
+        )
+        assert bulk == reference
 
 
 class TestCmdModel:
@@ -334,3 +389,8 @@ class TestCmdSearch:
             },
         )
         assert code == 2
+
+    def test_model_I_with_two_vertices_exits_2(self, tmp_path, capsys):
+        config = {"model": "I", "N": 2, "targets": {"alpha": 0.3, "beta": 0.0}, "io": {"out_dir": str(tmp_path / "out")}}
+        assert self._run(tmp_path, config) == 2
+        assert "N >= 3" in capsys.readouterr().err

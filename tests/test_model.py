@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 from scipy.stats import chisquare
 
 from corrdefault.model import (
     EnumerationCapError,
     Graph,
     InfeasibleTargetsError,
+    IsingParams,
     ModelParams,
     SubsetDist,
     ZeroProbabilityError,
@@ -17,6 +21,7 @@ from corrdefault.model import (
     from_ising,
     full_distribution,
     hamiltonian,
+    hamiltonian_vector,
     log_partition,
     moments,
     reconstruct_log_ratios,
@@ -26,7 +31,7 @@ from corrdefault.model import (
 )
 
 from conftest import random_model
-from oracles import brute_force_interactions
+from oracles import bit_matrix_moments, brute_force_interactions, spin_energies
 
 
 class TestGraph:
@@ -268,3 +273,50 @@ class TestDistributionInvariants:
             for mask in (1, 7, 35, 63):
                 log_ratio = np.log(dist.probs[mask] / dist.probs[0])
                 assert hamiltonian(params, mask) == pytest.approx(log_ratio, abs=1e-12)
+
+
+@st.composite
+def lattice_weights(draw):
+    """A graph on at most 8 vertices with a weight per vertex and per edge."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = tuple(pair for pair in pairs if draw(st.booleans()))
+    weight = st.floats(-3.0, 3.0)
+    vertex = draw(st.lists(weight, min_size=n, max_size=n))
+    edge = draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))
+    return Graph(n, edges), vertex, edge
+
+
+class TestLatticeTransforms:
+    """The subset-transform kernels against direct per-subset computations."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(lattice_weights())
+    def test_hamiltonian_vector_matches_scalar(self, weights):
+        params = ModelParams(*weights)
+        h = hamiltonian_vector(params)
+        assert h[0] == 0.0
+        scalar = [hamiltonian(params, mask) for mask in range(1 << params.graph.n_vertices)]
+        # both sum the same terms in different orders
+        scale = np.abs(params.alpha).sum() + np.abs(params.beta).sum()
+        np.testing.assert_allclose(h, scalar, rtol=0.0, atol=64 * np.finfo(float).eps * scale)
+
+    @settings(max_examples=30, deadline=None)
+    @given(lattice_weights())
+    def test_moments_match_bit_matrix(self, weights):
+        params = ModelParams(*weights)
+        vertex, pair = moments(params)
+        ref_vertex, ref_pair = bit_matrix_moments(full_distribution(params).probs, params.graph.edges)
+        np.testing.assert_allclose(vertex, ref_vertex, rtol=1e-13, atol=1e-16)
+        np.testing.assert_allclose(pair, ref_pair, rtol=1e-13, atol=1e-16)
+
+    @settings(max_examples=30, deadline=None)
+    @given(lattice_weights())
+    def test_spin_distribution_is_shifted_subset_law(self, weights):
+        graph, gamma, delta = weights
+        ising = IsingParams(graph, gamma, delta, 0.0)
+        dist = spin_distribution(ising)
+        np.testing.assert_array_equal(dist.probs, full_distribution(from_ising(ising)).probs)
+        energy = spin_energies(gamma, delta, graph.edges, graph.n_vertices)
+        assert dist.log_partition == pytest.approx(float(logsumexp(energy)), abs=1e-12)
+        np.testing.assert_allclose(dist.probs, np.exp(energy - logsumexp(energy)), rtol=1e-12)

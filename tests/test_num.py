@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrdefault._num import (
     exp_alpha_value,
@@ -14,6 +16,7 @@ from corrdefault._num import (
     softplus,
     subset_bit_matrix,
     zeta_over_subsets,
+    zeta_over_supersets,
 )
 
 
@@ -88,9 +91,29 @@ def test_mobius_zeta_round_trip(rng):
     np.testing.assert_allclose(mobius_from_log(zeta_over_subsets(values)), values, atol=1e-12)
 
 
+@st.composite
+def integer_lattice_vectors(draw):
+    """Integer-valued 2^n vectors, n <= 8: the transforms are exact on them."""
+    n = draw(st.integers(0, 8))
+    return np.array(draw(st.lists(st.integers(-1000, 1000), min_size=1 << n, max_size=1 << n)), dtype=float)
+
+
+@settings(max_examples=40, deadline=None)
+@given(integer_lattice_vectors())
+def test_transforms_invert_exactly(values):
+    np.testing.assert_array_equal(zeta_over_subsets(mobius_from_log(values)), values)
+    np.testing.assert_array_equal(mobius_from_log(zeta_over_subsets(values)), values)
+    masks = np.arange(len(values))
+    up = zeta_over_supersets(values)
+    np.testing.assert_array_equal(up, [values[masks & a == a].sum() for a in masks])
+    # complementing every bitmask reverses the vector and swaps subsets for supersets
+    np.testing.assert_array_equal(mobius_from_log(up[::-1])[::-1], values)
+
+
 def test_mobius_rejects_bad_length():
-    with pytest.raises(ValueError, match="power of two"):
-        mobius_from_log(np.zeros(6))
+    for transform in (mobius_from_log, zeta_over_subsets, zeta_over_supersets):
+        with pytest.raises(ValueError, match="power of two"):
+            transform(np.zeros(6))
 
 
 def test_subset_bit_matrix_popcounts():

@@ -456,6 +456,11 @@ class TestFeasibilitySearch:
         with pytest.raises(ValueError, match="keys"):
             feasibility_search(("II", 3, 3), {"alpha": 0.1})
 
+    def test_model_I_rejects_two_vertices(self):
+        # the pair curve needs lam2 > 0, and at N = 2 it is the absorbing rate lam[N] = 0
+        with pytest.raises(ValueError, match="N >= 3"):
+            feasibility_search(("I", 2), (0.3, 0.0), SearchConfig(restarts=1))
+
 
 TARGETS = {"I": (0.3, 0.5), "II": (0.3, 0.25), "III": (0.5, -0.5, 0.1)}
 
@@ -570,3 +575,13 @@ class TestSearchEvaluationPath:
     @given(m=st.integers(2, 4), n=st.integers(2, 4), data=st.data())
     def test_model_III(self, m, n, data):
         _check_evaluation_path(_problem("III", (m, n)), data)
+
+    @pytest.mark.parametrize("kind, sizes, index", [("I", (4,), 0), ("III", (4, 3), 0), ("III", (4, 3), 16)])
+    def test_subnormal_rates_are_rejected(self, kind, sizes, index):
+        # softplus(-745) is the subnormal 5e-324: positive, but rate / size underflows to 0
+        problem = _problem(kind, sizes)
+        x = np.zeros(problem.dim)
+        x[index] = -745.0
+        assert problem.objective(x) == 1e12
+        if kind == "I":  # the bipartite warm start divides numpy scalars, which give inf instead
+            np.testing.assert_array_equal(problem.ls_residual(x), np.full(problem.ls_length, 1e6))
