@@ -136,8 +136,15 @@ def subset_bit_matrix(n_vertices):
 
 
 def popcounts(n_vertices):
-    """Cardinality of every bitmask below 2^n."""
-    return subset_bit_matrix(n_vertices).sum(axis=1)
+    """Cardinality of every bitmask below 2^n, as int8 (n <= 127).
+
+    Built by lattice doubling: the masks with bit v set are the masks below
+    2^v plus one element each.
+    """
+    counts = np.zeros(1, dtype=np.int8)
+    for _ in range(n_vertices):
+        counts = np.concatenate((counts, counts + 1))
+    return counts
 
 
 def mobius_from_log(log_values):

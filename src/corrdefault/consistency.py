@@ -3,9 +3,9 @@
 For any monotone generator, the transient probabilities of subsets of size
 at most two form a closed subsystem, so the single-vertex curve alpha_u(t)
 has a closed form and the pair curve beta_uv(t) solves a scalar ODE driven
-only by low-order rates.  Admissible dynamics additionally require the
-master equation to hold for every larger subset; its residuals are the
-certificates this module computes.
+only by low-order rates, whose bounded solution is closed-form too.
+Admissible dynamics additionally require the master equation to hold for
+every larger subset; its residuals are the certificates this module computes.
 """
 
 from __future__ import annotations
@@ -14,24 +14,17 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.special import logsumexp
 
 from ._num import (
     alpha_prime_value,
     exp_alpha_value,
-    expm1_over,
+    exp_beta_pair,
     geometric_grid,
-    phi_minus,
     subset_bit_matrix,
 )
-from .ctmc import MonotoneGenerator, ForwardSolveError, forward_solve
+from .ctmc import MonotoneGenerator, forward_solve
 from .model import Graph, SubsetDist, family_membership_residual
-
-# The attracting initial layer makes the bounded solution forgiving: starting
-# this far below the first requested time washes the O(t0) seed error out to
-# ~1e-12 by the time the grid begins.
-_SEED_TIME_FRACTION = 1e-5
 
 
 def alpha_curve(q_u: float, r_empty: float, r_u: float, t):
@@ -56,46 +49,36 @@ def alpha_curve(q_u: float, r_empty: float, r_u: float, t):
 
 @dataclass(frozen=True)
 class BetaCurve:
-    """Pair interaction curve beta_uv on a grid, with a dense evaluator."""
+    """Pair interaction curve beta_uv: values on a grid, and (beta, beta') at any t > 0."""
 
     t_grid: np.ndarray
     beta: np.ndarray
     beta_prime: np.ndarray
-    _dense: object
+    _value: object
     _rhs: object
-    t_min: float
-    t_max: float
 
     def __call__(self, t):
-        """(beta, beta') at arbitrary times within the integrated span."""
+        """(beta, beta') at arbitrary positive times."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < self.t_min) or np.any(t > self.t_max * (1.0 + 1e-12)):
-            raise ValueError(f"t outside the integrated span [{self.t_min}, {self.t_max}]")
-        beta = self._dense(np.log(t))
-        if beta.ndim > 1:
-            beta = beta[0]
-        else:
-            beta = float(beta[0]) if beta.shape == (1,) else beta
-        beta_prime = self._rhs(t, beta)
-        return beta, beta_prime
+        if np.any(t <= 0.0):
+            raise ValueError("t must be positive")
+        beta = self._value(t)
+        return beta, self._rhs(t, beta)
 
 
-def _pair_rhs(q_u, q_v, q_uv, q_vu, r_empty, r_u, r_v, r_uv):
+def _pair_functions(q_u, q_v, q_uv, q_vu, r_empty, r_u, r_v, r_uv):
+    """The closed-form curve t -> beta and the ODE right-hand side (t, beta) -> beta'."""
     d_u, d_v, c = r_empty - r_u, r_empty - r_v, r_empty - r_uv
+
+    def value(t):
+        return np.log(exp_beta_pair(q_u, d_u, q_v, d_v, q_uv, q_vu, c, t))
 
     def rhs(t, beta):
         ap = alpha_prime_value(d_u, t) + alpha_prime_value(d_v, t)
         drive = q_vu / exp_alpha_value(q_u, d_u, t) + q_uv / exp_alpha_value(q_v, d_v, t)
         return c - ap + drive * np.exp(-beta)
 
-    def rhs_log_time(s, beta):
-        # t * rhs, with the 1/t singular factors cancelled analytically
-        t = np.exp(s)
-        ap = 1.0 / phi_minus(d_u * t) + 1.0 / phi_minus(d_v * t)
-        drive = q_vu / (q_u * expm1_over(d_u * t)) + q_uv / (q_v * expm1_over(d_v * t))
-        return c * t - ap + drive * np.exp(-beta)
-
-    return rhs, rhs_log_time
+    return value, rhs
 
 
 def beta_curve(
@@ -108,16 +91,14 @@ def beta_curve(
     r_v: float,
     r_uv: float,
     t_grid,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
 ) -> BetaCurve:
-    """Pair curve by integrating the consistency ODE for the two-vertex subset.
+    """Pair curve: the bounded solution of the consistency ODE for the two-vertex subset.
 
     beta' = (R_empty - R_uv - alpha_u' - alpha_v')
-            + (q_vu e^{-alpha_u} + q_uv e^{-alpha_v}) e^{-beta},
-    integrated in log-time from the small-t limit value
-    beta(0+) = log((q_u q_uv + q_v q_vu) / (2 q_u q_v)), which is the unique
-    initial condition with a bounded solution.
+            + (q_vu e^{-alpha_u} + q_uv e^{-alpha_v}) e^{-beta}
+    is linear in e^beta; its unique solution bounded as t -> 0, with
+    beta(0+) = log((q_u q_uv + q_v q_vu) / (2 q_u q_v)), is evaluated in closed
+    form by _num.exp_beta_pair, and beta' from the equation itself.
     """
     if q_u <= 0.0 or q_v <= 0.0:
         raise ValueError("q_u and q_v must be positive")
@@ -128,33 +109,17 @@ def beta_curve(
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if np.any(t_grid <= 0.0) or np.any(np.diff(t_grid) <= 0.0):
         raise ValueError("t_grid must be positive and strictly increasing")
-    beta0 = float(np.log((q_u * q_uv + q_v * q_vu) / (2.0 * q_u * q_v)))
-    rhs, rhs_log = _pair_rhs(q_u, q_v, q_uv, q_vu, r_empty, r_u, r_v, r_uv)
-    t0 = _SEED_TIME_FRACTION * float(t_grid[0])
-    sol = solve_ivp(
-        rhs_log,
-        (np.log(t0), np.log(float(t_grid[-1]))),
-        np.array([beta0]),
-        method="DOP853",
-        t_eval=np.log(t_grid),
-        dense_output=True,
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        raise ForwardSolveError(f"pair-curve integration failed: {sol.message}")
-    beta = sol.y[0]
-    return BetaCurve(
-        t_grid, beta, rhs(t_grid, beta), sol.sol, rhs, t_min=t0, t_max=float(t_grid[-1])
-    )
+    value, rhs = _pair_functions(q_u, q_v, q_uv, q_vu, r_empty, r_u, r_v, r_uv)
+    beta = value(t_grid)
+    return BetaCurve(t_grid, beta, rhs(t_grid, beta), value, rhs)
 
 
 @dataclass(frozen=True)
 class ParamCurves:
     """Time-dependent parameters (alpha_u, beta_uv) with derivative evaluators.
 
-    Vertex curves are closed-form; pair curves are integrated.  Pairs absent
-    from the mapping evaluate to the constant zero curve.
+    Vertex and pair curves are closed-form.  Pairs absent from the mapping
+    evaluate to the constant zero curve.
     """
 
     n_vertices: int
@@ -205,8 +170,6 @@ def curves_from_rates(
     gen: MonotoneGenerator,
     horizon: float = 1.0,
     t_grid=None,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
 ) -> ParamCurves:
     """Assemble every vertex and pair curve from the generator's low-order rates.
 
@@ -237,8 +200,6 @@ def curves_from_rates(
                 gen.r_u(v),
                 gen.r_uv(u, v),
                 t_grid,
-                rtol=rtol,
-                atol=atol,
             )
     return ParamCurves(n, q, delta, pair_curves, horizon=float(t_grid[-1]))
 

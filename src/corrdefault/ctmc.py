@@ -7,6 +7,7 @@ generator is stored densely as a (2^n, n) rate table q(A, v) for v not in A.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -16,6 +17,10 @@ from scipy.integrate import solve_ivp
 
 from ._num import FORWARD_CAP, softplus, subset_bit_matrix
 from .model import SubsetDist, bernoulli_product_distribution, subset_mask
+
+
+# Paths advance together in blocks of this many; the output does not depend on it.
+_PATH_BLOCK = 4096
 
 
 class ForwardSolveError(RuntimeError):
@@ -162,20 +167,14 @@ class ForwardSolution:
 def _forward_rhs(gen: MonotoneGenerator):
     n = gen.n_vertices
     exit_rates = gen.exit_rates
-    masks = np.arange(1 << n)
-    sources = []
-    targets = []
-    flows = []
-    for v in range(n):
-        src = masks[(masks >> v) & 1 == 0]
-        sources.append(src)
-        targets.append(src | (1 << v))
-        flows.append(gen.rates[src, v])
+    # In the (-1, 2, 2^v) view of a lattice vector, [:, 0, :] holds the subsets
+    # without v and [:, 1, :] the same subsets with v added, both in mask order.
+    flows = [np.ascontiguousarray(gen.rates[:, v].reshape(-1, 2, 1 << v)[:, 0, :]) for v in range(n)]
 
     def rhs(_t, p):
         dp = -exit_rates * p
-        for src, dst, q in zip(sources, targets, flows):
-            dp[dst] += q * p[src]
+        for v, q in enumerate(flows):
+            dp.reshape(-1, 2, 1 << v)[:, 1, :] += q * p.reshape(-1, 2, 1 << v)[:, 0, :]
         return dp
 
     return rhs
@@ -237,15 +236,28 @@ class PathSample:
     def __post_init__(self):
         if len(self.times) != len(self.vertices):
             raise ValueError("one jump time per jump vertex")
-        if np.any(np.diff(self.times) <= 0.0):
+        # plain Python: numpy calls on a few-element tuple cost more than the sampling
+        if any(map(operator.le, self.times[1:], self.times)):
             raise ValueError("jump times must be strictly increasing")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("a vertex can default only once")
         mask = 0
         for v in self.vertices:
+            if (mask >> v) & 1:
+                raise ValueError("a vertex can default only once")
             mask |= 1 << v
         if mask != self.terminal:
             raise ValueError("terminal subset must collect the jump vertices")
+
+
+def _inverse_cdf(cum_rates, u):
+    """Vertex with cum_rates[v-1] <= u * total < cum_rates[v] for each row.
+
+    total is the row's last entry.  A zero-rate vertex repeats its left
+    neighbour's entry, so it is never picked; u * total is kept below total so
+    that rounding cannot pick past the last vertex with a positive rate.
+    """
+    total = cum_rates[:, -1]
+    target = np.minimum(u * total, np.nextafter(total, 0.0))
+    return (cum_rates <= target[:, None]).sum(axis=1)
 
 
 def sample_paths(
@@ -256,39 +268,50 @@ def sample_paths(
 ) -> Tuple[List[PathSample], SubsetDist]:
     """Jump-chain simulation of n_paths trajectories over [0, horizon].
 
-    Randomness is keyed per path (child seeds spawned from the root seed in
-    path order), so any partition of the paths across workers reproduces the
-    same output.  Returns the paths and the empirical terminal distribution.
+    One stream, default_rng(seed), supplies 2n uniforms per path in path
+    order: path k reads draws 2n*k ... 2n*(k+1)-1, a pair per jump, one for
+    the exponential clock and one for the vertex.  Path k therefore depends
+    only on (seed, k), so any partition of the paths reproduces the same
+    output.  Paths advance in blocks of _PATH_BLOCK, each in at most n jump
+    rounds.  Returns the paths and the empirical terminal distribution.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
     if n_paths <= 0:
         raise ValueError("need at least one path")
-    children = np.random.SeedSequence(seed).spawn(n_paths)
+    n = gen.n_vertices
+    rng = np.random.default_rng(seed)
+    cum_rates = np.cumsum(gen.rates, axis=1)
     paths: List[PathSample] = []
-    counts = np.zeros(1 << gen.n_vertices)
-    full = (1 << gen.n_vertices) - 1
-    for child in children:
-        rng = np.random.default_rng(child)
-        mask = 0
-        t = 0.0
-        times: List[float] = []
-        verts: List[int] = []
-        while mask != full:
-            total = float(gen.exit_rates[mask])
-            if total <= 0.0:
+    terminals = []
+    for start in range(0, n_paths, _PATH_BLOCK):
+        size = min(_PATH_BLOCK, n_paths - start)
+        draws = rng.random((size, n, 2))
+        mask = np.zeros(size, dtype=np.int64)
+        t = np.zeros(size)
+        times = np.zeros((size, n))
+        verts = np.zeros((size, n), dtype=np.int64)
+        live = np.arange(size)
+        for j in range(n):
+            rate = gen.exit_rates[mask[live]]
+            # rate 0 (absorbed) gives inf or nan, which ends the path like t >= horizon
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t_next = t[live] - np.log1p(-draws[live, j, 0]) / rate
+            jumped = t_next < horizon
+            live, t_next = live[jumped], t_next[jumped]
+            if live.size == 0:
                 break
-            t += rng.exponential(1.0 / total)
-            if t >= horizon:
-                break
-            row = gen.rates[mask]
-            v = int(rng.choice(gen.n_vertices, p=row / total))
-            mask |= 1 << v
-            times.append(t)
-            verts.append(v)
-        paths.append(PathSample(tuple(times), tuple(verts), mask))
-        counts[mask] += 1.0
-    return paths, SubsetDist(gen.n_vertices, counts / n_paths)
+            v = _inverse_cdf(cum_rates[mask[live]], draws[live, j, 1])
+            mask[live] |= 1 << v
+            t[live] = times[live, j] = t_next
+            verts[live, j] = v
+        # each jump adds one vertex, so a path's jump count is its terminal's size
+        for row_t, row_v, terminal in zip(times.tolist(), verts.tolist(), mask.tolist()):
+            m = terminal.bit_count()
+            paths.append(PathSample(tuple(row_t[:m]), tuple(row_v[:m]), terminal))
+        terminals.append(mask)
+    counts = np.bincount(np.concatenate(terminals), minlength=1 << n)
+    return paths, SubsetDist(n, counts / n_paths)
 
 
 def random_generator(

@@ -223,6 +223,8 @@ class SubsetDist:
         probs = np.array(self.probs, dtype=float)
         if probs.shape != (1 << self.n_vertices,):
             raise ValueError("probability vector length must be 2^n_vertices")
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("probabilities must be finite")
         if np.any(probs < -1e-15):
             raise ValueError("negative probability")
         probs = np.maximum(probs, 0.0)

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written with different algorithms than the
 package: uniformization instead of ODE integration, explicit alternating
-sums instead of in-place transforms, closed forms for the two-vertex chain.
+sums instead of in-place transforms, closed forms for the two-vertex chain,
+index gathers instead of reshaped views.
 """
 
 import numpy as np
@@ -42,6 +43,28 @@ def uniformization_solve(gen, t, tail=1e-14, max_terms=100_000):
         if covered >= 1.0 - tail:
             break
     return acc
+
+
+def forward_rhs_gather(gen):
+    """Forward-equation right-hand side by index gather and scatter, one flow per vertex.
+
+    The same operations in the same order as ctmc._forward_rhs, on index
+    arrays instead of reshaped views, so the two agree bit for bit.
+    """
+    n = gen.n_vertices
+    masks = np.arange(1 << n)
+    flows = []
+    for v in range(n):
+        src = masks[(masks >> v) & 1 == 0]
+        flows.append((src, src | (1 << v), gen.rates[src, v]))
+
+    def rhs(_t, p):
+        dp = -gen.exit_rates * p
+        for src, dst, q in flows:
+            dp[dst] += q * p[src]
+        return dp
+
+    return rhs
 
 
 def brute_force_interactions(probs):

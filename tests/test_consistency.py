@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrdefault._num import geometric_grid, popcounts
 from corrdefault.consistency import (
@@ -19,7 +21,9 @@ from corrdefault.ctmc import (
 )
 from corrdefault.model import Graph
 
-from oracles import integrate_scalar_ode, two_vertex_exact
+from oracles import integrate_scalar_ode, two_vertex_exact, uniformization_solve
+
+PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 def permute_mask(mask, perm):
@@ -98,6 +102,31 @@ class TestBetaCurve:
             p0, pu, pv, puv = two_vertex_exact(q_u, q_v, q_uv, q_vu, grid)
             beta_hat = np.log(puv * p0 / (pu * pv))
             np.testing.assert_allclose(curve.beta, beta_hat, atol=1e-6)
+
+    @settings(max_examples=25)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.01, 1.0))
+    def test_matches_uniformized_cells(self, seed, t):
+        gen = random_generator(3, seed=seed)
+        curves = curves_from_rates(gen, t_grid=[t])
+        p = uniformization_solve(gen, t)
+        for u, v in PAIRS:
+            beta, _ = curves.beta(u, v, t)
+            exact = np.log(p[(1 << u) | (1 << v)] * p[0] / (p[1 << u] * p[1 << v]))
+            assert abs(float(beta) - exact) < 1e-10
+
+    @settings(max_examples=25)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.01, 1.0))
+    def test_derivative_matches_central_difference(self, seed, t):
+        gen = random_generator(3, seed=seed)
+        curves = curves_from_rates(gen, t_grid=[t])
+        # rounding in beta (~1e-11 near t = 0.01) over 2h, plus the O(h^2) term:
+        # both stay below 1e-6 at this step
+        h = 1e-3 * t
+        for u, v in PAIRS:
+            _, slope = curves.beta(u, v, t)
+            up, _ = curves.beta(u, v, t + h)
+            down, _ = curves.beta(u, v, t - h)
+            assert float(slope) == pytest.approx((up - down) / (2.0 * h), rel=1e-5, abs=1e-5)
 
     def test_unreachable_pair_rejected(self):
         with pytest.raises(ValueError, match="unreachable"):

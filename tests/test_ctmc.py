@@ -1,9 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from corrdefault import ctmc
 from corrdefault._num import geometric_grid
 from corrdefault.ctmc import (
     MonotoneGenerator,
+    _forward_rhs,
+    _inverse_cdf,
     forward_solve,
     independent_alpha_curve,
     independent_generator,
@@ -12,7 +19,19 @@ from corrdefault.ctmc import (
     sample_paths,
 )
 
-from oracles import uniformization_solve
+from oracles import forward_rhs_gather, uniformization_solve
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def sparse_generators(draw, max_n=5):
+    """Generators with uniform rates on a random share of the allowed jumps and zero on the rest."""
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(seeds))
+    rates = random_generator(n, seed=draw(seeds)).rates
+    keep = rng.random(rates.shape) < draw(st.sampled_from([1.0, 0.6, 0.3]))
+    return MonotoneGenerator(n, np.where(keep, rates, 0.0))
 
 
 class TestGeneratorValidation:
@@ -78,6 +97,12 @@ class TestForwardSolve:
         sol = forward_solve(gen, geometric_grid(1.0, 16))
         support = sol.probs > 1e-13
         assert np.all(support[:-1] <= support[1:])
+
+    @settings(max_examples=30)
+    @given(sparse_generators(max_n=7), seeds)
+    def test_rhs_matches_gather_reference_bit_for_bit(self, gen, seed):
+        p = np.random.default_rng(seed).random(1 << gen.n_vertices)
+        np.testing.assert_array_equal(_forward_rhs(gen)(0.0, p), forward_rhs_gather(gen)(0.0, p))
 
     def test_grid_must_increase(self):
         gen = random_generator(2, seed=0)
@@ -149,12 +174,55 @@ class TestPathSampling:
         np.testing.assert_array_equal(emp_a.probs, emp_b.probs)
 
     def test_prefix_stability_under_path_count(self):
-        # per-path seeding: the first paths do not depend on how many follow,
-        # so any worker partition of the path range yields identical output
+        # path k reads a fixed slice of the seed's stream: the first paths do not
+        # depend on how many follow, so any partition of the path range agrees
         gen = random_generator(3, seed=6)
         paths_5, _ = sample_paths(gen, 1.0, 5, seed=10)
         paths_20, _ = sample_paths(gen, 1.0, 20, seed=10)
         assert paths_5 == paths_20[:5]
+
+    @settings(max_examples=20)
+    @given(sparse_generators(), st.integers(1, 12), seeds)
+    def test_output_does_not_depend_on_block_size(self, gen, n_paths, seed):
+        paths, emp = sample_paths(gen, 1.0, n_paths, seed)
+        for block in (1, 3):
+            with mock.patch.object(ctmc, "_PATH_BLOCK", block):
+                blocked, blocked_emp = sample_paths(gen, 1.0, n_paths, seed)
+            assert blocked == paths
+            np.testing.assert_array_equal(blocked_emp.probs, emp.probs)
+
+    @settings(max_examples=20)
+    @given(sparse_generators(), st.integers(1, 5), st.integers(1, 12), st.integers(0, 12), seeds)
+    def test_prefix_stability_across_block_boundaries(self, gen, block, n_short, n_more, seed):
+        with mock.patch.object(ctmc, "_PATH_BLOCK", block):
+            short, _ = sample_paths(gen, 1.0, n_short, seed)
+            longer, _ = sample_paths(gen, 1.0, n_short + n_more, seed)
+        assert longer[:n_short] == short
+
+    def test_prefix_stability_across_the_default_block(self):
+        gen = random_generator(3, seed=6)
+        block = ctmc._PATH_BLOCK
+        short, _ = sample_paths(gen, 1.0, block + 2, seed=10)
+        longer, _ = sample_paths(gen, 1.0, 2 * block + 1, seed=10)
+        assert longer[: block + 2] == short
+
+    @settings(max_examples=30)
+    @given(sparse_generators(), seeds)
+    def test_no_jump_has_zero_rate(self, gen, seed):
+        paths, _ = sample_paths(gen, 5.0, 200, seed)
+        for path in paths:
+            mask = 0
+            for v in path.vertices:
+                assert gen.rates[mask, v] > 0.0
+                mask |= 1 << v
+
+    def test_vertex_choice_skips_zero_rates_at_both_ends(self):
+        cum = np.cumsum([[0.0, 0.3, 0.0, 0.7, 0.0]] * 2, axis=1)
+        assert _inverse_cdf(cum, np.array([0.0, np.nextafter(1.0, 0.0)])).tolist() == [1, 3]
+        # with a subnormal total, u * total rounds up to the total itself
+        cum = np.cumsum([[0.0, 5e-324, 0.0]], axis=1)
+        assert 0.9 * cum[0, -1] == cum[0, -1]
+        assert _inverse_cdf(cum, np.array([0.9])).tolist() == [1]
 
     def test_absorbing_start_stays_empty(self):
         rates = np.zeros((4, 2))

@@ -76,6 +76,12 @@ class TestFileFormats:
         assert text[0] == f"# tool_version={cdio.TOOL_VERSION}"
         assert text[1] == f"# config_hash={cdio.config_hash(config)}"
 
+    def test_distribution_csv_with_nan_rejected(self, tmp_path):
+        path = tmp_path / "dist.csv"
+        path.write_text("subset_bitmask,probability\n0,0.5\n1,nan\n")
+        with pytest.raises(ValueError, match="finite"):
+            cdio.read_distribution_csv(path)
+
     def test_csv_floats_round_trip_exactly(self, tmp_path, rng):
         dist = full_distribution(random_model(rng, 4))
         path = tmp_path / "dist.csv"
@@ -104,7 +110,7 @@ def _lattice_bytes(write, payload, reference_rows, columns, chunk):
 class TestLatticeWriters:
     """The bulk lattice writers emit the bytes write_csv emits for the same rows."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(lattice_floats(st.floats(0.0, 1e300)), st.integers(1, 5))
     def test_distribution(self, weights, chunk):
         total = weights.sum()
@@ -116,7 +122,7 @@ class TestLatticeWriters:
         )
         assert bulk == reference
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(lattice_floats(st.floats(allow_nan=True, allow_infinity=True)), st.integers(1, 5))
     def test_interactions(self, values, chunk):
         coeffs = InteractionCoeffs(len(values).bit_length() - 1, values, 0.0)

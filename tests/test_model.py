@@ -143,6 +143,15 @@ class TestIsingConversion:
             np.testing.assert_allclose(spin_pmf, subset_pmf, atol=1e-12)
 
 
+class TestSubsetDist:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_probabilities_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SubsetDist(1, [bad, bad])
+        with pytest.raises(ValueError, match="finite"):
+            SubsetDist(2, [0.5, 0.5, 0.0, bad])
+
+
 class TestInteractionExtraction:
     def test_round_trip_recovers_parameters(self, rng):
         for _ in range(10):
@@ -290,7 +299,7 @@ def lattice_weights(draw):
 class TestLatticeTransforms:
     """The subset-transform kernels against direct per-subset computations."""
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(lattice_weights())
     def test_hamiltonian_vector_matches_scalar(self, weights):
         params = ModelParams(*weights)
@@ -301,7 +310,7 @@ class TestLatticeTransforms:
         scale = np.abs(params.alpha).sum() + np.abs(params.beta).sum()
         np.testing.assert_allclose(h, scalar, rtol=0.0, atol=64 * np.finfo(float).eps * scale)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(lattice_weights())
     def test_moments_match_bit_matrix(self, weights):
         params = ModelParams(*weights)
@@ -310,7 +319,7 @@ class TestLatticeTransforms:
         np.testing.assert_allclose(vertex, ref_vertex, rtol=1e-13, atol=1e-16)
         np.testing.assert_allclose(pair, ref_pair, rtol=1e-13, atol=1e-16)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(lattice_weights())
     def test_spin_distribution_is_shifted_subset_law(self, weights):
         graph, gamma, delta = weights

@@ -13,6 +13,7 @@ from corrdefault._num import (
     mobius_from_log,
     phi_minus,
     phi_minus_diff,
+    popcounts,
     softplus,
     subset_bit_matrix,
     zeta_over_subsets,
@@ -98,7 +99,7 @@ def integer_lattice_vectors(draw):
     return np.array(draw(st.lists(st.integers(-1000, 1000), min_size=1 << n, max_size=1 << n)), dtype=float)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(integer_lattice_vectors())
 def test_transforms_invert_exactly(values):
     np.testing.assert_array_equal(zeta_over_subsets(mobius_from_log(values)), values)
@@ -120,3 +121,7 @@ def test_subset_bit_matrix_popcounts():
     bits = subset_bit_matrix(4)
     assert bits.shape == (16, 4)
     assert bits[0b1011].tolist() == [1, 1, 0, 1]
+    for n in range(8):
+        counts = popcounts(n)
+        assert counts.dtype.itemsize == 1  # no (2^n, n) int64 intermediate at n = 20
+        assert counts.tolist() == subset_bit_matrix(n).sum(axis=1).tolist()

@@ -561,17 +561,17 @@ def _check_evaluation_path(problem, data):
 class TestSearchEvaluationPath:
     """The search's one-pass evaluation equals the public reference bit for bit."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(n=st.integers(2, 5), data=st.data())
     def test_model_I(self, n, data):
         _check_evaluation_path(_problem("I", (n,)), data)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(m=st.integers(2, 4), n=st.integers(2, 4), data=st.data())
     def test_model_II(self, m, n, data):
         _check_evaluation_path(_problem("II", (m, n)), data)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(m=st.integers(2, 4), n=st.integers(2, 4), data=st.data())
     def test_model_III(self, m, n, data):
         _check_evaluation_path(_problem("III", (m, n)), data)
