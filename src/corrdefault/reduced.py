@@ -51,8 +51,8 @@ class LumpedRatesI:
             raise ValueError("need one rate per occupancy level 0..N")
         if lam[-1] != 0.0:
             raise ValueError("the full set is absorbing; lam[N] must be 0")
-        if np.any(lam[:-1] <= 0.0):
-            raise ValueError("lam[0..N-1] must be positive")
+        if not np.all((lam[:-1] > 0.0) & (lam[:-1] < np.inf)):
+            raise ValueError("lam[0..N-1] must be positive and finite")
         lam.setflags(write=False)
         object.__setattr__(self, "lam", lam)
 
@@ -81,8 +81,9 @@ class LumpedRatesBi:
             raise ValueError("hat_rates[M, :] must be zero (no hat vertices left)")
         if np.any(check[:, -1] != 0.0):
             raise ValueError("check_rates[:, N] must be zero (no check vertices left)")
-        if np.any(hat[:-1, :] <= 0.0) or np.any(check[:, :-1] <= 0.0):
-            raise ValueError("interior lumped rates must be positive")
+        interior = np.concatenate([hat[:-1, :].ravel(), check[:, :-1].ravel()])
+        if not np.all((interior > 0.0) & (interior < np.inf)):
+            raise ValueError("interior lumped rates must be positive and finite")
         hat.setflags(write=False)
         check.setflags(write=False)
         object.__setattr__(self, "hat_rates", hat)
@@ -163,70 +164,52 @@ class SharedAlphaProfile:
     exp_neg_alpha: np.ndarray
     beta: np.ndarray
     beta_prime: np.ndarray
-    exp_beta: np.ndarray
+
+    def occupancy_terms(self, m, n):
+        """(m+n) alpha' + m n beta', and the e^{-alpha} rows of the hat and check inflows."""
+        lhs = (m + n) * self.alpha_prime + m * n * self.beta_prime
+        return lhs, self.exp_neg_alpha, self.exp_neg_alpha
 
 
 @dataclass(frozen=True)
-class ReducedCurvesI:
-    """Exchangeable-model curves (alpha(t), beta(t)) from (lam0, lam1, lam2)."""
+class SharedAlphaCurves:
+    """Curves with one alpha for every vertex: Model I (sizes (N,)) and II (sizes (M, N)).
 
-    n_vertices: int
-    lam0: float
-    lam1: float
-    lam2: float
+    alpha solves alpha' = delta + q e^{-alpha} in closed form; beta is the
+    bounded solution of beta' = c - 2 alpha' + b1 e^{-alpha - beta}.
+    identity_violation records Model II's |hat00/M - check00/N|; admissible
+    dynamics force it to zero (the (0,1) equation then pins the same alpha
+    curve).
+    """
 
-    @property
-    def _q(self):
-        return self.lam0 / self.n_vertices
-
-    @property
-    def _delta(self):
-        return self.lam0 - self.lam1
-
-    @property
-    def _b1(self):
-        return 2.0 * self.lam1 / (self.n_vertices - 1)
-
-    @property
-    def _c(self):
-        return self.lam0 - self.lam2
+    sizes: Tuple[int, ...]
+    q: float
+    delta: float
+    b1: float
+    c: float
+    identity_violation: float = 0.0
 
     def profile(self, t) -> SharedAlphaProfile:
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        return _shared_alpha_profile(self._q, self._delta, self._b1, self._c, t)
+        exp_alpha = exp_alpha_value(self.q, self.delta, t)
+        ena = 1.0 / exp_alpha
+        with np.errstate(divide="ignore"):
+            alpha = np.log(exp_alpha)
+        alpha_prime = alpha_prime_value(self.delta, t)
+        w = exp_beta_single(self.q, self.delta, self.b1, self.c, t)
+        beta_prime = self.c - 2.0 * alpha_prime + self.b1 * ena / w
+        return SharedAlphaProfile(t, alpha, alpha_prime, ena, np.log(w), beta_prime)
 
     def alpha(self, t):
-        exp_alpha = exp_alpha_value(self._q, self._delta, t)
-        with np.errstate(divide="ignore"):
-            return np.log(exp_alpha), alpha_prime_value(self._delta, t)
-
-    def exp_neg_alpha(self, t):
-        return 1.0 / exp_alpha_value(self._q, self._delta, t)
-
-    def exp_beta(self, t):
-        return exp_beta_single(self._q, self._delta, self._b1, self._c, t)
+        prof = self.profile(t)
+        return prof.alpha, prof.alpha_prime
 
     def beta(self, t):
-        w = self.exp_beta(t)
-        _, ap = self.alpha(t)
-        beta_prime = self._c - 2.0 * ap + self._b1 * self.exp_neg_alpha(t) / w
-        return np.log(w), beta_prime
+        prof = self.profile(t)
+        return prof.beta, prof.beta_prime
 
 
-def _shared_alpha_profile(q, delta, b1, c, t) -> SharedAlphaProfile:
-    exp_alpha = exp_alpha_value(q, delta, t)
-    ena = 1.0 / exp_alpha
-    with np.errstate(divide="ignore"):
-        alpha = np.log(exp_alpha)
-    alpha_prime = alpha_prime_value(delta, t)
-    w = exp_beta_single(q, delta, b1, c, t)
-    beta_prime = c - 2.0 * alpha_prime + b1 * ena / w
-    return SharedAlphaProfile(t, alpha, alpha_prime, ena, np.log(w), beta_prime, w)
-
-
-def reduced_curves_I(
-    lam0: float, lam1: float, lam2: float, n_vertices: int
-) -> ReducedCurvesI:
+def reduced_curves_I(lam0: float, lam1: float, lam2: float, n_vertices: int) -> SharedAlphaCurves:
     """Curves forced by the k = 1, 2 lumped equations on the complete graph.
 
     alpha solves alpha' = (lam0 - lam1) + (lam0/N) e^{-alpha} in closed form;
@@ -237,17 +220,18 @@ def reduced_curves_I(
         raise ValueError("need at least two vertices")
     if min(lam0, lam1, lam2) <= 0.0:
         raise ValueError("lumped rates entering the curves must be positive")
-    return ReducedCurvesI(n_vertices, float(lam0), float(lam1), float(lam2))
+    lam0, lam1, lam2, n = float(lam0), float(lam1), float(lam2), n_vertices
+    return SharedAlphaCurves((n,), lam0 / n, lam0 - lam1, 2.0 * lam1 / (n - 1), lam0 - lam2)
 
 
-def residual_I(lumped: LumpedRatesI, curves: ReducedCurvesI, t) -> np.ndarray:
+def residual_I(lumped: LumpedRatesI, curves: SharedAlphaCurves, t) -> np.ndarray:
     """Lumped master-equation residuals, one row per occupancy k = 1..N.
 
     Row k-1 holds  k alpha' + C(k,2) beta' - (lam0 - lam_k)
     - lam_{k-1} (k/(N-k+1)) e^{-alpha - (k-1) beta}  at each time.
     Rows 0 and 1 (k = 1, 2) vanish by construction.
     """
-    if lumped.n_vertices != curves.n_vertices:
+    if curves.sizes != (lumped.n_vertices,):
         raise ValueError("lumped rates and curves disagree on N")
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t <= 0.0):
@@ -295,45 +279,7 @@ def coeff_check_I(lumped: LumpedRatesI, beta_star: float) -> CoeffCheckI:
     return CoeffCheckI(float(beta_star), linear, exponential)
 
 
-@dataclass(frozen=True)
-class ReducedCurvesII:
-    """Common-propensity bipartite curves from the (1,0) and (1,1) equations.
-
-    identity_violation records |hat00/M - check00/N|; admissible dynamics
-    force it to zero (the (0,1) equation then pins the same alpha curve).
-    """
-
-    n_hat: int
-    n_check: int
-    q: float
-    delta: float
-    b1: float
-    c: float
-    identity_violation: float
-
-    def profile(self, t) -> SharedAlphaProfile:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return _shared_alpha_profile(self.q, self.delta, self.b1, self.c, t)
-
-    def alpha(self, t):
-        exp_alpha = exp_alpha_value(self.q, self.delta, t)
-        with np.errstate(divide="ignore"):
-            return np.log(exp_alpha), alpha_prime_value(self.delta, t)
-
-    def exp_neg_alpha(self, t):
-        return 1.0 / exp_alpha_value(self.q, self.delta, t)
-
-    def exp_beta(self, t):
-        return exp_beta_single(self.q, self.delta, self.b1, self.c, t)
-
-    def beta(self, t):
-        w = self.exp_beta(t)
-        _, ap = self.alpha(t)
-        beta_prime = self.c - 2.0 * ap + self.b1 * self.exp_neg_alpha(t) / w
-        return np.log(w), beta_prime
-
-
-def reduced_curves_II(lumped: LumpedRatesBi) -> ReducedCurvesII:
+def reduced_curves_II(lumped: LumpedRatesBi) -> SharedAlphaCurves:
     """Curves forced by the (1,0) and (1,1) occupancy equations."""
     m, n = lumped.n_hat, lumped.n_check
     hat, check = lumped.hat_rates, lumped.check_rates
@@ -343,7 +289,7 @@ def reduced_curves_II(lumped: LumpedRatesBi) -> ReducedCurvesII:
     b1 = float(hat[0, 1]) / m + float(check[1, 0]) / n
     c = r - float(hat[1, 1] + check[1, 1])
     identity_violation = abs(float(hat[0, 0]) / m - float(check[0, 0]) / n)
-    return ReducedCurvesII(m, n, q, delta, b1, c, identity_violation)
+    return SharedAlphaCurves((m, n), q, delta, b1, c, identity_violation)
 
 
 def _shift_hat(table):
@@ -358,35 +304,6 @@ def _shift_check(table):
     out = np.zeros_like(table)
     out[:, 1:] = table[:, :-1]
     return out
-
-
-def residual_II(lumped: LumpedRatesBi, curves: ReducedCurvesII, t) -> np.ndarray:
-    """Occupancy-equation residuals, shape (M+1, N+1, len(t)); entry (0,0) is zero.
-
-    Entry (m, n) holds (m+n) alpha' + m n beta' - r + hat_mn + check_mn
-    - (m/(M-m+1)) hat_{m-1,n} e^{-alpha - n beta}
-    - (n/(N-n+1)) check_{m,n-1} e^{-alpha - m beta}.
-    """
-    m_hat, n_check = lumped.n_hat, lumped.n_check
-    if (m_hat, n_check) != (curves.n_hat, curves.n_check):
-        raise ValueError("lumped rates and curves disagree on (M, N)")
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t <= 0.0):
-        raise ValueError("t must be positive")
-    hat, check, prof = lumped.hat_rates, lumped.check_rates, curves.profile(t)
-    r = hat[0, 0] + check[0, 0]
-    m = np.arange(m_hat + 1, dtype=float)[:, None, None]
-    n = np.arange(n_check + 1, dtype=float)[None, :, None]
-    hat_in = _shift_hat(hat)[:, :, None]
-    check_in = _shift_check(check)[:, :, None]
-    exp_nb = np.exp(-n * prof.beta[None, None, :])
-    exp_mb = np.exp(-m * prof.beta[None, None, :])
-    inflow = (m / (m_hat - m + 1.0)) * hat_in * prof.exp_neg_alpha * exp_nb
-    inflow += (n / (n_check - n + 1.0)) * check_in * prof.exp_neg_alpha * exp_mb
-    lhs = (m + n) * prof.alpha_prime[None, None, :] + m * n * prof.beta_prime[None, None, :]
-    res = lhs - (r - hat[:, :, None] - check[:, :, None]) - inflow
-    res[0, 0, :] = 0.0
-    return res
 
 
 def coeff_check_II(n_hat: int, n_check: int, beta_star: float) -> float:
@@ -431,15 +348,18 @@ class TwoAlphaProfile:
     exp_neg_alpha_check: np.ndarray
     beta: np.ndarray
     beta_prime: np.ndarray
-    exp_beta: np.ndarray
+
+    def occupancy_terms(self, m, n):
+        """m alpha_hat' + n alpha_check' + m n beta', and the e^{-alpha_hat}, e^{-alpha_check} rows."""
+        lhs = m * self.alpha_hat_prime + n * self.alpha_check_prime + m * n * self.beta_prime
+        return lhs, self.exp_neg_alpha_hat, self.exp_neg_alpha_check
 
 
 @dataclass(frozen=True)
 class ReducedCurvesIII:
     """Class-dependent bipartite curves from the (1,0), (0,1), (1,1) equations."""
 
-    n_hat: int
-    n_check: int
+    sizes: Tuple[int, int]
     q_hat: float
     delta_hat: float
     q_check: float
@@ -469,45 +389,19 @@ class ReducedCurvesIII:
         )
         drive = self.drive_hat * ena_hat + self.drive_check * ena_check
         beta_prime = self.c - ap_hat - ap_check + drive / w
-        return TwoAlphaProfile(
-            t, a_hat, ap_hat, ena_hat, a_check, ap_check, ena_check, np.log(w), beta_prime, w
-        )
+        return TwoAlphaProfile(t, a_hat, ap_hat, ena_hat, a_check, ap_check, ena_check, np.log(w), beta_prime)
 
     def alpha_hat(self, t):
-        exp_alpha = exp_alpha_value(self.q_hat, self.delta_hat, t)
-        with np.errstate(divide="ignore"):
-            return np.log(exp_alpha), alpha_prime_value(self.delta_hat, t)
+        prof = self.profile(t)
+        return prof.alpha_hat, prof.alpha_hat_prime
 
     def alpha_check(self, t):
-        exp_alpha = exp_alpha_value(self.q_check, self.delta_check, t)
-        with np.errstate(divide="ignore"):
-            return np.log(exp_alpha), alpha_prime_value(self.delta_check, t)
-
-    def exp_neg_alpha_hat(self, t):
-        return 1.0 / exp_alpha_value(self.q_hat, self.delta_hat, t)
-
-    def exp_neg_alpha_check(self, t):
-        return 1.0 / exp_alpha_value(self.q_check, self.delta_check, t)
-
-    def exp_beta(self, t):
-        return exp_beta_pair(
-            self.q_hat,
-            self.delta_hat,
-            self.q_check,
-            self.delta_check,
-            self.drive_check,
-            self.drive_hat,
-            self.c,
-            t,
-        )
+        prof = self.profile(t)
+        return prof.alpha_check, prof.alpha_check_prime
 
     def beta(self, t):
-        w = self.exp_beta(t)
-        _, ap_hat = self.alpha_hat(t)
-        _, ap_check = self.alpha_check(t)
-        drive = self.drive_hat * self.exp_neg_alpha_hat(t) + self.drive_check * self.exp_neg_alpha_check(t)
-        beta_prime = self.c - ap_hat - ap_check + drive / w
-        return np.log(w), beta_prime
+        prof = self.profile(t)
+        return prof.beta, prof.beta_prime
 
 
 def reduced_curves_III(lumped: LumpedRatesBi) -> ReducedCurvesIII:
@@ -521,8 +415,7 @@ def reduced_curves_III(lumped: LumpedRatesBi) -> ReducedCurvesIII:
     hat, check = lumped.hat_rates, lumped.check_rates
     r = lumped.r
     return ReducedCurvesIII(
-        m,
-        n,
+        (m, n),
         q_hat=float(hat[0, 0]) / m,
         delta_hat=r - float(hat[1, 0] + check[1, 0]),
         q_check=float(check[0, 0]) / n,
@@ -533,15 +426,19 @@ def reduced_curves_III(lumped: LumpedRatesBi) -> ReducedCurvesIII:
     )
 
 
-def residual_III(lumped: LumpedRatesBi, curves: ReducedCurvesIII, t) -> np.ndarray:
-    """Occupancy-equation residuals with class-dependent alphas; (0,0) is zero.
+def residual_bipartite(
+    lumped: LumpedRatesBi, curves: Union[SharedAlphaCurves, ReducedCurvesIII], t
+) -> np.ndarray:
+    """Occupancy-equation residuals, shape (M+1, N+1, len(t)); entry (0,0) is zero.
 
     Entry (m, n) holds m alpha_hat' + n alpha_check' + m n beta' - r
     + hat_mn + check_mn - (m/(M-m+1)) hat_{m-1,n} e^{-alpha_hat - n beta}
-    - (n/(N-n+1)) check_{m,n-1} e^{-alpha_check - m beta}.
+    - (n/(N-n+1)) check_{m,n-1} e^{-alpha_check - m beta}.  Under Model II's
+    shared-alpha curves both alphas are alpha, and the first two terms are
+    evaluated as (m+n) alpha'.
     """
     m_hat, n_check = lumped.n_hat, lumped.n_check
-    if (m_hat, n_check) != (curves.n_hat, curves.n_check):
+    if curves.sizes != (m_hat, n_check):
         raise ValueError("lumped rates and curves disagree on (M, N)")
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t <= 0.0):
@@ -550,22 +447,15 @@ def residual_III(lumped: LumpedRatesBi, curves: ReducedCurvesIII, t) -> np.ndarr
     r = hat[0, 0] + check[0, 0]
     m = np.arange(m_hat + 1, dtype=float)[:, None, None]
     n = np.arange(n_check + 1, dtype=float)[None, :, None]
-    hat_in = _shift_hat(hat)[:, :, None]
-    check_in = _shift_check(check)[:, :, None]
-    inflow = (m / (m_hat - m + 1.0)) * hat_in * prof.exp_neg_alpha_hat * np.exp(
-        -n * prof.beta[None, None, :]
-    )
-    inflow += (n / (n_check - n + 1.0)) * check_in * prof.exp_neg_alpha_check * np.exp(
-        -m * prof.beta[None, None, :]
-    )
-    lhs = (
-        m * prof.alpha_hat_prime[None, None, :]
-        + n * prof.alpha_check_prime[None, None, :]
-        + m * n * prof.beta_prime[None, None, :]
-    )
+    lhs, ena_hat, ena_check = prof.occupancy_terms(m, n)
+    inflow = (m / (m_hat - m + 1.0)) * _shift_hat(hat)[:, :, None] * ena_hat * np.exp(-n * prof.beta)
+    inflow += (n / (n_check - n + 1.0)) * _shift_check(check)[:, :, None] * ena_check * np.exp(-m * prof.beta)
     res = lhs - (r - hat[:, :, None] - check[:, :, None]) - inflow
     res[0, 0, :] = 0.0
     return res
+
+
+residual_II = residual_III = residual_bipartite
 
 
 @dataclass(frozen=True)
@@ -598,9 +488,7 @@ class CoeffCheckIII:
         return self.n_equations > self.intersection_bound and self.n_satisfied < self.n_equations
 
 
-def coeff_check_III(
-    lumped: LumpedRatesBi, beta_star: float, n_hat: Optional[int] = None, n_check: Optional[int] = None
-) -> CoeffCheckIII:
+def coeff_check_III(lumped: LumpedRatesBi, beta_star: float) -> CoeffCheckIII:
     """Evaluate the constant-beta coefficient conditions and the diagonal system.
 
     The per-(m,n) conditions are the coefficients (drift, e^{-alpha_hat},
@@ -608,10 +496,7 @@ def coeff_check_III(
     hold with beta identically beta*.  The diagonal system is assembled from
     the forced rate tables those conditions imply.
     """
-    m_hat = lumped.n_hat if n_hat is None else int(n_hat)
-    n_chk = lumped.n_check if n_check is None else int(n_check)
-    if (m_hat, n_chk) != (lumped.n_hat, lumped.n_check):
-        raise ValueError("sizes disagree with the lumped tables")
+    m_hat, n_chk = lumped.n_hat, lumped.n_check
     hat, check = lumped.hat_rates, lumped.check_rates
     r = lumped.r
     m = np.arange(m_hat + 1, dtype=float)[:, None]
@@ -675,8 +560,19 @@ class SearchConfig:
     t_min_fraction: float = 1e-3
     penalty_weight: float = 1e4
     horizon: float = 1.0
-    polish_rounds: int = 5
-    polish_gain: float = 0.5
+
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
+        if not (np.isfinite(self.penalty_weight) and self.penalty_weight > 0.0):
+            raise ValueError(f"penalty_weight must be finite and positive, got {self.penalty_weight}")
+
+
+# A restart whose warm start did not solve the system re-seeds Nelder-Mead up
+# to _POLISH_ROUNDS more times, while each round ends below _POLISH_GAIN times
+# the value the previous round ended at.
+_POLISH_ROUNDS = 5
+_POLISH_GAIN = 0.5
 
 
 @dataclass(frozen=True)
@@ -779,9 +675,10 @@ class _SearchProblem:
     built here, once.  A call then works on one flat raw table (Model I:
     lam; bipartite: hat and check row-major, then a zero that stands in for
     absent upstream entries) and repeats the floating-point operations of
-    reduced_curves_X(...).profile and residual_X in their order, so its
-    numbers equal those references bit for bit.  LumpedRates* tables are
-    built, and validated, only for rates that are reported.
+    the curves' profile (reduced_curves_I/II/III) and of residual_I or
+    residual_bipartite in their order, so its numbers equal those references
+    bit for bit.  LumpedRates* tables are built, and validated, only for
+    rates that are reported.
     """
 
     def __init__(self, kind, sizes, targets, config):
@@ -923,7 +820,7 @@ class _SearchProblem:
         return np.where(small, -_phi_minus_prime(0.5 * (a + b) * self.grid), direct)
 
     def _shared_profile(self, q, d, b1, c):
-        """Models I and II: _shared_alpha_profile on the grid."""
+        """Models I and II: SharedAlphaCurves.profile on the grid."""
         c0 = c - 2.0 * d
         a, b = c0 + d, c0 + 2.0 * d
         # rows: expm1_over(d t), phi_minus at d t, a t, b t; then q t, c0 t, (b - a) t
@@ -1043,6 +940,8 @@ class _SearchProblem:
                     res, deltas = self._parts(tab)
                 else:
                     tab, prof = self._warm(outer_x)
+                    if not np.isfinite(tab).all():  # a table that assemble's LumpedRatesBi rejects
+                        return np.full(self.ls_length, 1e6)
                     res, deltas = self._block(tab, prof), prof[-1]
             except (ValueError, ZeroDivisionError, np.linalg.LinAlgError):
                 return np.full(self.ls_length, 1e6)
@@ -1094,7 +993,7 @@ class _SearchProblem:
         return self._validated(self._warm(outer_x)[0])
 
 
-def _nm_rounds(objective, x0, budget, max_rounds, gain, adaptive):
+def _nm_rounds(objective, x0, budget, max_rounds, adaptive):
     """Nelder-Mead with simplex re-seeding while the objective keeps dropping."""
     x = np.asarray(x0, dtype=float)
     value = np.inf
@@ -1116,7 +1015,7 @@ def _nm_rounds(objective, x0, budget, max_rounds, gain, adaptive):
         n_evals += out.nfev
         rounds += 1
         x = out.x
-        improved_enough = out.fun < gain * value
+        improved_enough = out.fun < _POLISH_GAIN * value
         value = float(out.fun)
         if value < 1e-14 or not improved_enough:
             break
@@ -1173,14 +1072,9 @@ def feasibility_search(model, targets, config: SearchConfig = SearchConfig()) ->
         if problem.objective(x_full) < 1e-7:
             budget, max_rounds = min(600, full_budget), 1
         else:
-            budget, max_rounds = full_budget, 1 + config.polish_rounds
+            budget, max_rounds = full_budget, 1 + _POLISH_ROUNDS
         x_full, value, n_polish, rounds = _nm_rounds(
-            problem.objective,
-            x_full,
-            budget,
-            max_rounds,
-            config.polish_gain,
-            adaptive=problem.dim > 6,
+            problem.objective, x_full, budget, max_rounds, adaptive=problem.dim > 6
         )
         residual_max, mismatch = problem.evaluate(problem.unpack(x_full))
         records.append(

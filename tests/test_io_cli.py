@@ -400,3 +400,18 @@ class TestCmdSearch:
         config = {"model": "I", "N": 2, "targets": {"alpha": 0.3, "beta": 0.0}, "io": {"out_dir": str(tmp_path / "out")}}
         assert self._run(tmp_path, config) == 2
         assert "N >= 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "search, message",
+        [
+            ({"restarts": 0}, "restarts must be at least 1, got 0"),
+            ({"penalty_weight": -1.0}, "penalty_weight must be finite and positive, got -1.0"),
+            ({"penalty_weight": float("nan")}, "penalty_weight must be finite and positive, got nan"),
+        ],
+    )
+    def test_bad_search_knobs_exit_2(self, tmp_path, capsys, search, message):
+        config = {"model": "I", "N": 3, "targets": {"alpha": 0.3, "beta": 0.0}, "search": search}
+        config["io"] = {"out_dir": str(tmp_path / "out")}
+        assert self._run(tmp_path, config) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -6,14 +6,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corrdefault._num import geometric_grid, softplus
-from corrdefault.ctmc import MonotoneGenerator, forward_solve, independent_generator
+from corrdefault.ctmc import MonotoneGenerator, forward_solve, independent_generator, random_generator
 from corrdefault.model import SubsetDist, extract_interactions
 from corrdefault.reduced import (
     LumpedRatesBi,
     LumpedRatesI,
-    ReducedCurvesII,
     ReducedCurvesIII,
     SearchConfig,
+    SharedAlphaCurves,
     _normalize_targets,
     _SearchProblem,
     coeff_check_I,
@@ -29,6 +29,7 @@ from corrdefault.reduced import (
     residual_I,
     residual_II,
     residual_III,
+    residual_bipartite,
 )
 
 from oracles import integrate_scalar_ode
@@ -90,6 +91,20 @@ class TestLumpedTypes:
         with pytest.raises(ValueError, match="hat_rates"):
             LumpedRatesBi(2, 2, hat, check)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_model_I_rejects_non_finite_rates(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            LumpedRatesI(3, [bad, 1.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("table", [0, 1])
+    def test_bipartite_rejects_non_finite_rates(self, bad, table):
+        lumped = independent_lumped_bi(2, 3, 0.2, -0.1)
+        tables = [lumped.hat_rates.copy(), lumped.check_rates.copy()]
+        tables[table][1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            LumpedRatesBi(2, 3, *tables)
+
     def test_r_is_empty_exit_rate(self):
         lumped = independent_lumped_bi(2, 3, 0.2, -0.1)
         assert lumped.r == pytest.approx(lumped.hat_rates[0, 0] + lumped.check_rates[0, 0])
@@ -120,6 +135,18 @@ class TestLumping:
         lumped_out = lump_generator(gen, ("bipartite", 2, 3))
         np.testing.assert_allclose(lumped_out.hat_rates, lumped_in.hat_rates, atol=1e-12)
         np.testing.assert_allclose(lumped_out.check_rates, lumped_in.check_rates, atol=1e-12)
+
+    @settings(max_examples=15)
+    @given(m=st.integers(1, 3), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_bipartite_lumping_commutes_with_relabelling(self, m, n, seed):
+        # permuting vertices within each class maps every orbit onto itself
+        rng = np.random.default_rng(seed)
+        gen = random_generator(m + n, seed)
+        perm = np.concatenate([rng.permutation(m), m + rng.permutation(n)])
+        lumped = lump_generator(gen, ("bipartite", m, n))
+        relabelled = lump_generator(gen.relabel(perm), ("bipartite", m, n))
+        np.testing.assert_allclose(relabelled.hat_rates, lumped.hat_rates, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(relabelled.check_rates, lumped.check_rates, rtol=0, atol=1e-12)
 
     def test_size_mismatch_rejected(self):
         gen = independent_generator([0.1, 0.2, 0.3])
@@ -393,6 +420,27 @@ class TestResidualIII:
         assert abs(res[2, 2, 0]) > 1e-3
 
 
+class TestBipartiteKernel:
+    @settings(max_examples=40)
+    @given(m=st.integers(2, 4), n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+    def test_model_II_is_model_III_with_equal_classes(self, m, n, seed):
+        lumped = compatible_bipartite_rates(np.random.default_rng(seed), m, n)
+        shared = reduced_curves_II(lumped)
+        drive_hat, drive_check = lumped.hat_rates[0, 1] / m, lumped.check_rates[1, 0] / n
+        equal = ReducedCurvesIII(
+            (m, n), shared.q, shared.delta, shared.q, shared.delta, drive_hat, drive_check, shared.c
+        )
+        grid = geometric_grid(1.0, 16)
+        expected = residual_bipartite(lumped, shared, grid)
+        scale = np.max(np.abs(expected))
+        np.testing.assert_allclose(residual_bipartite(lumped, equal, grid), expected, rtol=0, atol=1e-12 * scale)
+
+    def test_sizes_must_match(self):
+        lumped = independent_lumped_bi(3, 3, 0.4, 0.4)
+        with pytest.raises(ValueError, match="disagree"):
+            residual_bipartite(independent_lumped_bi(3, 2, 0.4, 0.4), reduced_curves_II(lumped), [0.5])
+
+
 class TestCoeffCheckIII:
     def test_independent_tables_at_zero_beta_star(self):
         lumped = independent_lumped_bi(4, 3, 0.5, -0.5)
@@ -455,6 +503,16 @@ class TestFeasibilitySearch:
             feasibility_search(("IV", 3, 3), (0.3, 0.0))
         with pytest.raises(ValueError, match="keys"):
             feasibility_search(("II", 3, 3), {"alpha": 0.1})
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [{"restarts": 0}, {"restarts": -1}]
+        + [{"penalty_weight": w} for w in (-1.0, 0.0, np.nan, np.inf)],
+    )
+    def test_config_rejects_bad_knobs(self, knobs):
+        # restarts=0 used to fail with KeyError('x'); a weight <= 0 ran and ignored or rewarded mismatch
+        with pytest.raises(ValueError, match=next(iter(knobs))):
+            SearchConfig(**knobs)
 
     def test_model_I_rejects_two_vertices(self):
         # the pair curve needs lam2 > 0, and at N = 2 it is the absorbing rate lam[N] = 0
@@ -524,11 +582,11 @@ def warm_curves(problem, outer_x):
     if problem.kind == "II":
         s, h10, h01, h11, c10, c11 = rates
         r = m * s + n * s
-        return ReducedCurvesII(m, n, s, r - h10 - c10, h01 / m + c10 / n, r - h11 - c11, 0.0)
+        return SharedAlphaCurves((m, n), s, r - h10 - c10, h01 / m + c10 / n, r - h11 - c11)
     h00, h10, h01, h11, c00, c10, c01, c11 = rates
     r = h00 + c00
     return ReducedCurvesIII(
-        m, n, h00 / m, r - h10 - c10, c00 / n, r - h01 - c01, h01 / m, c10 / n, r - h11 - c11
+        (m, n), h00 / m, r - h10 - c10, c00 / n, r - h01 - c01, h01 / m, c10 / n, r - h11 - c11
     )
 
 
@@ -541,7 +599,11 @@ def reference_ls_residual(problem, outer_x):
             except ValueError:
                 return np.full(problem.ls_length, 1e6)
         else:
-            lumped, curves = problem.assemble(outer_x), warm_curves(problem, outer_x)
+            try:
+                lumped = problem.assemble(outer_x)
+            except ValueError:  # LumpedRatesBi rejects a non-finite warm-start table
+                return np.full(problem.ls_length, 1e6)
+            curves = warm_curves(problem, outer_x)
         res, deltas = _scored(problem, lumped, curves)
         scaled = np.sqrt(problem.config.penalty_weight) * np.array(deltas)
         vec = np.concatenate([(res * problem.grid).reshape(-1), scaled])
@@ -575,6 +637,15 @@ class TestSearchEvaluationPath:
     @given(m=st.integers(2, 4), n=st.integers(2, 4), data=st.data())
     def test_model_III(self, m, n, data):
         _check_evaluation_path(_problem("III", (m, n)), data)
+
+    def test_non_finite_warm_table_is_rejected(self):
+        # s = softplus(60) overflows e^{-j beta}, and the inner solve then fills NaN rates
+        problem = _problem("II", (3, 4))
+        outer = np.zeros(problem.outer_dim)
+        outer[0] = 60.0
+        with pytest.raises(ValueError, match="finite"):
+            problem.assemble(outer)
+        np.testing.assert_array_equal(problem.ls_residual(outer), np.full(problem.ls_length, 1e6))
 
     @pytest.mark.parametrize("kind, sizes, index", [("I", (4,), 0), ("III", (4, 3), 0), ("III", (4, 3), 16)])
     def test_subnormal_rates_are_rejected(self, kind, sizes, index):
