@@ -89,6 +89,14 @@ def alpha_prime_value(delta, t):
     return 1.0 / (t * phi_minus(delta * t))
 
 
+def alpha_values(q, delta, t):
+    """(alpha, alpha', e^alpha) solving alpha' = delta + q e^{-alpha} with e^alpha -> 0 as t -> 0."""
+    exp_alpha = exp_alpha_value(q, delta, t)
+    with np.errstate(divide="ignore"):
+        alpha = np.log(exp_alpha)
+    return alpha, alpha_prime_value(delta, t), exp_alpha
+
+
 def exp_beta_pair(q_u, d_u, q_v, d_v, q_uv, q_vu, c, t):
     """e^{beta(t)} for the pair consistency ODE, as the bounded-at-0 solution.
 
@@ -129,12 +137,6 @@ def geometric_grid(horizon, n_points=32, t_min_fraction=1e-3):
     return np.geomspace(t_min_fraction * horizon, horizon, n_points)
 
 
-def subset_bit_matrix(n_vertices):
-    """(2^n, n) 0/1 matrix; row A, column v is 1 iff v in A."""
-    masks = np.arange(1 << n_vertices, dtype=np.int64)
-    return (masks[:, None] >> np.arange(n_vertices)) & 1
-
-
 def popcounts(n_vertices):
     """Cardinality of every bitmask below 2^n, as int8 (n <= 127).
 
@@ -145,6 +147,15 @@ def popcounts(n_vertices):
     for _ in range(n_vertices):
         counts = np.concatenate((counts, counts + 1))
     return counts
+
+
+def permuted_masks(perm):
+    """Bitmask of every subset A after renaming vertex v to perm[v], indexed by A."""
+    masks = np.arange(1 << len(perm))
+    new_masks = np.zeros_like(masks)
+    for v, p in enumerate(perm):
+        new_masks |= ((masks >> v) & 1) << p
+    return new_masks
 
 
 def mobius_from_log(log_values):
@@ -161,16 +172,16 @@ def mobius_from_log(log_values):
 
 
 def zeta_over_subsets(values):
-    """Inverse of mobius_from_log: g[A] = sum_{B subseteq A} c[B]."""
+    """Inverse of mobius_from_log: g[A] = sum_{B subseteq A} c[B], along the first axis."""
     g = np.array(values, dtype=float)
-    size = g.shape[0]
-    n = size.bit_length() - 1
-    if (1 << n) != size:
+    shape = g.shape
+    n = shape[0].bit_length() - 1
+    if (1 << n) != shape[0]:
         raise ValueError("length must be a power of two")
     for v in range(n):
-        g = g.reshape(-1, 2, 1 << v)
-        g[:, 1, :] += g[:, 0, :]
-    return g.reshape(size)
+        g = g.reshape(-1, 2, 1 << v, *shape[1:])
+        g[:, 1] += g[:, 0]
+    return g.reshape(shape)
 
 
 def zeta_over_supersets(values):

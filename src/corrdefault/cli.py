@@ -17,7 +17,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -91,34 +94,43 @@ def _out_dir(config, args) -> Path:
     return path
 
 
+@contextmanager
+def _staged(out: Path):
+    """A temporary directory beside out; its files move into out only if the block succeeds."""
+    with tempfile.TemporaryDirectory(prefix=f".{out.name}.", dir=out.parent) as stage:
+        yield Path(stage)
+        for path in sorted(Path(stage).iterdir()):
+            os.replace(path, out / path.name)
+
+
 def cmd_model(config, args) -> int:
     io_block = config.get("io", {})
     model_file = io_block.get("model_file")
     if model_file is None:
         raise ConfigError("model command needs io.model_file")
-    out = _out_dir(config, args)
-    params = cdio.read_model_json(model_file)
-    dist = full_distribution(params)
-    cdio.write_distribution_csv(out / "distribution.csv", dist, config)
-    cdio.write_json(out / "ising.json", cdio.ising_to_dict(to_ising(params)), config)
-    cdio.write_interactions_csv(out / "interactions.csv", extract_interactions(dist), config)
-    if args.fit:
-        targets_file = io_block.get("targets_file")
-        if targets_file is None:
-            raise ConfigError("--fit needs io.targets_file")
-        with open(targets_file) as handle:
-            targets = json.load(handle)
-        vertex_targets = np.asarray(targets["vertex_targets"], dtype=float)
-        pair_targets = np.zeros(params.graph.n_edges)
-        for entry in targets.get("pair_targets", []):
-            u, v = (int(x) for x in entry["edge"])
-            pair_targets[params.graph.edge_position(u, v)] = float(entry["value"])
-        fitted = fit_moments(params.graph, vertex_targets, pair_targets)
-        cdio.write_model_json(out / "fitted_model.json", fitted, config)
-        v_fit, p_fit = moments(fitted)
-        rows = [(f"v{u}", float(x)) for u, x in enumerate(v_fit)]
-        rows += [(f"e{u}-{v}", float(x)) for (u, v), x in zip(fitted.graph.edges, p_fit)]
-        cdio.write_csv(out / "fitted_moments.csv", ("vertex_or_edge", "value"), rows, config)
+    with _staged(_out_dir(config, args)) as out:
+        params = cdio.read_model_json(model_file)
+        dist = full_distribution(params)
+        cdio.write_distribution_csv(out / "distribution.csv", dist, config)
+        cdio.write_json(out / "ising.json", cdio.ising_to_dict(to_ising(params)), config)
+        cdio.write_interactions_csv(out / "interactions.csv", extract_interactions(dist), config)
+        if args.fit:
+            targets_file = io_block.get("targets_file")
+            if targets_file is None:
+                raise ConfigError("--fit needs io.targets_file")
+            with open(targets_file) as handle:
+                targets = json.load(handle)
+            vertex_targets = np.asarray(targets["vertex_targets"], dtype=float)
+            pair_targets = np.zeros(params.graph.n_edges)
+            for entry in targets.get("pair_targets", []):
+                u, v = (int(x) for x in entry["edge"])
+                pair_targets[params.graph.edge_position(u, v)] = float(entry["value"])
+            fitted = fit_moments(params.graph, vertex_targets, pair_targets)
+            cdio.write_model_json(out / "fitted_model.json", fitted, config)
+            v_fit, p_fit = moments(fitted)
+            rows = [(f"v{u}", float(x)) for u, x in enumerate(v_fit)]
+            rows += [(f"e{u}-{v}", float(x)) for (u, v), x in zip(fitted.graph.edges, p_fit)]
+            cdio.write_csv(out / "fitted_moments.csv", ("vertex_or_edge", "value"), rows, config)
     return EXIT_OK
 
 
@@ -143,17 +155,17 @@ def _dynamics_generator(config, args):
 
 def cmd_dynamics(config, args) -> int:
     numerics = _numerics(config)
-    out = _out_dir(config, args)
-    gen, horizon = _dynamics_generator(config, args)
-    grid = geometric_grid(horizon, int(numerics["grid_points"]), numerics["t_min_fraction"])
-    solution = forward_solve(gen, grid, rtol=numerics["rtol"], atol=numerics["atol"])
-    cdio.write_trajectory_csv(out / "trajectory.csv", solution, config)
-    curves = curves_from_rates(gen, horizon=horizon, t_grid=grid)
-    cdio.write_curves_csv(out / "curves.csv", curves, grid, config)
-    peak, per_t = membership_over_time(gen, grid)
-    cdio.write_membership_csv(out / "membership.csv", grid, per_t, config)
-    residuals = [master_residual(gen, curves, float(t)) for t in grid]
-    cdio.write_master_residual_csv(out / "master_residual.csv", grid, residuals, config)
+    with _staged(_out_dir(config, args)) as out:
+        gen, horizon = _dynamics_generator(config, args)
+        grid = geometric_grid(horizon, int(numerics["grid_points"]), numerics["t_min_fraction"])
+        solution = forward_solve(gen, grid, rtol=numerics["rtol"], atol=numerics["atol"])
+        cdio.write_trajectory_csv(out / "trajectory.csv", solution, config)
+        curves = curves_from_rates(gen, horizon=horizon, t_grid=grid)
+        cdio.write_curves_csv(out / "curves.csv", curves, grid, config)
+        _, per_t = membership_over_time(gen, grid)
+        cdio.write_membership_csv(out / "membership.csv", grid, per_t, config)
+        residuals = [master_residual(gen, curves, float(t)) for t in grid]
+        cdio.write_master_residual_csv(out / "master_residual.csv", grid, residuals, config)
     return EXIT_OK
 
 
@@ -194,8 +206,6 @@ def cmd_search(config, args) -> int:
         result = feasibility_search(model, targets, search_config)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    cdio.write_search_json(out / "result.json", result, config)
-    cdio.write_restarts_csv(out / "restarts.csv", result, config)
     beta_star = float(targets["beta"])
     if model[0] == "I":
         report = coeff_check_I(result.best_rates, beta_star)
@@ -227,7 +237,10 @@ def cmd_search(config, args) -> int:
             "intersection_bound": report.intersection_bound,
             "bound_violated": report.bound_violated,
         }
-    cdio.write_json(out / "coeff_check.json", payload, config)
+    with _staged(out) as stage:
+        cdio.write_search_json(stage / "result.json", result, config)
+        cdio.write_restarts_csv(stage / "restarts.csv", result, config)
+        cdio.write_json(stage / "coeff_check.json", payload, config)
     return EXIT_OK
 
 

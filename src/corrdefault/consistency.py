@@ -14,14 +14,14 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from ._num import (
     alpha_prime_value,
+    alpha_values,
     exp_alpha_value,
     exp_beta_pair,
     geometric_grid,
-    subset_bit_matrix,
+    zeta_over_subsets,
 )
 from .ctmc import MonotoneGenerator, forward_solve
 from .model import Graph, SubsetDist, family_membership_residual
@@ -40,11 +40,7 @@ def alpha_curve(q_u: float, r_empty: float, r_u: float, t):
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0):
         raise ValueError("t must be positive")
-    delta = r_empty - r_u
-    exp_alpha = exp_alpha_value(q_u, delta, t)
-    with np.errstate(divide="ignore"):
-        alpha = np.log(exp_alpha)
-    return alpha, alpha_prime_value(delta, t), exp_alpha
+    return alpha_values(q_u, r_empty - r_u, t)
 
 
 @dataclass(frozen=True)
@@ -130,10 +126,7 @@ class ParamCurves:
 
     def alpha(self, t: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(alpha_u, alpha_u', e^{alpha_u}) for all vertices at scalar t."""
-        exp_alpha = exp_alpha_value(self.q, self.delta, t)
-        with np.errstate(divide="ignore"):
-            alpha = np.log(exp_alpha)
-        return alpha, alpha_prime_value(self.delta, t), exp_alpha
+        return alpha_values(self.q, self.delta, t)
 
     def beta_matrices(self, t: float) -> Tuple[np.ndarray, np.ndarray]:
         """Symmetric (beta, beta') matrices at scalar t; zeros off the stored pairs."""
@@ -153,17 +146,6 @@ class ParamCurves:
             t = np.asarray(t, dtype=float)
             return np.zeros_like(t), np.zeros_like(t)
         return curve(t)
-
-    def log_partition_curve(self, t: float) -> Tuple[float, float]:
-        """(log Z_t, d/dt log Z_t) from the curves by exact enumeration."""
-        alpha, alpha_prime, _ = self.alpha(t)
-        b, bp = self.beta_matrices(t)
-        bits = subset_bit_matrix(self.n_vertices).astype(float)
-        h = bits @ alpha + 0.5 * np.einsum("au,av,uv->a", bits, bits, b)
-        h_prime = bits @ alpha_prime + 0.5 * np.einsum("au,av,uv->a", bits, bits, bp)
-        log_z = float(logsumexp(h))
-        weights = np.exp(h - log_z)
-        return log_z, float(np.dot(weights, h_prime))
 
 
 def curves_from_rates(
@@ -222,6 +204,10 @@ def master_residual(gen: MonotoneGenerator, curves: ParamCurves, t: float) -> np
     - sum_{u in B} q(B-u, u) exp(-alpha_u - sum_{v in B-u} beta_uv)
     - R_empty + R_B, evaluated at time t; entry 0 (the empty set) is zero.
     Admissible dynamics require every entry to vanish on (0, horizon].
+
+    Column u < n of one zeta transform holds sum_{v in A} beta_uv at every A,
+    column n the left-hand side; in the (-1, 2, 2^u) split view of a lattice
+    vector, [:, 0] holds the subsets B - u and [:, 1] the subsets B.
     """
     if gen.n_vertices != curves.n_vertices:
         raise ValueError("generator and curves have different vertex counts")
@@ -231,26 +217,23 @@ def master_residual(gen: MonotoneGenerator, curves: ParamCurves, t: float) -> np
     n = gen.n_vertices
     alpha, alpha_prime, _ = curves.alpha(t)
     b, bp = curves.beta_matrices(t)
-    bits = subset_bit_matrix(n).astype(float)
-    lhs = bits @ alpha_prime + 0.5 * np.einsum("au,av,uv->a", bits, bits, bp)
-    masks = np.arange(1 << n)
-    inflow = np.zeros(1 << n)
+    singletons = 1 << np.arange(n)
+    coeffs = np.zeros((1 << n, n + 1))
+    coeffs[singletons, :n] = b.T  # row u of beta onto the singletons of column u
+    coeffs[singletons, n] = alpha_prime
+    upper = np.triu_indices(n, 1)
+    coeffs[singletons[upper[0]] | singletons[upper[1]], n] = bp[upper]
+    sums = zeta_over_subsets(coeffs)
+    res = sums[:, n] - gen.r_empty + gen.exit_rates
     for u in range(n):
-        has_u = ((masks >> u) & 1).astype(bool)
-        b_masks = masks[has_u]
-        beta_sum = bits[b_masks] @ b[u] - b[u, u]
-        inflow[b_masks] += gen.rates[b_masks ^ (1 << u), u] * np.exp(-alpha[u] - beta_sum)
-    res = lhs - inflow - gen.r_empty + gen.exit_rates
-    res[0] = 0.0
+        q = gen.rates[:, u].reshape(-1, 2, 1 << u)[:, 0]
+        beta_sum = sums[:, u].reshape(-1, 2, 1 << u)[:, 0]
+        res.reshape(-1, 2, 1 << u)[:, 1] -= q * np.exp(-alpha[u] - beta_sum)
     return res
 
 
 def membership_over_time(
-    gen: MonotoneGenerator,
-    t_grid,
-    graph: Optional[Graph] = None,
-    rtol: float = 1e-11,
-    atol: float = 1e-14,
+    gen: MonotoneGenerator, t_grid, graph: Optional[Graph] = None
 ) -> Tuple[float, np.ndarray]:
     """Max out-of-family interaction residual of the transient law over a grid.
 
@@ -262,7 +245,7 @@ def membership_over_time(
     if graph is None:
         graph = Graph.complete(gen.n_vertices)
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    solution = forward_solve(gen, t_grid, rtol=rtol, atol=atol)
+    solution = forward_solve(gen, t_grid, rtol=1e-11, atol=1e-14)
     per_t = np.array(
         [
             family_membership_residual(SubsetDist(gen.n_vertices, row), graph)

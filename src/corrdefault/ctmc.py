@@ -10,12 +10,12 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ._num import FORWARD_CAP, softplus, subset_bit_matrix
+from ._num import FORWARD_CAP, permuted_masks, softplus
 from .model import SubsetDist, bernoulli_product_distribution, subset_mask
 
 
@@ -52,8 +52,9 @@ class MonotoneGenerator:
             raise ValueError("rates must be finite")
         if np.any(rates < 0.0):
             raise ValueError("rates must be nonnegative")
-        member = subset_bit_matrix(self.n_vertices).astype(bool)
-        if np.any(rates[member] != 0.0):
+        n = self.n_vertices
+        # in the (-1, 2, 2^v) split of the rows, [:, 1] holds the subsets that contain v
+        if any(np.any(rates.reshape(-1, 2, 1 << v, n)[:, 1, :, v]) for v in range(n)):
             raise ValueError("rate q(A, v) must be zero for v already in A")
         rates.setflags(write=False)
         object.__setattr__(self, "rates", rates)
@@ -110,13 +111,17 @@ class MonotoneGenerator:
     def relabel(self, perm: Sequence[int]) -> "MonotoneGenerator":
         """Generator after renaming vertex v to perm[v]."""
         perm = tuple(int(p) for p in perm)
-        masks = np.arange(1 << self.n_vertices)
-        new_masks = np.zeros_like(masks)
-        for v in range(self.n_vertices):
-            new_masks |= ((masks >> v) & 1) << perm[v]
         rates = np.zeros_like(self.rates)
-        rates[new_masks[:, None], np.array(perm)[None, :]] = self.rates
+        rates[permuted_masks(perm)[:, None], np.array(perm)[None, :]] = self.rates
         return MonotoneGenerator(self.n_vertices, rates)
+
+
+def _monotone(rates) -> MonotoneGenerator:
+    """Generator from a full (2^n, n) table after zeroing q(A, v) for every v in A, in place."""
+    n = rates.shape[1]
+    for v in range(n):
+        rates.reshape(-1, 2, 1 << v, n)[:, 1, :, v] = 0.0
+    return MonotoneGenerator(n, rates)
 
 
 def independent_generator(alpha, horizon: float = 1.0) -> MonotoneGenerator:
@@ -128,12 +133,8 @@ def independent_generator(alpha, horizon: float = 1.0) -> MonotoneGenerator:
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
-    alpha = np.asarray(alpha, dtype=float)
-    n = alpha.shape[0]
-    lam = softplus(alpha) / horizon
-    member = subset_bit_matrix(n).astype(bool)
-    rates = np.where(member, 0.0, np.broadcast_to(lam, (1 << n, n)))
-    return MonotoneGenerator(n, rates)
+    lam = softplus(np.asarray(alpha, dtype=float)) / horizon
+    return _monotone(np.tile(lam, (1 << lam.shape[0], 1)))
 
 
 def independent_alpha_curve(alpha_horizon: float, horizon: float, t):
@@ -180,19 +181,13 @@ def _forward_rhs(gen: MonotoneGenerator):
     return rhs
 
 
-def forward_solve(
-    gen: MonotoneGenerator,
-    t_grid,
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
-    drift_tol: float = 1e-10,
-) -> ForwardSolution:
+def forward_solve(gen: MonotoneGenerator, t_grid, rtol: float = 1e-9, atol: float = 1e-12) -> ForwardSolution:
     """Transient law from the empty set by integrating the forward equations.
 
     Adaptive explicit Runge-Kutta (DOP853) with the monotone sparsity
     exploited in the right-hand side (n * 2^n flow terms per evaluation).
     Each output vector is renormalized only when its mass drifts beyond
-    drift_tol, and the event is flagged.
+    1e-10, and the event is flagged.
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if np.any(np.diff(t_grid) <= 0.0):
@@ -219,7 +214,7 @@ def forward_solve(
         raise ForwardSolveError(f"forward integration failed: {sol.message}")
     probs = sol.y.T.copy()
     totals = probs.sum(axis=1)
-    flags = np.abs(totals - 1.0) > drift_tol
+    flags = np.abs(totals - 1.0) > 1e-10
     probs[flags] /= totals[flags, None]
     probs = np.maximum(probs, 0.0)
     return ForwardSolution(gen.n_vertices, t_grid, probs, flags)
@@ -314,22 +309,13 @@ def sample_paths(
     return paths, SubsetDist(n, counts / n_paths)
 
 
-def random_generator(
-    n_vertices: int,
-    seed: int,
-    low: float = 0.2,
-    high: float = 2.0,
-) -> MonotoneGenerator:
-    """Generator with i.i.d. uniform rates on every allowed transition."""
+def random_generator(n_vertices: int, seed: int) -> MonotoneGenerator:
+    """Generator with i.i.d. uniform rates on [0.2, 2) on every allowed transition."""
     rng = np.random.default_rng(seed)
-    member = subset_bit_matrix(n_vertices).astype(bool)
-    rates = rng.uniform(low, high, size=(1 << n_vertices, n_vertices))
-    return MonotoneGenerator(n_vertices, np.where(member, 0.0, rates))
+    return _monotone(rng.uniform(0.2, 2.0, size=(1 << n_vertices, n_vertices)))
 
 
-def independent_terminal_law(alpha, n_vertices: Optional[int] = None) -> SubsetDist:
+def independent_terminal_law(alpha) -> SubsetDist:
     """Product Bernoulli law of the edge-free model with the given alphas."""
     alpha = np.asarray(alpha, dtype=float)
-    n = alpha.shape[0] if n_vertices is None else n_vertices
-    marginals = 1.0 / (1.0 + np.exp(-alpha))
-    return bernoulli_product_distribution(n, marginals)
+    return bernoulli_product_distribution(alpha.shape[0], 1.0 / (1.0 + np.exp(-alpha)))

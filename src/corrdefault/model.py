@@ -18,8 +18,8 @@ from scipy.special import logsumexp
 from ._num import (
     EXACT_ENUM_CAP,
     mobius_from_log,
+    permuted_masks,
     popcounts,
-    subset_bit_matrix,
     zeta_over_subsets,
     zeta_over_supersets,
 )
@@ -239,13 +239,8 @@ class SubsetDist:
 
     def relabel(self, perm: Iterable[int]) -> "SubsetDist":
         """Distribution after renaming vertex v to perm[v]."""
-        perm = tuple(int(p) for p in perm)
-        masks = np.arange(1 << self.n_vertices)
-        new_masks = np.zeros_like(masks)
-        for v in range(self.n_vertices):
-            new_masks |= ((masks >> v) & 1) << perm[v]
         out = np.empty_like(self.probs)
-        out[new_masks] = self.probs
+        out[permuted_masks(tuple(int(p) for p in perm))] = self.probs
         return SubsetDist(self.n_vertices, out, self.log_partition)
 
 
@@ -509,8 +504,11 @@ def fit_moments(
 
 
 def bernoulli_product_distribution(n_vertices: int, marginals) -> SubsetDist:
-    """Product law with the given per-vertex success probabilities."""
+    """Product law with the given per-vertex success probabilities, by lattice doubling."""
     marginals = np.asarray(marginals, dtype=float)
-    bits = subset_bit_matrix(n_vertices).astype(float)
-    probs = np.prod(bits * marginals + (1.0 - bits) * (1.0 - marginals), axis=1)
+    if marginals.shape != (n_vertices,):
+        raise ValueError(f"need {n_vertices} marginals, got shape {marginals.shape}")
+    probs = np.ones(1)
+    for p in marginals:
+        probs = np.concatenate((probs * (1.0 - p), probs * p))
     return SubsetDist(n_vertices, probs)

@@ -23,15 +23,13 @@ from scipy.optimize import least_squares, minimize
 
 from ._num import (
     _phi_minus_prime,
-    alpha_prime_value,
-    exp_alpha_value,
+    alpha_values,
     exp_beta_pair,
     exp_beta_single,
     geometric_grid,
     inv_softplus,
     popcounts,
     softplus,
-    subset_bit_matrix,
 )
 from .ctmc import MonotoneGenerator
 
@@ -114,9 +112,9 @@ def lump_generator(
         _, m_hat, n_check = symmetry
         if m_hat + n_check != n:
             raise ValueError(f"bipartite sizes {m_hat}+{n_check} do not match {n} vertices")
-        bits = subset_bit_matrix(n)
-        occ_hat = bits[:, :m_hat].sum(axis=1)
-        occ_check = bits[:, m_hat:].sum(axis=1)
+        # hat vertices are the low bits: mask = hat part + (check part << M)
+        occ_hat = np.tile(popcounts(m_hat), 1 << n_check)
+        occ_check = np.repeat(popcounts(n_check), 1 << m_hat)
         hat_exit = gen.rates[:, :m_hat].sum(axis=1)
         check_exit = gen.rates[:, m_hat:].sum(axis=1)
         hat = np.zeros((m_hat + 1, n_check + 1))
@@ -191,11 +189,8 @@ class SharedAlphaCurves:
 
     def profile(self, t) -> SharedAlphaProfile:
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        exp_alpha = exp_alpha_value(self.q, self.delta, t)
+        alpha, alpha_prime, exp_alpha = alpha_values(self.q, self.delta, t)
         ena = 1.0 / exp_alpha
-        with np.errstate(divide="ignore"):
-            alpha = np.log(exp_alpha)
-        alpha_prime = alpha_prime_value(self.delta, t)
         w = exp_beta_single(self.q, self.delta, self.b1, self.c, t)
         beta_prime = self.c - 2.0 * alpha_prime + self.b1 * ena / w
         return SharedAlphaProfile(t, alpha, alpha_prime, ena, np.log(w), beta_prime)
@@ -370,13 +365,9 @@ class ReducedCurvesIII:
 
     def profile(self, t) -> TwoAlphaProfile:
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        ea_hat = exp_alpha_value(self.q_hat, self.delta_hat, t)
-        ea_check = exp_alpha_value(self.q_check, self.delta_check, t)
+        a_hat, ap_hat, ea_hat = alpha_values(self.q_hat, self.delta_hat, t)
+        a_check, ap_check, ea_check = alpha_values(self.q_check, self.delta_check, t)
         ena_hat, ena_check = 1.0 / ea_hat, 1.0 / ea_check
-        with np.errstate(divide="ignore"):
-            a_hat, a_check = np.log(ea_hat), np.log(ea_check)
-        ap_hat = alpha_prime_value(self.delta_hat, t)
-        ap_check = alpha_prime_value(self.delta_check, t)
         w = exp_beta_pair(
             self.q_hat,
             self.delta_hat,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from corrdefault.model import Graph, ModelParams
 
@@ -8,6 +9,15 @@ from corrdefault.model import Graph, ModelParams
 # wall-clock time, which varies run to run on a loaded machine.
 settings.register_profile("tier1", deadline=None, derandomize=True)
 settings.load_profile("tier1")
+
+
+def permutations(max_n):
+    """Permutations of range(n) for n = 1..max_n."""
+    return st.integers(1, max_n).flatmap(lambda n: st.permutations(range(n)))
+
+
+def inverse(perm):
+    return tuple(int(v) for v in np.argsort(perm))
 
 
 def random_graph(rng, n_vertices, edge_prob=0.6):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrdefault._num import geometric_grid, popcounts
@@ -21,7 +21,14 @@ from corrdefault.ctmc import (
 )
 from corrdefault.model import Graph
 
-from oracles import integrate_scalar_ode, two_vertex_exact, uniformization_solve
+from conftest import permutations
+from oracles import (
+    integrate_scalar_ode,
+    log_partition_curve,
+    master_residual_bits,
+    two_vertex_exact,
+    uniformization_solve,
+)
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
 
@@ -208,15 +215,27 @@ class TestMasterResidual:
         res = master_residual(gen, curves, 0.5)
         assert np.max(np.abs(res)) < 1e-10
 
-    def test_relabeling_commutes(self):
-        gen = random_generator(3, seed=17)
-        perm = (2, 0, 1)
+    @settings(max_examples=30)
+    @given(perm=permutations(5), seed=st.integers(0, 2**32 - 1))
+    @example(perm=(2, 0, 1), seed=17)
+    def test_relabeling_commutes(self, perm, seed):
+        gen = random_generator(len(perm), seed=seed)
         curves = curves_from_rates(gen)
         curves_p = curves_from_rates(gen.relabel(perm))
         res = master_residual(gen, curves, 0.5)
         res_p = master_residual(gen.relabel(perm), curves_p, 0.5)
-        for mask in range(8):
+        for mask in range(1 << len(perm)):
             assert res_p[permute_mask(mask, perm)] == pytest.approx(res[mask], abs=1e-8)
+
+    @settings(max_examples=30)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), t=st.floats(1e-3, 1.0))
+    def test_matches_bit_matrix_reference(self, n, seed, t):
+        gen = random_generator(n, seed=seed)
+        curves = curves_from_rates(gen)
+        ref = master_residual_bits(gen, curves, t)
+        np.testing.assert_array_less(
+            np.abs(master_residual(gen, curves, t) - ref), 1e-11 * np.maximum(1.0, np.abs(ref))
+        )
 
 
 class TestPartitionCurveIdentity:
@@ -227,7 +246,7 @@ class TestPartitionCurveIdentity:
             gen = random_generator(2, seed=seed)
             curves = curves_from_rates(gen)
             for t in (0.05, 0.3, 1.0):
-                _, slope = curves.log_partition_curve(t)
+                _, slope = log_partition_curve(curves, t)
                 assert slope == pytest.approx(gen.r_empty, abs=1e-6)
 
 

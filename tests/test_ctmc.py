@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrdefault import ctmc
@@ -19,6 +19,7 @@ from corrdefault.ctmc import (
     sample_paths,
 )
 
+from conftest import inverse, permutations
 from oracles import forward_rhs_gather, uniformization_solve
 
 seeds = st.integers(0, 2**32 - 1)
@@ -46,6 +47,24 @@ class TestGeneratorValidation:
         rates[1, 0] = 1.0  # vertex 0 already in subset {0}
         with pytest.raises(ValueError, match="already in"):
             MonotoneGenerator(2, rates)
+
+    @settings(max_examples=30)
+    @given(n=st.integers(1, 6), others=st.integers(0, 63), rate=st.sampled_from([5e-324, 1e-300, 1.0]))
+    @example(n=3, others=0, rate=5e-324)
+    def test_any_member_rate_rejected(self, n, others, rate):
+        # every vertex v, up to n - 1, in a subset A that holds it; a subnormal rate is nonzero too
+        for v in range(n):
+            mask = (1 << v) | (others & ((1 << n) - 1))
+            rates = random_generator(n, seed=v).rates.copy()
+            rates[mask, v] = rate
+            with pytest.raises(ValueError, match="already in"):
+                MonotoneGenerator(n, rates)
+
+    @settings(max_examples=30)
+    @given(permutations(6), seeds)
+    def test_relabel_round_trip(self, perm, seed):
+        gen = random_generator(len(perm), seed=seed)
+        np.testing.assert_array_equal(gen.relabel(perm).relabel(inverse(perm)).rates, gen.rates)
 
     def test_full_set_is_absorbing(self, rng):
         gen = random_generator(3, seed=1)

@@ -300,6 +300,25 @@ class TestCmdDynamics:
         write_json(cfg_path, {"io": {"generator_file": str(gen_path), "out_dir": str(tmp_path / "out")}})
         assert main(["dynamics", "--config", str(cfg_path)]) == 4
 
+    def test_failed_run_leaves_nothing_behind(self, tmp_path):
+        # this run fails (exit 4) after trajectory.csv and curves.csv have been written
+        gen_path = tmp_path / "gen.json"
+        cdio.write_generator_json(gen_path, random_generator(10, seed=1))
+        cfg_path = tmp_path / "run.json"
+        write_json(cfg_path, {"io": {"generator_file": str(gen_path)}})
+        fresh, existing = tmp_path / "fresh", tmp_path / "existing"
+        existing.mkdir()
+        (existing / "trajectory.csv").write_text("earlier run\n")
+        (existing / "notes.txt").write_text("kept\n")
+        for out in (fresh, existing):
+            assert main(["dynamics", "--config", str(cfg_path), "--out", str(out)]) == 4
+        assert list(fresh.iterdir()) == []
+        assert {p.name: p.read_text() for p in existing.iterdir()} == {
+            "trajectory.csv": "earlier run\n",
+            "notes.txt": "kept\n",
+        }
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["existing", "fresh", "gen.json", "run.json"]
+
     def test_missing_generator_exits_2(self, tmp_path):
         cfg_path = tmp_path / "run.json"
         write_json(cfg_path, {"io": {"out_dir": str(tmp_path / "out")}})

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 from scipy.stats import chisquare
@@ -30,7 +30,9 @@ from corrdefault.model import (
     to_ising,
 )
 
-from conftest import random_model
+from conftest import inverse, permutations, random_model
+
+seeds = st.integers(0, 2**32 - 1)
 from oracles import bit_matrix_moments, brute_force_interactions, spin_energies
 
 
@@ -151,6 +153,19 @@ class TestSubsetDist:
         with pytest.raises(ValueError, match="finite"):
             SubsetDist(2, [0.5, 0.5, 0.0, bad])
 
+    @settings(max_examples=30)
+    @given(perm=permutations(6), seed=seeds)
+    def test_relabel_round_trip(self, perm, seed):
+        n = len(perm)
+        dist = bernoulli_product_distribution(n, np.random.default_rng(seed).uniform(0.1, 0.9, n))
+        np.testing.assert_array_equal(dist.relabel(perm).relabel(inverse(perm)).probs, dist.probs)
+
+    def test_product_law_needs_one_marginal_per_vertex(self):
+        with pytest.raises(ValueError, match="need 3 marginals"):
+            bernoulli_product_distribution(3, [0.5, 0.5])
+        with pytest.raises(ValueError, match="need 2 marginals"):
+            bernoulli_product_distribution(2, 0.5)
+
 
 class TestInteractionExtraction:
     def test_round_trip_recovers_parameters(self, rng):
@@ -205,10 +220,12 @@ class TestFamilyMembership:
         sparse = Graph(3, ((1, 2),))
         assert family_membership_residual(dist, sparse) == pytest.approx(0.8, abs=1e-10)
 
-    def test_relabeling_invariance(self, rng):
-        params = random_model(rng, 5)
+    @settings(max_examples=30)
+    @given(perm=permutations(6), seed=seeds)
+    @example(perm=(2, 0, 4, 1, 3), seed=20260808)
+    def test_relabeling_invariance(self, perm, seed):
+        params = random_model(np.random.default_rng(seed), len(perm))
         dist = full_distribution(params)
-        perm = (2, 0, 4, 1, 3)
         r1 = family_membership_residual(dist, params.graph)
         r2 = family_membership_residual(dist.relabel(perm), params.graph.relabel(perm))
         assert r1 == pytest.approx(r2, abs=1e-12)
