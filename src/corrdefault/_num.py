@@ -149,8 +149,10 @@ def popcounts(n_vertices):
     return counts
 
 
-def permuted_masks(perm):
+def permuted_masks(perm, n_vertices):
     """Bitmask of every subset A after renaming vertex v to perm[v], indexed by A."""
+    if sorted(perm) != list(range(n_vertices)):
+        raise ValueError(f"{tuple(perm)} is not a permutation of range({n_vertices})")
     masks = np.arange(1 << len(perm))
     new_masks = np.zeros_like(masks)
     for v, p in enumerate(perm):

@@ -23,7 +23,7 @@ from ._num import (
     geometric_grid,
     zeta_over_subsets,
 )
-from .ctmc import MonotoneGenerator, forward_solve
+from .ctmc import ForwardSolution, MonotoneGenerator, forward_solve
 from .model import Graph, SubsetDist, family_membership_residual
 
 
@@ -124,19 +124,24 @@ class ParamCurves:
     pair_curves: Dict[Tuple[int, int], BetaCurve]
     horizon: float
 
-    def alpha(self, t: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(alpha_u, alpha_u', e^{alpha_u}) for all vertices at scalar t."""
-        return alpha_values(self.q, self.delta, t)
+    def alpha(self, t) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(alpha_u, alpha_u', e^{alpha_u}) for all vertices, shape t.shape + (n,)."""
+        t = np.asarray(t, dtype=float)
+        return alpha_values(self.q, self.delta, t[..., None])
 
-    def beta_matrices(self, t: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Symmetric (beta, beta') matrices at scalar t; zeros off the stored pairs."""
+    def beta_matrices(self, t) -> Tuple[np.ndarray, np.ndarray]:
+        """Symmetric (beta, beta') matrices, shape t.shape + (n, n); zeros off the stored pairs.
+
+        Each pair curve is evaluated once, on every time at once.
+        """
+        t = np.asarray(t, dtype=float)
         n = self.n_vertices
-        b = np.zeros((n, n))
-        bp = np.zeros((n, n))
+        b = np.zeros(t.shape + (n, n))
+        bp = np.zeros(t.shape + (n, n))
         for (u, v), curve in self.pair_curves.items():
             beta, beta_prime = curve(t)
-            b[u, v] = b[v, u] = float(beta)
-            bp[u, v] = bp[v, u] = float(beta_prime)
+            b[..., u, v] = b[..., v, u] = beta
+            bp[..., u, v] = bp[..., v, u] = beta_prime
         return b, bp
 
     def beta(self, u: int, v: int, t) -> Tuple[np.ndarray, np.ndarray]:
@@ -197,55 +202,83 @@ def independent_curves(alpha, horizon: float = 1.0, t_grid=None) -> ParamCurves:
     )
 
 
-def master_residual(gen: MonotoneGenerator, curves: ParamCurves, t: float) -> np.ndarray:
+# master_residual transforms at most this many cells at once (8 MB of floats).
+_RESIDUAL_CELLS = 1 << 20
+
+
+def master_residual(gen: MonotoneGenerator, curves: ParamCurves, t) -> np.ndarray:
     """Residual of the master consistency equation for every nonempty subset.
 
     Entry B holds  sum_{u in B} alpha_u' + sum_{pairs in B} beta_uv'
     - sum_{u in B} q(B-u, u) exp(-alpha_u - sum_{v in B-u} beta_uv)
     - R_empty + R_B, evaluated at time t; entry 0 (the empty set) is zero.
     Admissible dynamics require every entry to vanish on (0, horizon].
-
-    Column u < n of one zeta transform holds sum_{v in A} beta_uv at every A,
-    column n the left-hand side; in the (-1, 2, 2^u) split view of a lattice
-    vector, [:, 0] holds the subsets B - u and [:, 1] the subsets B.
+    A scalar t gives shape (2^n,), an array of T times (T, 2^n).  The
+    times go through _residual_block in blocks of at most _RESIDUAL_CELLS
+    transform cells.
     """
     if gen.n_vertices != curves.n_vertices:
         raise ValueError("generator and curves have different vertex counts")
-    t = float(t)
-    if not (0.0 < t <= curves.horizon):
+    t = np.asarray(t, dtype=float)
+    times = np.atleast_1d(t)
+    if times.ndim != 1 or not (np.all(times > 0.0) and np.all(times <= curves.horizon)):
         raise ValueError("t must lie in (0, horizon]")
     n = gen.n_vertices
-    alpha, alpha_prime, _ = curves.alpha(t)
-    b, bp = curves.beta_matrices(t)
+    block = max(1, _RESIDUAL_CELLS // ((1 << n) * (n + 1)))
+    res = np.concatenate(
+        [_residual_block(gen, curves, times[i : i + block]) for i in range(0, len(times), block)],
+        axis=1,
+    )
+    return res[:, 0] if t.ndim == 0 else res.T
+
+
+def _residual_block(gen: MonotoneGenerator, curves: ParamCurves, times) -> np.ndarray:
+    """master_residual at T times as a (2^n, T) array, evaluating each pair curve once.
+
+    One zeta transform acts on a (2^n, T, n+1) array: column u < n holds
+    sum_{v in A} beta_uv at every A and time, column n the left-hand side;
+    in the (-1, 2, 2^u) split view of a lattice vector, [:, 0] holds the
+    subsets B - u and [:, 1] the subsets B.
+    """
+    n, n_times = gen.n_vertices, len(times)
+    alpha, alpha_prime, _ = curves.alpha(times)
+    b, bp = curves.beta_matrices(times)
     singletons = 1 << np.arange(n)
-    coeffs = np.zeros((1 << n, n + 1))
-    coeffs[singletons, :n] = b.T  # row u of beta onto the singletons of column u
-    coeffs[singletons, n] = alpha_prime
+    coeffs = np.zeros((1 << n, n_times, n + 1))
+    coeffs[singletons, :, :n] = b.transpose(2, 0, 1)  # row u of beta onto the singletons of column u
+    coeffs[singletons, :, n] = alpha_prime.T
     upper = np.triu_indices(n, 1)
-    coeffs[singletons[upper[0]] | singletons[upper[1]], n] = bp[upper]
+    coeffs[singletons[upper[0]] | singletons[upper[1]], :, n] = bp[:, upper[0], upper[1]].T
     sums = zeta_over_subsets(coeffs)
-    res = sums[:, n] - gen.r_empty + gen.exit_rates
+    res = sums[:, :, n] - gen.r_empty + gen.exit_rates[:, None]
     for u in range(n):
-        q = gen.rates[:, u].reshape(-1, 2, 1 << u)[:, 0]
-        beta_sum = sums[:, u].reshape(-1, 2, 1 << u)[:, 0]
-        res.reshape(-1, 2, 1 << u)[:, 1] -= q * np.exp(-alpha[u] - beta_sum)
+        q = gen.rates[:, u].reshape(-1, 2, 1 << u, 1)[:, 0]
+        beta_sum = sums[:, :, u].reshape(-1, 2, 1 << u, n_times)[:, 0]
+        res.reshape(-1, 2, 1 << u, n_times)[:, 1] -= q * np.exp(-alpha[:, u] - beta_sum)
     return res
 
 
 def membership_over_time(
-    gen: MonotoneGenerator, t_grid, graph: Optional[Graph] = None
+    gen: MonotoneGenerator,
+    t_grid,
+    graph: Optional[Graph] = None,
+    solution: Optional[ForwardSolution] = None,
 ) -> Tuple[float, np.ndarray]:
     """Max out-of-family interaction residual of the transient law over a grid.
 
-    Solves the forward equations once, Mobius-extracts interactions at every
-    grid time, and scores them against the graph's family (complete graph by
-    default, so only coefficients of order three and higher count).
+    Uses the given forward solution on t_grid, or solves the forward equations
+    once, Mobius-extracts interactions at every grid time, and scores them
+    against the graph's family (complete graph by default, so only
+    coefficients of order three and higher count).
     Returns (max over the grid, per-time residuals).
     """
     if graph is None:
         graph = Graph.complete(gen.n_vertices)
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    solution = forward_solve(gen, t_grid, rtol=1e-11, atol=1e-14)
+    if solution is None:
+        solution = forward_solve(gen, t_grid)
+    elif solution.n_vertices != gen.n_vertices or not np.array_equal(solution.t_grid, t_grid):
+        raise ValueError("the forward solution is not on this generator's vertices and grid")
     per_t = np.array(
         [
             family_membership_residual(SubsetDist(gen.n_vertices, row), graph)

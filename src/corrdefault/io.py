@@ -206,16 +206,17 @@ def write_master_residual_csv(path, t_grid, residuals_by_t, config=None):
 
 
 def write_curves_csv(path, curves, t_grid, config=None):
-    """Curve dump: one row per time per vertex (alpha) and per pair (beta)."""
+    """Curve dump: one row per time per vertex (alpha) and per pair (beta); each curve is evaluated once."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    alpha, alpha_prime, _ = curves.alpha(t_grid)
+    pairs = [(f"e{u}-{v}", *curve(t_grid)) for (u, v), curve in sorted(curves.pair_curves.items())]
 
     def rows():
-        for t in t_grid:
-            alpha, alpha_prime, _ = curves.alpha(float(t))
+        for i, t in enumerate(t_grid):
             for u in range(curves.n_vertices):
-                yield (_fmt(t), f"v{u}", "alpha", float(alpha[u]), float(alpha_prime[u]))
-            for (u, v), curve in sorted(curves.pair_curves.items()):
-                beta, beta_prime = curve(float(t))
-                yield (_fmt(t), f"e{u}-{v}", "beta", float(beta), float(beta_prime))
+                yield (_fmt(t), f"v{u}", "alpha", float(alpha[i, u]), float(alpha_prime[i, u]))
+            for name, beta, beta_prime in pairs:
+                yield (_fmt(t), name, "beta", float(beta[i]), float(beta_prime[i]))
 
     write_csv(path, ("t", "vertex_or_edge", "alpha_or_beta", "value", "derivative"), rows(), config)
 

@@ -240,7 +240,7 @@ class SubsetDist:
     def relabel(self, perm: Iterable[int]) -> "SubsetDist":
         """Distribution after renaming vertex v to perm[v]."""
         out = np.empty_like(self.probs)
-        out[permuted_masks(tuple(int(p) for p in perm))] = self.probs
+        out[permuted_masks(tuple(int(p) for p in perm), self.n_vertices)] = self.probs
         return SubsetDist(self.n_vertices, out, self.log_partition)
 
 

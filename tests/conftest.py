@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from corrdefault.ctmc import MonotoneGenerator, random_generator
 from corrdefault.model import Graph, ModelParams
 
 # Every run replays the same examples, and no example is failed for its
@@ -18,6 +19,13 @@ def permutations(max_n):
 
 def inverse(perm):
     return tuple(int(v) for v in np.argsort(perm))
+
+
+def unreachable_triple_generator():
+    """random_generator(4, 1) with every rate into {0, 1, 2} set to 0, so that cell has probability 0."""
+    rates = random_generator(4, seed=1).rates.copy()
+    rates[0b011, 2] = rates[0b101, 1] = rates[0b110, 0] = 0.0
+    return MonotoneGenerator(4, rates)
 
 
 def random_graph(rng, n_vertices, edge_prob=0.6):

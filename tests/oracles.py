@@ -1,7 +1,7 @@
 """Independent reference implementations used only to cross-check the library.
 
 Everything here is deliberately written with different algorithms than the
-package: uniformization instead of ODE integration, explicit alternating
+package: mpmath Taylor series and stepwise uniformization, explicit alternating
 sums instead of in-place transforms, closed forms for the two-vertex chain,
 index gathers instead of reshaped views, dense 0/1 bit matrices instead of
 subset transforms.
@@ -52,8 +52,11 @@ def master_residual_bits(gen, curves, t):
 def uniformization_solve(gen, t, tail=1e-14, max_terms=100_000):
     """Transient law at time t by the uniformized Poisson series.
 
-    p_t = sum_k Poisson(L t)[k] * P^k delta_empty with P = I + Q/L; the
-    series is truncated once the accumulated Poisson mass exceeds 1 - tail.
+    p_t = sum_k Poisson(L t)[k] * P^k delta_empty with P = I + Q/L.  Every
+    term is non-negative, and the weights are updated in log space.  The
+    series runs past level n and past its Poisson mode, and stops once the
+    bound w_k / (1 - L t / (k + 1)) on the rest falls below tail times the
+    smallest positive cell, so small cells keep their relative precision.
     """
     n = gen.n_vertices
     size = 1 << n
@@ -62,47 +65,88 @@ def uniformization_solve(gen, t, tail=1e-14, max_terms=100_000):
     p[0] = 1.0
     if rate_bound == 0.0 or t == 0.0:
         return p
-    acc = np.zeros(size)
-    weight = np.exp(-rate_bound * t)
-    covered = weight
-    acc += weight * p
+    mean = rate_bound * t
+    log_weight = -mean
+    acc = np.exp(log_weight) * p
     term = p
+    masks = np.arange(size)
     for k in range(1, max_terms):
         pushed = np.zeros(size)
         for v in range(n):
             bit = 1 << v
-            masks = np.arange(size)
             src = masks[(masks & bit) == 0]
             pushed[src | bit] += term[src] * gen.rates[src, v]
         term = term - (gen.exit_rates * term) / rate_bound + pushed / rate_bound
-        weight *= rate_bound * t / k
-        acc += weight * term
-        covered += weight
-        if covered >= 1.0 - tail:
-            break
-    return acc
+        log_weight += np.log(mean / k)
+        acc += np.exp(log_weight) * term
+        if k >= n and k + 1 > mean:
+            rest = log_weight - np.log1p(-mean / (k + 1))
+            if rest < np.log(tail) + np.log(acc[acc > 0.0].min()):
+                return acc
+    raise ArithmeticError("uniformized series did not converge")
 
 
-def forward_rhs_gather(gen):
-    """Forward-equation right-hand side by index gather and scatter, one flow per vertex.
+def taylor_law_mp(gen, t, digits=40):
+    """Transient law at time t by the Taylor series of exp(Q t) delta_empty in mpmath.
 
-    The same operations in the same order as ctmc._forward_rhs, on index
+    The terms alternate in sign and peak near e^{L t}, while a cell can be
+    as small as e^{-L t}, so the working precision is `digits` plus
+    2 L t / ln 10 plus a guard.  The series stops
+    past level n and past 2 L t, where the terms shrink geometrically, once
+    the largest term falls below 10^-digits times the smallest nonzero cell.
+    Cells no path reaches stay exactly 0.  Meant for n <= 5.
+    """
+    import mpmath
+
+    n = gen.n_vertices
+    size = 1 << n
+    rate_bound = float(np.max(gen.exit_rates))
+    guard = int(2.0 * rate_bound * t / np.log(10.0)) + 20
+    with mpmath.workdps(digits + guard):
+        rates = [[mpmath.mpf(float(x)) for x in row] for row in gen.rates]
+        exits = [mpmath.fsum(row) for row in rates]
+        t_mp = mpmath.mpf(float(t))
+        term = [mpmath.mpf(0)] * size
+        term[0] = mpmath.mpf(1)
+        acc = list(term)
+        eps = mpmath.mpf(10) ** (-digits)
+        k = 0
+        while True:
+            k += 1
+            nxt = [-exits[a] * term[a] for a in range(size)]
+            for a in range(size):
+                for v in range(n):
+                    if not (a >> v) & 1:
+                        nxt[a | (1 << v)] += rates[a][v] * term[a]
+            term = [x * t_mp / k for x in nxt]
+            acc = [x + y for x, y in zip(acc, term)]
+            if k >= n and k > 2.0 * rate_bound * t:
+                smallest = min(abs(x) for x in acc if x != 0)
+                if max(abs(x) for x in term) < eps * smallest:
+                    return np.array([float(x) for x in acc])
+
+
+def forward_step_gather(gen, rate_bound):
+    """One uniformised step p -> (I + Q/L) p by index gather and scatter, one flow per vertex.
+
+    The same operations in the same order as ctmc._uniformised_step, on index
     arrays instead of reshaped views, so the two agree bit for bit.
     """
     n = gen.n_vertices
     masks = np.arange(1 << n)
+    stay = 1.0 - gen.exit_rates / rate_bound
     flows = []
     for v in range(n):
         src = masks[(masks >> v) & 1 == 0]
-        flows.append((src, src | (1 << v), gen.rates[src, v]))
+        flows.append((src, src | (1 << v), gen.rates[src, v] / rate_bound))
 
-    def rhs(_t, p):
-        dp = -gen.exit_rates * p
+    def step(p):
+        out = stay * p
         for src, dst, q in flows:
-            dp[dst] += q * p[src]
-        return dp
+            out[dst] += q * p[src]
+        return out
 
-    return rhs
+    return step
 
 
 def brute_force_interactions(probs):

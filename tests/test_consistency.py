@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from corrdefault import consistency
 from corrdefault._num import geometric_grid, popcounts
 from corrdefault.consistency import (
     alpha_curve,
@@ -176,7 +179,7 @@ class TestCurvesFromRates:
         gen = random_generator(3, seed=21)
         curves = curves_from_rates(gen)
         t = 0.5
-        sol = forward_solve(gen, np.array([t]), rtol=1e-12, atol=1e-14)
+        sol = forward_solve(gen, np.array([t]))
         coeffs = extract_interactions(SubsetDist(3, sol.probs[0]))
         alpha, _, _ = curves.alpha(t)
         for u in range(3):
@@ -227,6 +230,31 @@ class TestMasterResidual:
         for mask in range(1 << len(perm)):
             assert res_p[permute_mask(mask, perm)] == pytest.approx(res[mask], abs=1e-8)
 
+    @settings(max_examples=20)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), n_times=st.integers(1, 5))
+    def test_grid_evaluation_equals_scalar_calls(self, n, seed, n_times):
+        gen = random_generator(n, seed=seed)
+        grid = geometric_grid(1.0, n_times + 1)[1:]
+        curves = curves_from_rates(gen, t_grid=grid)
+        res = master_residual(gen, curves, grid)
+        assert res.shape == (n_times, 1 << n)
+        np.testing.assert_array_equal(res, np.stack([master_residual(gen, curves, float(t)) for t in grid]))
+        # blocks of two times, the last one short when n_times is odd
+        with mock.patch.object(consistency, "_RESIDUAL_CELLS", 2 * (1 << n) * (n + 1)):
+            np.testing.assert_array_equal(master_residual(gen, curves, grid), res)
+        b, bp = curves.beta_matrices(grid)
+        for k, t in enumerate(grid):
+            b_t, bp_t = curves.beta_matrices(float(t))
+            np.testing.assert_array_equal(b[k], b_t)
+            np.testing.assert_array_equal(bp[k], bp_t)
+
+    def test_rejects_times_outside_the_horizon(self):
+        gen = random_generator(3, seed=1)
+        curves = curves_from_rates(gen)
+        for t in (0.0, np.array([0.5, 1.5]), np.array([-0.1, 0.5])):
+            with pytest.raises(ValueError, match="horizon"):
+                master_residual(gen, curves, t)
+
     @settings(max_examples=30)
     @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), t=st.floats(1e-3, 1.0))
     def test_matches_bit_matrix_reference(self, n, seed, t):
@@ -256,6 +284,28 @@ class TestMembershipOverTime:
         peak, per_t = membership_over_time(gen, geometric_grid(1.0, 16))
         assert peak <= 1e-9
         assert per_t.shape == (16,)
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_independent_generator_stays_in_family_at_larger_n(self, n):
+        alpha = [0.3, -0.7, 1.1, -0.2, 0.6, -1.2, 0.1, -0.4, 0.9, -0.5][:n]
+        gen = independent_generator(alpha, horizon=1.0)
+        peak, per_t = membership_over_time(gen, geometric_grid(1.0, 16))
+        assert peak <= 1e-9
+        assert per_t.shape == (16,)
+
+    def test_shared_forward_solution(self):
+        gen = random_generator(4, seed=2)
+        grid = geometric_grid(1.0, 8)
+        solution = forward_solve(gen, grid)
+        with mock.patch.object(consistency, "forward_solve", side_effect=AssertionError("solved again")):
+            peak, per_t = membership_over_time(gen, grid, solution=solution)
+        ref_peak, ref_per_t = membership_over_time(gen, grid)
+        assert peak == ref_peak
+        np.testing.assert_array_equal(per_t, ref_per_t)
+        with pytest.raises(ValueError, match="grid"):
+            membership_over_time(gen, grid[:-1], solution=solution)
+        with pytest.raises(ValueError, match="grid"):
+            membership_over_time(random_generator(3, seed=2), grid, solution=solution)
 
     def test_state_dependent_rate_on_missing_edge_detected(self):
         rates = np.zeros((4, 2))

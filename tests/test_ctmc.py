@@ -9,8 +9,8 @@ from corrdefault import ctmc
 from corrdefault._num import geometric_grid
 from corrdefault.ctmc import (
     MonotoneGenerator,
-    _forward_rhs,
     _inverse_cdf,
+    _uniformised_step,
     forward_solve,
     independent_alpha_curve,
     independent_generator,
@@ -18,9 +18,10 @@ from corrdefault.ctmc import (
     random_generator,
     sample_paths,
 )
+from corrdefault.model import SubsetDist
 
-from conftest import inverse, permutations
-from oracles import forward_rhs_gather, uniformization_solve
+from conftest import inverse, permutations, unreachable_triple_generator
+from oracles import forward_step_gather, taylor_law_mp, uniformization_solve
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -65,6 +66,11 @@ class TestGeneratorValidation:
     def test_relabel_round_trip(self, perm, seed):
         gen = random_generator(len(perm), seed=seed)
         np.testing.assert_array_equal(gen.relabel(perm).relabel(inverse(perm)).rates, gen.rates)
+
+    @pytest.mark.parametrize("perm", [(0, 0), (1, 2), (0,), (0, 1, 2)])
+    def test_relabel_rejects_non_permutations(self, perm):
+        with pytest.raises(ValueError, match="not a permutation"):
+            random_generator(2, seed=1).relabel(perm)
 
     def test_full_set_is_absorbing(self, rng):
         gen = random_generator(3, seed=1)
@@ -120,8 +126,70 @@ class TestForwardSolve:
     @settings(max_examples=30)
     @given(sparse_generators(max_n=7), seeds)
     def test_rhs_matches_gather_reference_bit_for_bit(self, gen, seed):
+        # the step of the uniformised series, the one kernel forward_solve calls
+        rate_bound = max(float(gen.exit_rates.max()), 0.5)
         p = np.random.default_rng(seed).random(1 << gen.n_vertices)
-        np.testing.assert_array_equal(_forward_rhs(gen)(0.0, p), forward_rhs_gather(gen)(0.0, p))
+        np.testing.assert_array_equal(
+            _uniformised_step(gen, rate_bound)(p), forward_step_gather(gen, rate_bound)(p)
+        )
+
+    @pytest.mark.parametrize("n,seed", [(1, 0), (2, 3), (3, 5), (4, 1), (5, 2)])
+    def test_relative_precision_against_mpmath(self, n, seed):
+        # every cell, down to order t^|A| at t = 1e-6, against a 40-digit Taylor series
+        gen = random_generator(n, seed=seed)
+        times = np.array([1e-6, 1e-3, 0.5, 3.0, 40.0])
+        sol = forward_solve(gen, times)
+        for row, t in zip(sol.probs, times):
+            exact = taylor_law_mp(gen, t)
+            assert np.all(exact > 0.0)
+            np.testing.assert_array_less(np.abs(row - exact), 1e-12 * exact)
+
+    @pytest.mark.parametrize("t", [1e-3, 1e-2, 1.0])
+    def test_uniformization_oracle_keeps_small_cells(self, t):
+        # the oracle itself: no cell of order t^|A| is cut off at n = 8
+        gen = random_generator(8, seed=1)
+        oracle = uniformization_solve(gen, t)
+        assert np.all(oracle > 0.0)
+        row = forward_solve(gen, np.array([t])).probs[0]
+        np.testing.assert_array_less(np.abs(row - oracle), 1e-11 * oracle)
+
+    def test_unreachable_cells_are_exactly_zero(self):
+        gen = unreachable_triple_generator()
+        sol = forward_solve(gen, geometric_grid(1.0, 8))
+        assert np.all(sol.probs[:, 0b0111] == 0.0)
+        exact = taylor_law_mp(gen, 0.5)
+        assert exact[0b0111] == 0.0
+        reachable = exact > 0.0
+        assert reachable.sum() == 15
+        row = forward_solve(gen, np.array([0.5])).probs[0]
+        np.testing.assert_array_less(np.abs(row - exact)[reachable], 1e-12 * exact[reachable])
+
+    def test_series_length_is_counted(self):
+        gen = random_generator(3, seed=0)
+        sol = forward_solve(gen, np.array([0.0, 1.0]))
+        mean = gen.exit_rates.max()
+        assert sol.n_terms == int(np.ceil(3 + mean + 10.0 * np.sqrt(mean) + 30)) + 1
+        np.testing.assert_array_equal(sol.probs[0], np.eye(8)[0])
+        assert forward_solve(MonotoneGenerator(2, np.zeros((4, 2))), np.array([1.0])).probs[0, 0] == 1.0
+
+    @settings(max_examples=15)
+    @given(sparse_generators(max_n=6), seeds)
+    def test_mass_is_conserved(self, gen, seed):
+        times = np.sort(np.random.default_rng(seed).uniform(0.0, 5.0, 6))
+        sol = forward_solve(gen, times)
+        assert not sol.renormalized.any()
+        assert np.all(sol.probs >= 0.0)
+        np.testing.assert_allclose(sol.probs.sum(axis=1), 1.0, rtol=0, atol=1e-13)
+
+    @settings(max_examples=15)
+    @given(permutations(6), seeds)
+    def test_relabeling_commutes(self, perm, seed):
+        gen = random_generator(len(perm), seed=seed)
+        grid = geometric_grid(1.0, 6)
+        relabeled = forward_solve(gen.relabel(perm), grid).probs
+        for row, row_p in zip(forward_solve(gen, grid).probs, relabeled):
+            moved = SubsetDist(len(perm), row).relabel(perm).probs
+            np.testing.assert_allclose(moved, row_p, rtol=1e-12, atol=0)
 
     def test_grid_must_increase(self):
         gen = random_generator(2, seed=0)

@@ -20,7 +20,7 @@ from corrdefault.model import (
     full_distribution,
 )
 
-from conftest import random_model
+from conftest import random_model, unreachable_triple_generator
 
 
 def write_json(path, payload):
@@ -271,6 +271,38 @@ class TestCmdDynamics:
         ]
         assert max(abs(float(r[2])) for r in rows) > 1e-3
 
+    def test_forward_law_is_solved_once(self, tmp_path):
+        # membership.csv reads the law written to trajectory.csv instead of solving again
+        gen_path = tmp_path / "gen.json"
+        cdio.write_generator_json(gen_path, random_generator(3, seed=2))
+        cfg_path = tmp_path / "run.json"
+        write_json(cfg_path, {"io": {"generator_file": str(gen_path)}, "numerics": {"grid_points": 6}})
+        with mock.patch("corrdefault.consistency.forward_solve", side_effect=AssertionError("solved again")):
+            assert main(["dynamics", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+
+    def test_curves_rows_equal_scalar_evaluation(self, tmp_path):
+        from corrdefault._num import geometric_grid
+        from corrdefault.consistency import curves_from_rates
+
+        gen = random_generator(4, seed=3)
+        grid = geometric_grid(1.0, 5)
+        curves = curves_from_rates(gen, t_grid=grid)
+        cdio.write_curves_csv(tmp_path / "curves.csv", curves, grid)
+        expected = []
+        for t in grid:
+            alpha, alpha_prime, _ = curves.alpha(float(t))
+            expected += [(t, f"v{u}", alpha[u], alpha_prime[u]) for u in range(4)]
+            for (u, v), curve in sorted(curves.pair_curves.items()):
+                expected.append((t, f"e{u}-{v}", *curve(float(t))))
+        rows = [
+            line.split(",")
+            for line in (tmp_path / "curves.csv").read_text().splitlines()
+            if not line.startswith(("#", "t,"))
+        ]
+        assert [(float(r[0]), r[1], float(r[3]), float(r[4])) for r in rows] == [
+            (float(t), name, float(a), float(b)) for t, name, a, b in expected
+        ]
+
     def test_byte_identical_reruns(self, tmp_path):
         gen_path = tmp_path / "gen.json"
         cdio.write_generator_json(gen_path, random_generator(3, seed=7))
@@ -292,10 +324,9 @@ class TestCmdDynamics:
         assert outputs[0] == outputs[1]
 
     def test_zero_probability_cells_exit_4(self, tmp_path):
-        # forward_solve's absolute tolerance zeroes cells of order t^|A| at
-        # n = 10; membership then has empty cells, a numeric failure
+        # no path enters {0, 1, 2}; membership then has an empty cell, a numeric failure
         gen_path = tmp_path / "gen.json"
-        cdio.write_generator_json(gen_path, random_generator(10, seed=1))
+        cdio.write_generator_json(gen_path, unreachable_triple_generator())
         cfg_path = tmp_path / "run.json"
         write_json(cfg_path, {"io": {"generator_file": str(gen_path), "out_dir": str(tmp_path / "out")}})
         assert main(["dynamics", "--config", str(cfg_path)]) == 4
@@ -303,7 +334,7 @@ class TestCmdDynamics:
     def test_failed_run_leaves_nothing_behind(self, tmp_path):
         # this run fails (exit 4) after trajectory.csv and curves.csv have been written
         gen_path = tmp_path / "gen.json"
-        cdio.write_generator_json(gen_path, random_generator(10, seed=1))
+        cdio.write_generator_json(gen_path, unreachable_triple_generator())
         cfg_path = tmp_path / "run.json"
         write_json(cfg_path, {"io": {"generator_file": str(gen_path)}})
         fresh, existing = tmp_path / "fresh", tmp_path / "existing"
@@ -318,6 +349,30 @@ class TestCmdDynamics:
             "notes.txt": "kept\n",
         }
         assert sorted(p.name for p in tmp_path.iterdir()) == ["existing", "fresh", "gen.json", "run.json"]
+
+    @pytest.mark.parametrize("n,seed", [(10, seed) for seed in range(10)] + [(12, 1)])
+    def test_valid_generators_exit_0(self, tmp_path, n, seed):
+        # small cells of order t^|A| stay positive, so membership has no empty cell
+        gen_path = tmp_path / "gen.json"
+        cdio.write_generator_json(gen_path, random_generator(n, seed=seed))
+        cfg_path = tmp_path / "run.json"
+        write_json(cfg_path, {"io": {"generator_file": str(gen_path)}})
+        assert main(["dynamics", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        names = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert names == ["curves.csv", "master_residual.csv", "membership.csv", "trajectory.csv"]
+
+    @pytest.mark.parametrize("numerics", [{"rtol": 1e-9}, {"atol": 1e-12, "grid_points": 8}, {"grid_point": 8}])
+    def test_unknown_numerics_key_exits_2(self, tmp_path, capsys, numerics):
+        gen_path = tmp_path / "gen.json"
+        cdio.write_generator_json(gen_path, random_generator(3, seed=1))
+        cfg_path = tmp_path / "run.json"
+        write_json(cfg_path, {"io": {"generator_file": str(gen_path)}, "numerics": numerics})
+        assert main(["dynamics", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "unknown numerics key" in err
+        for key in set(numerics) - {"grid_points"}:
+            assert repr(key) in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_generator_exits_2(self, tmp_path):
         cfg_path = tmp_path / "run.json"

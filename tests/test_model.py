@@ -160,6 +160,12 @@ class TestSubsetDist:
         dist = bernoulli_product_distribution(n, np.random.default_rng(seed).uniform(0.1, 0.9, n))
         np.testing.assert_array_equal(dist.relabel(perm).relabel(inverse(perm)).probs, dist.probs)
 
+    @pytest.mark.parametrize("perm", [(0, 0), (1, 2), (0,), (0, 1, 2)])
+    def test_relabel_rejects_non_permutations(self, perm):
+        dist = bernoulli_product_distribution(2, [0.5, 0.5])
+        with pytest.raises(ValueError, match="not a permutation"):
+            dist.relabel(perm)
+
     def test_product_law_needs_one_marginal_per_vertex(self):
         with pytest.raises(ValueError, match="need 3 marginals"):
             bernoulli_product_distribution(3, [0.5, 0.5])

@@ -170,7 +170,7 @@ class TestReducedCurvesI:
         gen = symmetric_generator(lam)
         curves = reduced_curves_I(lam[0], lam[1], lam[2], 4)
         t = 0.5
-        sol = forward_solve(gen, np.array([t]), rtol=1e-12, atol=1e-14)
+        sol = forward_solve(gen, np.array([t]))
         coeffs = extract_interactions(SubsetDist(4, sol.probs[0]))
         singles = [coeffs.single(u) for u in range(4)]
         pairs = [coeffs.pair(u, v) for u, v in combinations(range(4), 2)]
@@ -243,7 +243,7 @@ class TestReducedCurvesII:
         gen = bipartite_generator(lumped)
         curves = reduced_curves_II(lumped)
         t = 0.5
-        sol = forward_solve(gen, np.array([t]), rtol=1e-12, atol=1e-14)
+        sol = forward_solve(gen, np.array([t]))
         coeffs = extract_interactions(SubsetDist(6, sol.probs[0]))
         alpha, _ = curves.alpha(np.array([t]))
         beta, _ = curves.beta(np.array([t]))
@@ -389,7 +389,7 @@ class TestReducedCurvesIII:
         gen = bipartite_generator(lumped)
         curves = reduced_curves_III(lumped)
         t = 0.5
-        sol = forward_solve(gen, np.array([t]), rtol=1e-12, atol=1e-14)
+        sol = forward_solve(gen, np.array([t]))
         coeffs = extract_interactions(SubsetDist(7, sol.probs[0]))
         a_hat, _ = curves.alpha_hat(np.array([t]))
         a_check, _ = curves.alpha_check(np.array([t]))
