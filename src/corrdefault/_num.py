@@ -130,8 +130,10 @@ def exp_beta_single(q, d, b1, c, t):
 
 def geometric_grid(horizon, n_points=32, t_min_fraction=1e-3):
     """Geometric time grid on [t_min_fraction * horizon, horizon]."""
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
+    if not (np.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
+    if not 0.0 < t_min_fraction < 1.0:
+        raise ValueError(f"t_min_fraction must lie in (0, 1), got {t_min_fraction}")
     if n_points < 2:
         raise ValueError("need at least two grid points")
     return np.geomspace(t_min_fraction * horizon, horizon, n_points)

@@ -77,10 +77,8 @@ def _numerics(config) -> dict:
     if unknown:
         raise ConfigError(f"unknown numerics key(s): {', '.join(map(repr, unknown))}")
     numerics.update(given)
-    if numerics["t_min_fraction"] <= 0.0:
-        raise ConfigError("t_min_fraction must be positive")
-    if int(numerics["grid_points"]) < 2:
-        raise ConfigError("grid_points must be at least 2")
+    # a bad horizon or grid raises ValueError, which exits 2 before any output directory is made
+    geometric_grid(float(config.get("horizon", 1.0)), int(numerics["grid_points"]), numerics["t_min_fraction"])
     return numerics
 
 
@@ -201,10 +199,7 @@ def cmd_search(config, args) -> int:
         horizon=float(config.get("horizon", 1.0)),
     )
     out = _out_dir(config, args)
-    try:
-        result = feasibility_search(model, targets, search_config)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    result = feasibility_search(model, targets, search_config)  # a ValueError is a config error
     beta_star = float(targets["beta"])
     if model[0] == "I":
         report = coeff_check_I(result.best_rates, beta_star)

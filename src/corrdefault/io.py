@@ -152,17 +152,18 @@ def read_generator_json(path) -> MonotoneGenerator:
         return generator_from_dict(json.load(handle))
 
 
-def _write_lattice_csv(path, column: str, values: np.ndarray, config, first_mask: int = 0):
-    """write_csv's bytes for the rows (mask, values[mask]), mask >= first_mask, formatted in bulk."""
+def _write_lattice_csv(path, columns, slices, config, first_mask: int = 0):
+    """write_csv's bytes, formatted in bulk: rows lead + "mask,value" for mask >= first_mask, per (lead, values)."""
     with open(path, "w") as handle:
-        handle.write(_csv_head(("subset_bitmask", column), config))
-        for start in range(first_mask, len(values), _LATTICE_CHUNK):
-            chunk = values[start : start + _LATTICE_CHUNK].tolist()
-            handle.write("".join([f"{mask},{value!r}\n" for mask, value in enumerate(chunk, start)]))
+        handle.write(_csv_head(columns, config))
+        for lead, values in slices:
+            for start in range(first_mask, len(values), _LATTICE_CHUNK):
+                chunk = np.asarray(values[start : start + _LATTICE_CHUNK], dtype=float).tolist()
+                handle.write(lead + lead.join([f"{mask},{value!r}\n" for mask, value in enumerate(chunk, start)]))
 
 
 def write_distribution_csv(path, dist: SubsetDist, config=None):
-    _write_lattice_csv(path, "probability", dist.probs, config)
+    _write_lattice_csv(path, ("subset_bitmask", "probability"), [("", dist.probs)], config)
 
 
 def read_distribution_csv(path) -> SubsetDist:
@@ -182,12 +183,8 @@ def read_distribution_csv(path) -> SubsetDist:
 
 
 def write_trajectory_csv(path, solution: ForwardSolution, config=None):
-    def rows():
-        for i, t in enumerate(solution.t_grid):
-            for mask, p in enumerate(solution.probs[i]):
-                yield (_fmt(t), mask, float(p))
-
-    write_csv(path, ("t", "subset_bitmask", "probability"), rows(), config)
+    slices = [(f"{_fmt(t)},", probs) for t, probs in zip(solution.t_grid, solution.probs)]
+    _write_lattice_csv(path, ("t", "subset_bitmask", "probability"), slices, config)
 
 
 def write_membership_csv(path, t_grid, per_t, config=None):
@@ -197,12 +194,8 @@ def write_membership_csv(path, t_grid, per_t, config=None):
 
 
 def write_master_residual_csv(path, t_grid, residuals_by_t, config=None):
-    def rows():
-        for t, res in zip(t_grid, residuals_by_t):
-            for mask, value in enumerate(res):
-                yield (_fmt(t), mask, float(value))
-
-    write_csv(path, ("t", "subset_bitmask", "residual"), rows(), config)
+    slices = [(f"{_fmt(t)},", res) for t, res in zip(t_grid, residuals_by_t)]
+    _write_lattice_csv(path, ("t", "subset_bitmask", "residual"), slices, config)
 
 
 def write_curves_csv(path, curves, t_grid, config=None):
@@ -272,4 +265,4 @@ def write_restarts_csv(path, result, config=None):
 
 def write_interactions_csv(path, coeffs: InteractionCoeffs, config=None):
     """Every coefficient but the empty set's, which is 0 by definition."""
-    _write_lattice_csv(path, "coefficient", coeffs.coeffs, config, first_mask=1)
+    _write_lattice_csv(path, ("subset_bitmask", "coefficient"), [("", coeffs.coeffs)], config, first_mask=1)

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
-from scipy.linalg import lstsq as scipy_lstsq
-from scipy.optimize import least_squares, minimize
+from scipy.linalg import get_lapack_funcs
+from scipy.optimize import least_squares
 
 from ._num import (
     _phi_minus_prime,
@@ -557,6 +557,10 @@ class SearchConfig:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
         if not (np.isfinite(self.penalty_weight) and self.penalty_weight > 0.0):
             raise ValueError(f"penalty_weight must be finite and positive, got {self.penalty_weight}")
+        integer = isinstance(self.max_iter, (int, np.integer)) and not isinstance(self.max_iter, bool)
+        if self.max_iter is not None and not (integer and self.max_iter > 0):
+            raise ValueError(f"max_iter must be a positive integer or None, got {self.max_iter!r}")
+        geometric_grid(self.horizon, self.grid_points, self.t_min_fraction)  # checks the grid knobs
 
 
 # A restart whose warm start did not solve the system re-seeds Nelder-Mead up
@@ -568,7 +572,10 @@ _POLISH_GAIN = 0.5
 
 @dataclass(frozen=True)
 class RestartRecord:
-    """Outcome of one restart: objective and its residual/mismatch parts."""
+    """Outcome of one restart: objective and its residual/mismatch parts.
+
+    wall_s is its own warm start plus an equal share of each lockstep step it took part in.
+    """
 
     index: int
     objective: float
@@ -663,13 +670,15 @@ class _SearchProblem:
     max-residuals of explicit positive rate tables.
 
     Every index map and coefficient column depends only on the sizes and is
-    built here, once.  A call then works on one flat raw table (Model I:
-    lam; bipartite: hat and check row-major, then a zero that stands in for
-    absent upstream entries) and repeats the floating-point operations of
-    the curves' profile (reduced_curves_I/II/III) and of residual_I or
-    residual_bipartite in their order, so its numbers equal those references
-    bit for bit.  LumpedRates* tables are built, and validated, only for
-    rates that are reported.
+    built here, once.  A call then works on B raw tables, one per column
+    (Model I: lam; bipartite: hat and check row-major, then a zero that
+    stands in for absent upstream entries), and repeats the floating-point
+    operations of the curves' profile (reduced_curves_I/II/III) and of
+    residual_I or residual_bipartite elementwise, in their order, so each
+    table's numbers equal those references bit for bit, whatever else is in
+    the batch.  Curve constants are (B, 1) columns, or floats for a batch of
+    one.  LumpedRates* tables are built, and validated, only for rates that
+    are reported.
     """
 
     def __init__(self, kind, sizes, targets, config):
@@ -677,7 +686,6 @@ class _SearchProblem:
         self.sizes = sizes
         self.config = config
         self.grid = geometric_grid(config.horizon, config.grid_points, config.t_min_fraction)
-        self.t_min = self.grid.min()
         names = ("alpha_hat", "alpha_check", "beta") if kind == "III" else ("alpha", "beta")
         self.targets = np.array([targets[name] for name in names])
         self.sqrt_penalty = np.sqrt(config.penalty_weight)
@@ -686,15 +694,19 @@ class _SearchProblem:
             self.dim = self.outer_dim = n
             self.table_size = n + 1
             self.scatter = np.arange(n)
-            self.positive = np.arange(max(n, 3))  # lam2 enters the curves; it is lam[N] = 0 when N = 2
+            # lam2 enters the curves, and is lam[N] = 0 when N = 2; q = lam0 / N
+            positive, q_at, q_div = np.arange(max(n, 3)), [0], [n]
             k = np.arange(3, n + 1)  # rows k = 1, 2 hold by construction; score k >= 3
             self.gather = np.array([k - 1, k])  # upstream lam_{k-1}, own lam_k
-            self.inflow_coef = (k / (n - k + 1.0))[None]
+            self.inflow_coef = (k / (n - k + 1.0))[None, :, None]
             self.exp_row = (k - 1)[None]
-            self.lhs_coef = np.array([k, 0.5 * k * (k - 1.0)])[:, :, None]
-            self.neg_j = -np.arange(n, dtype=float)[:, None]
+            self.lhs_coef = np.array([k, 0.5 * k * (k - 1.0)])[:, :, None, None]
+            self.neg_j = -np.arange(n, dtype=float)[:, None, None]
         else:
-            self._init_bipartite(*sizes)
+            positive, q_at, q_div = self._init_bipartite(*sizes)
+        # the rates the curves need positive, and those whose q = rate / size must not underflow to 0
+        self.guard_at = np.concatenate([positive, q_at])
+        self.guard_div = np.concatenate([np.ones(len(positive)), q_div])[:, None]
         self.ls_length = self.gather.shape[1] * len(self.grid) + len(self.targets)
 
     def _init_bipartite(self, m, n):
@@ -716,7 +728,6 @@ class _SearchProblem:
         check_inner = [cell for cell in check_free if cell not in check_ctor]
         self.dim = (kind == "II") + len(hat_free) + len(check_free)
         self.scatter = np.array([hat[c] for c in hat_free] + [check[c] for c in check_free])
-        self.positive = np.concatenate([hat[:-1].ravel(), check[:, :-1].ravel()])  # interior rates
         self.ctor = [hat[c] for c in ctor] + [check[c] for c in ctor]
         # outer coordinates: Model II s, hat10, hat01, hat11, check10, check11; Model III all of ctor
         self.outer_pos = np.array(self.ctor)[[1, 2, 3, 5, 7] if kind == "II" else slice(None)]
@@ -725,11 +736,11 @@ class _SearchProblem:
         # upstream hat_{i-1,j} and check_{i,j-1} (the zero when absent), then own hat_ij, check_ij
         up_hat, up_check = np.where(i > 0, hat[i - 1, j], zero), np.where(j > 0, check[i, j - 1], zero)
         self.gather = np.array([up_hat, up_check, hat[i, j], check[i, j]])
-        self.inflow_coef = np.array([i / (m - i + 1.0), j / (n - j + 1.0)])
+        self.inflow_coef = np.array([i / (m - i + 1.0), j / (n - j + 1.0)])[:, :, None]
         self.exp_row = np.array([j, i])
         lhs = [i + j, i * j] if kind == "II" else [i, j, i * j]
-        self.lhs_coef = np.array(lhs, dtype=float)[:, :, None]
-        self.neg_j = -np.arange(max(m, n) + 1, dtype=float)[:, None]
+        self.lhs_coef = np.array(lhs, dtype=float)[:, :, None, None]
+        self.neg_j = -np.arange(max(m, n) + 1, dtype=float)[:, None, None]
 
         # _solve_inner's design matrix: each unknown enters its own cell with
         # weight t and its downstream cell through one inflow term
@@ -737,7 +748,7 @@ class _SearchProblem:
         unknowns = [(c, True) for c in hat_inner] + [(c, False) for c in check_inner]
         self.inner = np.array([hat[c] if is_hat else check[c] for c, is_hat in unknowns])
         self.design = np.zeros((len(scored) * n_grid, len(unknowns)))
-        down_at, down_coef, self.down_ena, self.down_exp = [], [], [], []
+        down_at, down_coef, down_ena, down_exp = [], [], [], []
         for u, ((mm, nn), is_hat) in enumerate(unknowns):
             if (mm, nn) in row:
                 self.design[row[(mm, nn)] * n_grid : (row[(mm, nn)] + 1) * n_grid, u] = self.grid
@@ -745,24 +756,35 @@ class _SearchProblem:
             if down in row:
                 down_at.append((row[down] * n_grid + np.arange(n_grid)) * len(unknowns) + u)
                 down_coef.append((mm + 1.0) / (m - mm) if is_hat else (nn + 1.0) / (n - nn))
-                self.down_ena.append(0 if is_hat or kind == "II" else 1)
-                self.down_exp.append(nn if is_hat else mm)
+                down_ena.append(0 if is_hat or kind == "II" else 1)
+                down_exp.append(nn if is_hat else mm)
         self.down_at = np.array(down_at)
         self.down_coef = np.array(down_coef)[:, None]
+        self.down_ena, self.down_exp = np.array(down_ena, dtype=int), np.array(down_exp, dtype=int)
+        # scipy.linalg.lstsq's gelsy driver, with the workspace size it would query on every call
+        self.gelsy, gelsy_lwork = get_lapack_funcs(("gelsy", "gelsy_lwork"), (self.design,))
+        self.gelsy_lwork = int(gelsy_lwork(*self.design.shape, 1, np.finfo(float).eps)[0])
+        # interior rates; q_hat = hat00 / M, and Model III's q_check = check00 / N
+        q_at, q_div = ([self.ctor[0], self.ctor[4]], [m, n]) if kind == "III" else ([self.ctor[0]], [m])
+        return np.concatenate([hat[:-1].ravel(), check[:, :-1].ravel()]), q_at, q_div
 
     def _fill(self, rates, positions):
-        """Raw table holding rates at positions; Model II's leading s sets hat00 = M s, check00 = N s."""
-        tab = np.zeros(self.table_size)
+        """Raw tables, one per column of rates (or one); Model II's leading s sets hat00 = M s, check00 = N s."""
+        tab = np.zeros((self.table_size,) + rates.shape[1:])
         if self.kind == "II":
             s, rates = rates[0], rates[1:]
             tab[self.ctor[0]], tab[self.ctor[4]] = self.sizes[0] * s, self.sizes[1] * s
         tab[positions] = rates
         return tab
 
-    def _table(self, x):
-        """Raw table of full-space coordinates; None when the curves would reject it."""
-        tab = self._fill(softplus(np.asarray(x, dtype=float)), self.scatter)
-        return None if (tab[self.positive] <= 0.0).any() else tab
+    def _admissible(self, tab):
+        """Columns whose curve rates are positive and whose q = rate / size (0 for a subnormal rate) are not 0."""
+        return (tab[self.guard_at] / self.guard_div).min(0) > 0.0
+
+    @staticmethod
+    def _columns(rows):
+        """Rows of raw tables as (B, 1) columns, or as floats for a batch of one."""
+        return rows.ravel().tolist() if rows.shape[1] == 1 else rows[:, :, None]
 
     def _raw(self, rates):
         if self.kind == "I":
@@ -787,13 +809,13 @@ class _SearchProblem:
         return np.asarray(inv_softplus(values), dtype=float)
 
     def _products(self, coefs, n_expm1):
-        """Rows coef * t, and expm1(y)/y (limit 1 at y = 0) of the first n_expm1.
+        """Rows coef * t (len(coefs), B, T), and expm1(y)/y (limit 1 at y = 0) of the first n_expm1.
 
         Every product of a curve constant with the grid is formed once here.
         A row with coef d gives expm1_over(d t); one with coef -x gives
         phi_minus(x t), because expm1(-y)/(-y) and (1 - e^{-y})/y round alike.
         """
-        y = np.array(coefs)[:, None] * self.grid
+        y = np.array(coefs).reshape(len(coefs), -1, 1) * self.grid
         head = y[:n_expm1]
         if head.all():
             return y, np.expm1(head) / head
@@ -801,9 +823,9 @@ class _SearchProblem:
 
     def _phi_diff(self, phi_a, phi_b, gap, a, b):
         """phi_minus_diff(a, b, t) from phi_minus(a t), phi_minus(b t) and gap = (b - a) t."""
-        # |(b - a) t| is smallest at the earliest time, which decides whether
-        # phi_minus_diff switches to its midpoint derivative anywhere on the grid
-        if abs((b - a) * self.t_min) >= 1e-6:
+        # |gap| is smallest at the earliest time, which decides whether
+        # phi_minus_diff switches to its midpoint derivative anywhere in a row
+        if min(map(abs, gap[:, 0].tolist())) >= 1e-6:
             return (phi_a - phi_b) / gap
         small = np.abs(gap) < 1e-6
         with np.errstate(invalid="ignore", over="ignore"):
@@ -850,17 +872,17 @@ class _SearchProblem:
         profile entries.
         """
         beta = np.log(w)
-        deltas = np.array([*np.log(ea[:, -1]), beta[-1]]) - self.targets
+        deltas = np.concatenate([np.log(ea[:, :, -1]), beta[None, :, -1]]) - self.targets[:, None]
         return ena, ap, bp, np.exp(self.neg_j * beta), deltas
 
     def _table_profile(self, tab):
-        """Profile of the curves reduced_curves_X builds from a table."""
+        """Profile of the curves reduced_curves_X builds from each column of tab."""
         if self.kind == "I":
             (n,) = self.sizes
-            lam0, lam1, lam2 = tab[:3].tolist()
+            lam0, lam1, lam2 = self._columns(tab[:3])
             return self._shared_profile(lam0 / n, lam0 - lam1, 2.0 * lam1 / (n - 1), lam0 - lam2)
         m, n = self.sizes
-        h00, h10, h01, h11, c00, c10, c01, c11 = tab[self.ctor].tolist()
+        h00, h10, h01, h11, c00, c10, c01, c11 = self._columns(tab[self.ctor])
         r = h00 + c00
         if self.kind == "II":
             return self._shared_profile(h00 / m, r - (h10 + c10), h01 / m + c10 / n, r - (h11 + c11))
@@ -869,13 +891,13 @@ class _SearchProblem:
         )
 
     def _block(self, tab, prof):
-        """Kept residual block (cells x grid) of a raw table under a profile."""
+        """Kept residual block (cells, B, T) of raw tables under their profile."""
         ena, ap, bp, exp_nb, _ = prof
         v = tab[self.gather]
         # every inflow term at once (bipartite: hat, then check); a shared-alpha
         # profile has a single e^{-alpha} row
         upstream = self.inflow_coef * v[: len(self.inflow_coef)]
-        terms = upstream[:, :, None] * ena[:, None, :] * exp_nb[self.exp_row]
+        terms = upstream[..., None] * ena[:, None] * exp_nb[self.exp_row]
         lhs = self.lhs_coef[0] * ap[0]
         if self.kind == "III":
             lhs = lhs + self.lhs_coef[1] * ap[1]
@@ -883,37 +905,42 @@ class _SearchProblem:
             own, inflow = tab[0] - v[1], terms[0]
         else:
             own, inflow = tab[self.ctor[0]] + tab[self.ctor[4]] - v[2] - v[3], terms[0] + terms[1]
-        return lhs + self.lhs_coef[-1] * bp - own[:, None] - inflow
+        return lhs + self.lhs_coef[-1] * bp - own[..., None] - inflow
 
     def _parts(self, tab):
-        """Kept residual block and terminal deltas of a raw table: the one evaluation path."""
+        """Kept residual blocks and terminal deltas of raw tables: the one evaluation path."""
         prof = self._table_profile(tab)
         return self._block(tab, prof), prof[-1]
 
     def _scores(self, tab):
-        """(residual_max, terminal_mismatch) of a raw table."""
+        """(residual_max, terminal_mismatch) per column of tab."""
         res, d = self._parts(tab)
-        mismatch = np.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2) if self.kind == "III" else np.hypot(d[0], d[1])
-        return float(np.abs(res).max()), float(mismatch)
+        if self.kind == "III":
+            # squared with pow, as numpy scalars are, since pow(x, 2) and x * x can round apart
+            mismatch = np.sqrt([a**2 + b**2 + c**2 for a, b, c in zip(*d.tolist())])
+        else:
+            mismatch = np.hypot(d[0], d[1])
+        return np.abs(res).max(axis=(0, 2), initial=0.0), mismatch  # 0 when no cell is scored (Model I, N = 2)
 
     def evaluate(self, rates):
         """(residual_max, terminal_mismatch) for a rate table."""
-        tab = self._raw(rates)
-        if (tab[self.positive] <= 0.0).any():
+        tab = self._raw(rates)[:, None]
+        if not self._admissible(tab)[0]:
             raise ValueError("lumped rates entering the curves must be positive")
-        return self._scores(tab)
+        return tuple(float(score[0]) for score in self._scores(tab))
 
     def objective(self, x):
+        """Objective per row of the (B, dim) array x (a float for 1-D x); 1e12 where the curves reject the rates."""
+        x = np.asarray(x, dtype=float)
+        tab = self._fill(softplus(x.reshape(-1, self.dim).T), self.scatter)
+        admissible = self._admissible(tab)
+        if not admissible.all():  # a rejected table scores NaN, hence 1e12, and no float constant divides by q = 0
+            tab[:, ~admissible] = np.nan
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            tab = self._table(x)
-            if tab is None:
-                return 1e12
-            try:
-                residual_max, mismatch = self._scores(tab)
-            except ZeroDivisionError:  # a subnormal rate whose curve constant q underflows to 0
-                return 1e12
-            value = residual_max + self.config.penalty_weight * mismatch * mismatch
-        return value if np.isfinite(value) else 1e12
+            residual_max, mismatch = self._scores(tab)
+            total = residual_max + self.config.penalty_weight * mismatch * mismatch
+        value = np.where(np.isfinite(total), total, 1e12)
+        return value if x.ndim == 2 else float(value[0])
 
     def ls_residual(self, outer_x):
         """Smooth companion residual vector for the trust-region warm start.
@@ -923,20 +950,17 @@ class _SearchProblem:
         zeros are exactly the zeros of the search objective.
         """
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            try:
-                if self.kind == "I":
-                    tab = self._table(outer_x)
-                    if tab is None:
-                        return np.full(self.ls_length, 1e6)
-                    res, deltas = self._parts(tab)
-                else:
-                    tab, prof = self._warm(outer_x)
-                    if not np.isfinite(tab).all():  # a table that assemble's LumpedRatesBi rejects
-                        return np.full(self.ls_length, 1e6)
-                    res, deltas = self._block(tab, prof), prof[-1]
-            except (ValueError, ZeroDivisionError, np.linalg.LinAlgError):
-                return np.full(self.ls_length, 1e6)
-            vec = np.concatenate([(res * self.grid).reshape(-1), self.sqrt_penalty * deltas])
+            if self.kind == "I":
+                tab = self._fill(softplus(np.asarray(outer_x, dtype=float)), self.scatter)[:, None]
+                if not self._admissible(tab)[0]:
+                    return np.full(self.ls_length, 1e6)
+                res, deltas = self._parts(tab)
+            else:
+                tab, prof = self._warm(outer_x)
+                if not np.isfinite(tab).all():  # a table that assemble's LumpedRatesBi rejects
+                    return np.full(self.ls_length, 1e6)
+                res, deltas = self._block(tab, prof), prof[-1]
+            vec = np.concatenate([(res[:, 0] * self.grid).reshape(-1), self.sqrt_penalty * deltas[:, 0]])
         return np.where(np.isfinite(vec), vec, 1e6)
 
     def _warm(self, outer_x):
@@ -958,7 +982,7 @@ class _SearchProblem:
             prof = self._pair_profile(
                 h00 / m, r - h10 - c10, c00 / n, r - h01 - c01, h01 / m, c10 / n, r - h11 - c11
             )
-        return self._solve_inner(self._fill(outer, self.outer_pos), prof), prof
+        return self._solve_inner(self._fill(outer, self.outer_pos)[:, None], prof), prof
 
     def _solve_inner(self, tab, prof):
         """Fill the non-constructor entries by weighted least squares.
@@ -971,46 +995,127 @@ class _SearchProblem:
         """
         ena, _, _, exp_nb, _ = prof
         a = self.design.copy()
-        coef = self.down_coef * ena[self.down_ena] * exp_nb[self.down_exp]
+        coef = self.down_coef * ena[self.down_ena, 0] * exp_nb[self.down_exp, 0]
         a.reshape(-1)[self.down_at] = -coef * self.grid
-        b = (-self._block(tab, prof) * self.grid).ravel()
-        solution = scipy_lstsq(a, b, lapack_driver="gelsy", check_finite=False)[0]
+        b = (-self._block(tab, prof)[:, 0] * self.grid).ravel()
+        n_unknowns = len(self.inner)
+        solution = self.gelsy(a, b, np.zeros(n_unknowns, np.int32), np.finfo(float).eps, self.gelsy_lwork)[1]
         tab = tab.copy()
-        tab[self.inner] = np.maximum(solution, 1e-10)
+        tab[self.inner, 0] = np.maximum(solution[:n_unknowns], 1e-10)
         return tab
 
     def assemble(self, outer_x):
         """Full rate table from outer softplus coordinates (inner solved)."""
-        return self._validated(self._warm(outer_x)[0])
+        return self._validated(self._warm(outer_x)[0][:, 0])
 
 
-def _nm_rounds(objective, x0, budget, max_rounds, adaptive):
-    """Nelder-Mead with simplex re-seeding while the objective keeps dropping."""
-    x = np.asarray(x0, dtype=float)
-    value = np.inf
-    n_evals = 0
-    rounds = 0
+class _OutOfEvaluations(Exception):
+    """Nelder-Mead has used its evaluation budget."""
+
+
+def _nelder_mead(x0, maxfev, xatol, fatol, adaptive):
+    """scipy 1.17's Nelder-Mead (default simplex, no bounds, maxiter = maxfev) as an ask/tell generator.
+
+    Yields each point to evaluate and takes its value by send(); returns the
+    final simplex, its values, nfev and nit of scipy.optimize.minimize bit for
+    bit.  Running out of evaluations abandons the iteration in progress, a
+    shrink included; maxiter never binds, as each iteration costs an evaluation.
+    """
+    nfev = 0
+
+    def func(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _OutOfEvaluations
+        nfev += 1
+        return (yield x)
+
+    x0 = np.asarray(x0, dtype=float).flatten()
+    dim = len(x0)
+    rho, chi, psi, sigma = (1, 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim) if adaptive else (1, 2, 0.5, 0.5)
+    sim = np.tile(x0, (dim + 1, 1))
+    sim[1 + np.arange(dim), np.arange(dim)] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    fsim = np.full(dim + 1, np.inf)
+    try:
+        for k in range(dim + 1):
+            fsim[k] = yield from func(sim[k])
+    except _OutOfEvaluations:
+        pass
+    iterations, sorts = 1, 2  # scipy sorts the first simplex twice, and argsort may move ties
+    while True:
+        for _ in range(sorts):
+            ind = np.argsort(fsim)
+            sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        if not nfev < maxfev:
+            break
+        sorts = 1
+        try:
+            if np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / dim
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = yield from func(xr)
+            if fxr < fsim[0]:  # expansion
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = yield from func(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:  # contraction, inside when the reflection is no better than the worst vertex
+                inside = not fxr < fsim[-1]
+                xc = (1 - psi) * xbar + psi * sim[-1] if inside else (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = yield from func(xc)
+                if (fxc < fsim[-1]) if inside else (fxc <= fxr):
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink
+                    for j in range(1, dim + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = yield from func(sim[j])
+            iterations += 1
+        except _OutOfEvaluations:
+            pass
+    return sim, fsim, nfev, iterations
+
+
+def _polish(x0, budget, max_rounds, adaptive):
+    """Ask/tell Nelder-Mead re-seeding its simplex while the value keeps dropping; returns (x, value, nfev, rounds)."""
+    x, value, n_evals, rounds = np.asarray(x0, dtype=float), np.inf, 0, 0
     for _ in range(max_rounds):
-        out = minimize(
-            objective,
-            x,
-            method="Nelder-Mead",
-            options={
-                "maxfev": budget,
-                "maxiter": budget,
-                "xatol": 1e-10,
-                "fatol": 1e-14,
-                "adaptive": adaptive,
-            },
-        )
-        n_evals += out.nfev
+        sim, fsim, nfev, _ = yield from _nelder_mead(x, budget, 1e-10, 1e-14, adaptive)
+        x, fun = sim[0], np.min(fsim)
+        n_evals += nfev
         rounds += 1
-        x = out.x
-        improved_enough = out.fun < _POLISH_GAIN * value
-        value = float(out.fun)
+        improved_enough = fun < _POLISH_GAIN * value
+        value = float(fun)
         if value < 1e-14 or not improved_enough:
             break
     return x, value, n_evals, rounds
+
+
+def _lockstep(objective, polishers, wall):
+    """Run ask/tell generators together and return their results: each step scores every pending point at once.
+
+    Each generator sees exactly the values it would see alone.  The list wall gains, for each generator,
+    an equal share of every step it took part in: its send, and the batched call that scores its point.
+    """
+    results, points = [None] * len(polishers), {}
+    active, values = list(range(len(polishers))), [None] * len(polishers)  # the first send starts each one
+    clock = time.perf_counter()
+    while active:
+        for i, value in zip(active, values):
+            try:
+                points[i] = polishers[i].send(value)
+            except StopIteration as stop:
+                results[i] = stop.value
+                points.pop(i, None)
+        stepped, active = active, list(points)
+        if active:
+            values = objective(np.array([points[i] for i in active])).tolist()
+        now = time.perf_counter()
+        for i in stepped:
+            wall[i] += (now - clock) / len(stepped)
+        clock = now
+    return results
 
 
 def feasibility_search(model, targets, config: SearchConfig = SearchConfig()) -> SearchResult:
@@ -1028,31 +1133,26 @@ def feasibility_search(model, targets, config: SearchConfig = SearchConfig()) ->
     start runs over the constructor rates only, with the linearly-entering
     remainder of the table solved by least squares.  Nelder-Mead over the
     full rate space then minimizes the stated max-norm objective, re-seeding
-    its simplex at the optimum while the value keeps dropping.  Reported
-    floors are always max-residuals of explicit positive full rate tables.
+    its simplex at the optimum while the value keeps dropping.  Every
+    restart's Nelder-Mead runs in lockstep with the others, one batched
+    objective call per step; a restart's result depends only on (seed,
+    index), not on how many restarts run beside it.  Reported floors are
+    always max-residuals of explicit positive full rate tables.
     Non-convergence is reported, never raised.
     """
     kind, sizes = _parse_model(model)
     targets = _normalize_targets(kind, targets)
     problem = _SearchProblem(kind, sizes, targets, config)
     search_start = time.perf_counter()
-    records: List[RestartRecord] = []
-    best: Dict[str, object] = {}
     full_budget = config.max_iter if config.max_iter is not None else max(800, 80 * problem.dim)
+    polishers, n_warm, wall = [], [], [0.0] * config.restarts
     for index in range(config.restarts):
         restart_start = time.perf_counter()
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, index)))
         x_outer = rng.normal(0.5, 1.0, problem.outer_dim)
-        warm = least_squares(
-            problem.ls_residual,
-            x_outer,
-            method="trf",
-            xtol=1e-13,
-            ftol=1e-13,
-            gtol=1e-13,
-            max_nfev=150,
-        )
-        n_warm = int(warm.nfev) * (problem.outer_dim + 1)  # include jacobian columns
+        tol = 1e-13
+        warm = least_squares(problem.ls_residual, x_outer, method="trf", xtol=tol, ftol=tol, gtol=tol, max_nfev=150)
+        n_warm.append(int(warm.nfev) * (problem.outer_dim + 1))  # include jacobian columns
         if kind == "I":
             x_full = warm.x
         else:
@@ -1064,36 +1164,23 @@ def feasibility_search(model, targets, config: SearchConfig = SearchConfig()) ->
             budget, max_rounds = min(600, full_budget), 1
         else:
             budget, max_rounds = full_budget, 1 + _POLISH_ROUNDS
-        x_full, value, n_polish, rounds = _nm_rounds(
-            problem.objective, x_full, budget, max_rounds, adaptive=problem.dim > 6
-        )
-        residual_max, mismatch = problem.evaluate(problem.unpack(x_full))
-        records.append(
-            RestartRecord(
-                index=index,
-                objective=value,
-                residual_max=residual_max,
-                terminal_mismatch=mismatch,
-                n_warm_evaluations=n_warm,
-                n_polish_evaluations=n_polish,
-                rounds=rounds,
-                wall_s=time.perf_counter() - restart_start,
-            )
-        )
-        if not best or value < best["value"]:
-            best = {"value": value, "index": index, "x": np.array(x_full)}
-    best_rates = problem.unpack(best["x"])
-    best_record = records[best["index"]]
-    floor = min(record.residual_max for record in records)
+        polishers.append(_polish(x_full, budget, max_rounds, adaptive=problem.dim > 6))
+        wall[index] = time.perf_counter() - restart_start
+    finals = _lockstep(problem.objective, polishers, wall)  # (x, objective, n_polish, rounds) per restart
+    trace = tuple(
+        RestartRecord(index, value, *problem.evaluate(problem.unpack(x)), n_warm[index], n_polish, rounds, wall[index])
+        for index, (x, value, n_polish, rounds) in enumerate(finals)
+    )
+    best_index = min(range(config.restarts), key=lambda index: trace[index].objective)  # the first, on ties
     return SearchResult(
         model=kind,
         sizes=sizes,
         targets=targets,
-        best_rates=best_rates,
-        best_index=best["index"],
-        residual_floor=float(floor),
-        terminal_mismatch=best_record.terminal_mismatch,
+        best_rates=problem.unpack(finals[best_index][0]),
+        best_index=best_index,
+        residual_floor=float(min(record.residual_max for record in trace)),
+        terminal_mismatch=trace[best_index].terminal_mismatch,
         restarts_used=config.restarts,
-        trace=tuple(records),
+        trace=trace,
         wall_s=time.perf_counter() - search_start,
     )

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from corrdefault import io as cdio
 from corrdefault.cli import main
-from corrdefault.ctmc import random_generator
+from corrdefault.ctmc import ForwardSolution, random_generator
 from corrdefault.model import (
     Graph,
     InteractionCoeffs,
@@ -129,6 +129,54 @@ class TestLatticeWriters:
         rows = [(mask, float(coeffs.coeffs[mask])) for mask in range(1, len(values))]
         bulk, reference = _lattice_bytes(
             cdio.write_interactions_csv, coeffs, rows, ("subset_bitmask", "coefficient"), chunk
+        )
+        assert bulk == reference
+
+
+def time_slices(draw_floats):
+    """(t_grid, one lattice vector per time) with 0.0, subnormal and 1e-300 cells among the draws."""
+    cells = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300]), draw_floats)
+
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(0, 4))
+        t_grid = draw(st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=3))
+        row = st.lists(cells, min_size=1 << n, max_size=1 << n)
+        values = draw(st.lists(row, min_size=len(t_grid), max_size=len(t_grid)))
+        return np.array(t_grid), np.array(values).reshape(len(t_grid), 1 << n)
+
+    return build()
+
+
+def _time_rows(t_grid, values):
+    return [(cdio._fmt(t), mask, float(v)) for t, row in zip(t_grid, values) for mask, v in enumerate(row)]
+
+
+class TestTimeSliceWriters:
+    """The trajectory and master-residual writers emit the bytes write_csv emits for the same rows."""
+
+    @settings(max_examples=40)
+    @given(time_slices(st.floats(0.0, 1.0)), st.integers(1, 5))
+    def test_trajectory(self, slices, chunk):
+        t_grid, probs = slices
+        solution = ForwardSolution(probs.shape[1].bit_length() - 1, t_grid, probs, np.zeros(len(t_grid), bool))
+        rows = _time_rows(t_grid, probs)
+        bulk, reference = _lattice_bytes(
+            cdio.write_trajectory_csv, solution, rows, ("t", "subset_bitmask", "probability"), chunk
+        )
+        assert bulk == reference
+
+    @settings(max_examples=40)
+    @given(time_slices(st.floats(allow_nan=True, allow_infinity=True)), st.integers(1, 5))
+    def test_master_residual(self, slices, chunk):
+        t_grid, residuals = slices
+        rows = _time_rows(t_grid, residuals)
+        bulk, reference = _lattice_bytes(
+            lambda path, payload, config: cdio.write_master_residual_csv(path, t_grid, payload, config),
+            residuals,
+            rows,
+            ("t", "subset_bitmask", "residual"),
+            chunk,
         )
         assert bulk == reference
 
@@ -474,6 +522,30 @@ class TestCmdSearch:
         config = {"model": "I", "N": 2, "targets": {"alpha": 0.3, "beta": 0.0}, "io": {"out_dir": str(tmp_path / "out")}}
         assert self._run(tmp_path, config) == 2
         assert "N >= 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, patch, message",
+        [
+            ("search", {"search": {"max_iter": 0}}, "max_iter must be a positive integer or None, got 0"),
+            ("search", {"search": {"max_iter": 2.5}}, "max_iter must be a positive integer or None, got 2.5"),
+            ("search", {"horizon": float("nan")}, "horizon must be finite and positive, got nan"),
+            ("search", {"numerics": {"t_min_fraction": 2.0}}, "t_min_fraction must lie in (0, 1), got 2.0"),
+            ("dynamics", {"horizon": float("inf")}, "horizon must be finite and positive, got inf"),
+            ("dynamics", {"numerics": {"t_min_fraction": 2.0}}, "t_min_fraction must lie in (0, 1), got 2.0"),
+        ],
+    )
+    def test_bad_numerics_exit_2(self, tmp_path, capsys, command, patch, message):
+        # the search cases used to exit 0, with a warm-start floor, a NaN floor or times past the horizon;
+        # dynamics exited 2 without naming the bad knob
+        gen_path = tmp_path / "gen.json"
+        cdio.write_generator_json(gen_path, random_generator(3, seed=1))
+        config = {"model": "I", "N": 3, "targets": {"alpha": 0.3, "beta": 0.0}, "io": {"generator_file": str(gen_path)}}
+        config.update(patch)
+        cfg_path = tmp_path / "run.json"
+        write_json(cfg_path, config)
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "search, message",

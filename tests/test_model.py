@@ -306,6 +306,22 @@ class TestDistributionInvariants:
                 log_ratio = np.log(dist.probs[mask] / dist.probs[0])
                 assert hamiltonian(params, mask) == pytest.approx(log_ratio, abs=1e-12)
 
+    @settings(max_examples=30)
+    @given(permutations(7), seeds)
+    def test_relabelling_commutes(self, perm, seed):
+        # rtol, not equality: the relabelled Hamiltonian sums its terms in another order
+        n = len(perm)
+        params = random_model(np.random.default_rng(seed), n)
+        graph = params.graph.relabel(perm)
+        alpha = np.empty(n)
+        alpha[list(perm)] = params.alpha
+        beta = np.zeros(graph.n_edges)
+        for (u, v), b in zip(params.graph.edges, params.beta):
+            beta[graph.edge_position(perm[u], perm[v])] = b
+        relabelled = full_distribution(ModelParams(graph, alpha, beta))
+        moved = full_distribution(params).relabel(perm)
+        np.testing.assert_allclose(relabelled.probs, moved.probs, rtol=1e-12, atol=0)
+
 
 @st.composite
 def lattice_weights(draw):

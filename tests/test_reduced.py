@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
+from scipy.optimize import minimize, rosen
 
-from corrdefault._num import geometric_grid, softplus
+from corrdefault._num import geometric_grid, popcounts, softplus
 from corrdefault.ctmc import MonotoneGenerator, forward_solve, independent_generator, random_generator
 from corrdefault.model import SubsetDist, extract_interactions
 from corrdefault.reduced import (
@@ -14,6 +16,7 @@ from corrdefault.reduced import (
     ReducedCurvesIII,
     SearchConfig,
     SharedAlphaCurves,
+    _nelder_mead,
     _normalize_targets,
     _SearchProblem,
     coeff_check_I,
@@ -147,6 +150,18 @@ class TestLumping:
         relabelled = lump_generator(gen.relabel(perm), ("bipartite", m, n))
         np.testing.assert_allclose(relabelled.hat_rates, lumped.hat_rates, rtol=0, atol=1e-12)
         np.testing.assert_allclose(relabelled.check_rates, lumped.check_rates, rtol=0, atol=1e-12)
+
+    @settings(max_examples=15)
+    @given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    def test_exchangeable_levels_follow_the_birth_chain(self, n, seed):
+        per_vertex = np.random.default_rng(seed).uniform(0.2, 2.0, n)
+        gen = MonotoneGenerator.from_function(n, lambda mask, v: per_vertex[bin(mask).count("1")])
+        lam = lump_generator(gen, "complete").lam
+        birth = np.diag(-lam) + np.diag(lam[:-1], 1)  # level k leaves for k + 1 at rate lam_k
+        grid = geometric_grid(2.0, 6)
+        for t, probs in zip(grid, forward_solve(gen, grid).probs):
+            levels = np.bincount(popcounts(n), weights=probs, minlength=n + 1)
+            np.testing.assert_allclose(levels, expm(birth * t)[0], rtol=1e-10, atol=1e-15)
 
     def test_size_mismatch_rejected(self):
         gen = independent_generator([0.1, 0.2, 0.3])
@@ -480,11 +495,16 @@ class TestFeasibilitySearch:
         assert result.residual_floor > 1e-2
 
     def test_floor_non_increasing_in_restarts(self):
-        small = feasibility_search(("I", 4), (0.3, 0.5), SearchConfig(restarts=2, seed=7))
-        large = feasibility_search(("I", 4), (0.3, 0.5), SearchConfig(restarts=5, seed=7))
-        assert large.residual_floor <= small.residual_floor + 1e-15
-        for a, b in zip(small.trace, large.trace):
-            assert a.objective == b.objective
+        # restarts run in lockstep, and restart k's record must not depend on how many run beside it
+        for model, targets, max_iter in ((("I", 4), (0.3, 0.5), None), (("II", 3, 3), (0.3, 0.25), 300),
+                                         (("III", 4, 3), (0.5, -0.5, 0.1), 300)):
+            runs = [
+                feasibility_search(model, targets, SearchConfig(restarts=r, seed=7, max_iter=max_iter))
+                for r in range(1, 6)
+            ]
+            for fewer, more in zip(runs, runs[1:]):
+                assert more.residual_floor <= fewer.residual_floor
+                assert more.trace[: len(fewer.trace)] == fewer.trace  # every compare=True field
 
     def test_deterministic(self):
         config = SearchConfig(restarts=3, seed=5)
@@ -507,10 +527,15 @@ class TestFeasibilitySearch:
     @pytest.mark.parametrize(
         "knobs",
         [{"restarts": 0}, {"restarts": -1}]
-        + [{"penalty_weight": w} for w in (-1.0, 0.0, np.nan, np.inf)],
+        + [{"penalty_weight": w} for w in (-1.0, 0.0, np.nan, np.inf)]
+        + [{"max_iter": m} for m in (0, -3, 2.5, True)]
+        + [{"horizon": h} for h in (np.nan, np.inf, 0.0)]
+        + [{"t_min_fraction": f} for f in (2.0, 1.0, 0.0, np.nan)],
     )
     def test_config_rejects_bad_knobs(self, knobs):
-        # restarts=0 used to fail with KeyError('x'); a weight <= 0 ran and ignored or rewarded mismatch
+        # restarts=0 used to fail with KeyError('x'); a weight <= 0 ran and ignored or rewarded mismatch;
+        # max_iter 0 or 2.5 ran no polish and True (JSON true) a one-evaluation one, a NaN horizon
+        # reported a NaN floor, and t_min_fraction 2.0 scored times past the horizon
         with pytest.raises(ValueError, match=next(iter(knobs))):
             SearchConfig(**knobs)
 
@@ -656,3 +681,87 @@ class TestSearchEvaluationPath:
         assert problem.objective(x) == 1e12
         if kind == "I":  # the bipartite warm start divides numpy scalars, which give inf instead
             np.testing.assert_array_equal(problem.ls_residual(x), np.full(problem.ls_length, 1e6))
+
+
+BATCH_CASES = [("I", (3,)), ("I", (5,)), ("II", (3, 3)), ("II", (2, 4)), ("III", (4, 3)), ("III", (2, 3))]
+
+
+class TestBatchedObjective:
+    @settings(max_examples=40)
+    @given(case=st.sampled_from(BATCH_CASES), data=st.data())
+    def test_rows_equal_single_calls(self, case, data):
+        # -745 gives the subnormal rate 5e-324, whose q underflows to 0; 700 overflows the curves
+        problem = _problem(*case)
+        rows = data.draw(st.integers(1, 8))
+        x = np.array([_coords(data, problem.dim) for _ in range(rows)])
+        cells = st.tuples(st.integers(0, rows - 1), st.integers(0, problem.dim - 1))
+        for row, col in data.draw(st.lists(cells, max_size=3)):
+            x[row, col] = -745.0
+        values = problem.objective(x)
+        assert values.shape == (rows,)
+        for row, value in zip(x, values):
+            assert value == problem.objective(row)
+
+
+def _drive(generator, func):
+    """Run an ask/tell generator on a plain objective and return its result."""
+    try:
+        x = next(generator)
+        while True:
+            x = generator.send(func(np.copy(x)))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _scipy_nelder_mead(func, x0, maxfev, adaptive, tol):
+    """scipy's result, and the evaluations each of its iterations made."""
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return func(x)
+
+    ends = []
+    options = {"maxfev": maxfev, "maxiter": maxfev, "xatol": tol[0], "fatol": tol[1], "adaptive": adaptive}
+    out = minimize(counted, x0, method="Nelder-Mead", options=options, callback=lambda _: ends.append(calls[0]))
+    return out, np.diff([len(x0) + 1] + ends)
+
+
+def _nm_case(name):
+    """(objective, x0, adaptive, (xatol, fatol)) of a named comparison case; each run shrinks."""
+    if name == "rosen_plain":
+        return rosen, np.linspace(-1.2, 1.0, 8), False, (1e-10, 1e-14)
+    if name == "rosen_adaptive":
+        return rosen, 30.0 * np.linspace(-1.2, 1.0, 6), True, (1e-10, 1e-14)
+    kind, sizes = {"model_I": ("I", (4,)), "model_II": ("II", (2, 2)), "model_III": ("III", (2, 2))}[name]
+    problem = _problem(kind, sizes)
+    x0 = np.random.default_rng(3).normal(0.5, 1.0, problem.dim)
+    if kind != "I":
+        # a rate of 1e-313, deep in the region that scores 1e12, where contractions fail
+        x0[1] = -720.0
+    return problem.objective, x0, problem.dim > 6, (1e-6, 1e-10) if kind == "I" else (1e-3, 1e-3)
+
+
+class TestNelderMead:
+    """The ask/tell port reproduces scipy.optimize.minimize(method="Nelder-Mead") bit for bit."""
+
+    @pytest.mark.parametrize("name", ["rosen_plain", "rosen_adaptive", "model_I", "model_II", "model_III"])
+    def test_matches_scipy(self, name):
+        func, x0, adaptive, tol = _nm_case(name)
+        dim = len(x0)
+        full, per_iteration = _scipy_nelder_mead(func, x0, 50_000, adaptive, tol)
+        assert full.nfev < 50_000  # this run ends on the tolerance test
+        before = dim + 1 + np.concatenate([[0], np.cumsum(per_iteration)])  # evaluations before each iteration
+        two_step = np.flatnonzero(per_iteration == 2)
+        shrinks = np.flatnonzero(per_iteration == dim + 2)  # reflection, contraction and dim shrink points
+        assert len(two_step) and len(shrinks)
+        budgets = {50_000, dim // 2 + 1}  # the tolerance run, and one cut inside the first simplex
+        budgets |= {before[k] + 1 for k in two_step[:3]}  # cut after a reflection
+        budgets |= {before[shrinks[0]] + 2 + j for j in (1, dim // 2, dim - 1)}  # cut part-way through a shrink
+        for maxfev in sorted(budgets):
+            ref = full if maxfev == 50_000 else _scipy_nelder_mead(func, x0, maxfev, adaptive, tol)[0]
+            sim, fsim, nfev, nit = _drive(_nelder_mead(x0, maxfev, *tol, adaptive), func)
+            np.testing.assert_array_equal(sim[0], ref.x)
+            assert (np.min(fsim), nfev, nit) == (ref.fun, ref.nfev, ref.nit)
+            np.testing.assert_array_equal(sim, ref.final_simplex[0])  # shows a shrink cut part-way
+            np.testing.assert_array_equal(fsim, ref.final_simplex[1])
