@@ -57,24 +57,28 @@ def _phi_minus_prime(x):
     return np.where(small, series, direct)
 
 
-def phi_minus_diff(a, b, t):
-    """[phi_minus(a t) - phi_minus(b t)] / ((b - a) t).
+def phi_minus_quotient(phi_a, phi_b, gap, a, b, t, least=None):
+    """[phi_minus(a t) - phi_minus(b t)] / gap from its parts, with gap = (b - a) t.
 
-    Smooth in all arguments; when the gap (b - a) t is tiny the midpoint
-    derivative is used (relative error O(((b-a)t)^2)).
+    Where |gap| < 1e-6 the midpoint derivative -phi_minus'((a + b) t / 2) is
+    used (relative error O(gap^2)).  least, if given, indexes the last axis
+    at the least |t|, where every row of |gap| is smallest; only that column
+    is checked for a small gap.
     """
+    if min(map(abs, np.ravel(gap if least is None else gap[..., least]).tolist()), default=np.inf) >= 1e-6:
+        return (phi_a - phi_b) / gap
+    small = np.abs(gap) < 1e-6
+    with np.errstate(invalid="ignore", over="ignore"):
+        direct = (phi_a - phi_b) / np.where(small, 1.0, gap)
+    return np.where(small, -_phi_minus_prime(0.5 * (a + b) * t), direct)
+
+
+def phi_minus_diff(a, b, t):
+    """[phi_minus(a t) - phi_minus(b t)] / ((b - a) t), smooth in all arguments."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     t = np.asarray(t, dtype=float)
-    gap = (b - a) * t
-    small = np.abs(gap) < 1e-6
-    if not np.any(small):
-        return (phi_minus(a * t) - phi_minus(b * t)) / gap
-    gap_safe = np.where(small, 1.0, gap)
-    with np.errstate(invalid="ignore", over="ignore"):
-        direct = (phi_minus(a * t) - phi_minus(b * t)) / gap_safe
-    mid = -_phi_minus_prime(0.5 * (a + b) * t)
-    return np.where(np.broadcast_to(small, direct.shape), np.broadcast_to(mid, direct.shape), direct)
+    return phi_minus_quotient(phi_minus(a * t), phi_minus(b * t), (b - a) * t, a, b, t)
 
 
 def exp_alpha_value(q, delta, t):
@@ -113,19 +117,6 @@ def exp_beta_pair(q_u, d_u, q_v, d_v, q_uv, q_vu, c, t):
         q_uv / q_v
     ) * phi_minus_diff(c0 + d_v, c0 + d_u + d_v, t)
     return np.exp(c0 * t) * num / (phi_minus(d_u * t) * phi_minus(d_v * t))
-
-
-def exp_beta_single(q, d, b1, c, t):
-    """e^{beta(t)} for the shared-alpha lumped ODE beta' = (c - 2 alpha') + b1 e^{-alpha - beta}.
-
-    Same integrating-factor construction as exp_beta_pair with both vertices
-    carrying the curve (q, d); bounded limit w(0+) = b1/(2q).
-    """
-    c0 = c - 2.0 * d
-    t = np.asarray(t, dtype=float)
-    num = (b1 / q) * phi_minus_diff(c0 + d, c0 + 2.0 * d, t)
-    pm = phi_minus(d * t)
-    return np.exp(c0 * t) * num / (pm * pm)
 
 
 def geometric_grid(horizon, n_points=32, t_min_fraction=1e-3):

@@ -41,6 +41,7 @@ from .model import (
 )
 from .reduced import (
     SearchConfig,
+    SearchFailedError,
     coeff_check_I,
     coeff_check_II,
     coeff_check_III,
@@ -186,6 +187,9 @@ def cmd_search(config, args) -> int:
         raise ConfigError("search needs a targets object")
     numerics = _numerics(config)
     search_block = dict(config.get("search", {}))
+    unknown = sorted(set(search_block) - {"restarts", "max_iter", "seed", "penalty_weight"})
+    if unknown:
+        raise ConfigError(f"unknown search key(s): {', '.join(map(repr, unknown))}")
     if args.seed is not None:
         search_block["seed"] = args.seed
         config = {**config, "search": search_block}  # every writer hashes the config actually run
@@ -279,7 +283,7 @@ def main(argv=None) -> int:
     except InfeasibleTargetsError as exc:
         print(f"infeasible input: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (FitConvergenceError, ZeroProbabilityError) as exc:
+    except (FitConvergenceError, SearchFailedError, ZeroProbabilityError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (KeyError, TypeError, ValueError) as exc:

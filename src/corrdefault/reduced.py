@@ -15,22 +15,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 from scipy.optimize import least_squares
 
-from ._num import (
-    _phi_minus_prime,
-    alpha_values,
-    exp_beta_pair,
-    exp_beta_single,
-    geometric_grid,
-    inv_softplus,
-    popcounts,
-    softplus,
-)
+from ._num import geometric_grid, inv_softplus, phi_minus_quotient, popcounts, softplus
 from .ctmc import MonotoneGenerator
 
 
@@ -152,25 +143,194 @@ def independent_lumped_bi(
     return LumpedRatesBi(n_hat, n_check, hat, check)
 
 
+# Evaluation kernels.  One path evaluates the lumped curves and residuals: the
+# public functions run it on one table and any positive times, the search on
+# B tables at once (one per column) on its grid.  Curve constants are floats,
+# or (B, 1) columns.
+
+
+def _products(t, coefs, n_expm1):
+    """Rows coef * t (len(coefs), B, T), and expm1(y)/y (limit 1 at y = 0) of the first n_expm1.
+
+    Every product of a curve constant with the times is formed once here.
+    A row with coef d gives expm1_over(d t); one with coef -x gives
+    phi_minus(x t), because expm1(-y)/(-y) and (1 - e^{-y})/y round alike.
+    """
+    y = np.array(coefs).reshape(len(coefs), -1, 1) * t
+    head = y[:n_expm1]
+    if head.all():
+        return y, np.expm1(head) / head
+    return y, np.divide(np.expm1(head), head, out=np.ones_like(head), where=head != 0.0)
+
+
+def _shared_profile(t, q, d, b1, c):
+    """Models I and II: e^alpha, e^{-alpha} and alpha' (one row each), then beta' and e^beta, on t.
+
+    alpha solves alpha' = d + q e^{-alpha} in closed form; w = e^beta is the
+    bounded-at-0 solution of the linear equation that beta' = c - 2 alpha'
+    + b1 e^{-alpha - beta} becomes, with limit w(0+) = b1 / (2 q).
+    """
+    c0 = c - 2.0 * d
+    a, b = c0 + d, c0 + 2.0 * d
+    # rows: expm1_over(d t), phi_minus at d t, a t, b t; then q t, c0 t, (b - a) t
+    y, ratio = _products(t, [d, -d, -a, -b, q, c0, b - a], 4)
+    least = np.abs(t).argmin() if t.size else None
+    pm = ratio[1]
+    w = np.exp(y[5]) * (b1 / q * phi_minus_quotient(ratio[2], ratio[3], y[6], a, b, t, least)) / (pm * pm)
+    ea = y[4:5] * ratio[:1]
+    ena = 1.0 / ea
+    ap = 1.0 / (t * ratio[1:2])
+    return ea, ena, ap, c - 2.0 * ap[0] + b1 * ena[0] / w, w
+
+
+def _pair_profile(t, q_hat, d_hat, q_check, d_check, drive_hat, drive_check, c):
+    """Model III: e^alpha, e^{-alpha} and alpha' rows (hat, then check), then beta' and e^beta, on t.
+
+    As _shared_profile, with beta' = c - alpha_hat' - alpha_check'
+    + (drive_hat e^{-alpha_hat} + drive_check e^{-alpha_check}) e^{-beta}.
+    """
+    c0 = c - d_hat - d_check
+    a_hat, a_check = c0 + d_hat, c0 + d_check
+    b = c0 + d_hat + d_check
+    # rows: expm1_over for both deltas, phi_minus at both deltas, a_hat, a_check
+    # and b (times t); then q_hat t, q_check t, c0 t and the two gaps (b - a) t
+    y, ratio = _products(
+        t, [d_hat, d_check, -d_hat, -d_check, -a_hat, -a_check, -b, q_hat, q_check, c0, b - a_hat, b - a_check], 7
+    )
+    least = np.abs(t).argmin() if t.size else None
+    pm = ratio[2:4]
+    num = drive_hat / q_hat * phi_minus_quotient(ratio[4], ratio[6], y[10], a_hat, b, t, least)
+    num = num + drive_check / q_check * phi_minus_quotient(ratio[5], ratio[6], y[11], a_check, b, t, least)
+    w = np.exp(y[9]) * num / (pm[0] * pm[1])
+    ea = y[7:9] * ratio[:2]
+    ena = 1.0 / ea
+    ap = 1.0 / (t * pm)
+    drive = drive_hat * ena[0] + drive_check * ena[1]
+    return ea, ena, ap, c - ap[0] - ap[1] + drive / w, w
+
+
+class _Layout(NamedTuple):
+    """Where each residual cell reads its rates in a raw table, and the coefficients it applies.
+
+    gather: per cell, the positions of its upstream rates (one per inflow),
+    then of its own rates; inflow_coef: each inflow's occupancy factor;
+    exp_row: the j of each inflow's e^{-j beta}; lhs_coef: the weights of
+    each alpha' row, then of beta'; neg_j: -j for every e^{-j beta} row;
+    check00: the position of check_{0,0} in a bipartite table.
+    """
+
+    gather: np.ndarray
+    inflow_coef: np.ndarray
+    exp_row: np.ndarray
+    lhs_coef: np.ndarray
+    neg_j: np.ndarray
+    check00: Optional[int]
+
+
+def _layout_I(n, k):
+    """Model I rows at the levels k (an int array) of the table lam: upstream lam_{k-1}, own lam_k."""
+    lhs, neg_j = np.array([k, 0.5 * k * (k - 1.0)])[:, :, None, None], -np.arange(n, dtype=float)[:, None, None]
+    return _Layout(np.array([k - 1, k]), (k / (n - k + 1.0))[None, :, None], (k - 1)[None], lhs, neg_j, None)
+
+
+def _layout_bi(m, n, cells, shared):
+    """Bipartite cells (i, j) of a table of hat, then check rates, row-major, then a zero.
+
+    The zero stands in for absent upstream rates hat_{i-1,j} and
+    check_{i,j-1}; shared-alpha curves weigh their one alpha' row by i + j.
+    """
+    p = (m + 1) * (n + 1)
+    hat = np.arange(p).reshape(m + 1, n + 1)
+    check, zero = p + hat, 2 * p
+    i, j = np.array(cells).T
+    up_hat, up_check = np.where(i > 0, hat[i - 1, j], zero), np.where(j > 0, check[i, j - 1], zero)
+    return _Layout(
+        np.array([up_hat, up_check, hat[i, j], check[i, j]]),
+        np.array([i / (m - i + 1.0), j / (n - j + 1.0)])[:, :, None],
+        np.array([j, i]),
+        np.array([i + j, i * j] if shared else [i, j, i * j], dtype=float)[:, :, None, None],
+        -np.arange(max(m, n) + 1, dtype=float)[:, None, None],
+        p,
+    )
+
+
+def _block(layout, tab, ena, ap, bp, exp_nb):
+    """Residuals (cells, B, T) of raw tables, one per column of tab, under their curves.
+
+    Weighted alpha' and beta' rows, minus the drift r - (own rates), minus
+    each inflow; a shared-alpha profile's one e^{-alpha} row serves both.
+    """
+    v = tab[layout.gather]
+    terms = (layout.inflow_coef * v[: len(layout.inflow_coef)])[..., None] * ena[:, None] * exp_nb[layout.exp_row]
+    lhs = layout.lhs_coef[0] * ap[0]
+    if len(ap) == 2:
+        lhs = lhs + layout.lhs_coef[1] * ap[1]
+    if layout.check00 is None:  # Model I: r = lam_0
+        own, inflow = tab[0] - v[1], terms[0]
+    else:  # r = hat_{0,0} + check_{0,0}
+        own, inflow = tab[0] + tab[layout.check00] - v[2] - v[3], terms[0] + terms[1]
+    return lhs + layout.lhs_coef[-1] * bp - own[..., None] - inflow
+
+
+def _constants_I(lam0, lam1, lam2, n):
+    """(q, delta, b1, c) of the Model I curves from the first three level rates."""
+    return lam0 / n, lam0 - lam1, 2.0 * lam1 / (n - 1), lam0 - lam2
+
+
+# the cells whose rates the bipartite curves are built from
+_CTOR_CELLS = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+
+def _constants_bi(kind, m, n, h00, h10, h01, h11, c00, c10, c01, c11):
+    """Curve constants from the hat and check rates of _CTOR_CELLS: SharedAlphaCurves' (II) or ReducedCurvesIII's."""
+    r = h00 + c00
+    if kind == "II":
+        return h00 / m, r - (h10 + c10), h01 / m + c10 / n, r - (h11 + c11)
+    return h00 / m, r - (h10 + c10), c00 / n, r - (h01 + c01), h01 / m, c10 / n, r - (h11 + c11)
+
+
+def _ctor_rates(lumped):
+    """The hat, then the check rates of _CTOR_CELLS, as floats."""
+    return [float(table[cell]) for table in (lumped.hat_rates, lumped.check_rates) for cell in _CTOR_CELLS]
+
+
+def _raw_bi(lumped):
+    """The raw table _layout_bi indexes: hat and check rates row-major, then a zero."""
+    return np.concatenate([lumped.hat_rates.ravel(), lumped.check_rates.ravel(), [0.0]])
+
+
 @dataclass(frozen=True)
-class SharedAlphaProfile:
-    """One-pass evaluation of a shared-alpha curve pair on a time grid."""
+class CurveProfile:
+    """Lumped curves on a time grid: alpha and alpha' rows (one; or hat, then check), beta and beta'."""
 
     t: np.ndarray
     alpha: np.ndarray
     alpha_prime: np.ndarray
-    exp_neg_alpha: np.ndarray
     beta: np.ndarray
     beta_prime: np.ndarray
 
-    def occupancy_terms(self, m, n):
-        """(m+n) alpha' + m n beta', and the e^{-alpha} rows of the hat and check inflows."""
-        lhs = (m + n) * self.alpha_prime + m * n * self.beta_prime
-        return lhs, self.exp_neg_alpha, self.exp_neg_alpha
+
+class _Curves:
+    """Evaluation through a curve type's kernel; _kernel(t) returns its rows for one table."""
+
+    def profile(self, t) -> CurveProfile:
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        ea, _, ap, bp, w = self._kernel(t)
+        with np.errstate(divide="ignore"):
+            alpha = np.log(ea[:, 0])
+        return CurveProfile(t, alpha, ap[:, 0], np.log(w[0]), bp[0])
+
+    def _alpha(self, t, row):
+        prof = self.profile(t)
+        return prof.alpha[row], prof.alpha_prime[row]
+
+    def beta(self, t):
+        prof = self.profile(t)
+        return prof.beta, prof.beta_prime
 
 
 @dataclass(frozen=True)
-class SharedAlphaCurves:
+class SharedAlphaCurves(_Curves):
     """Curves with one alpha for every vertex: Model I (sizes (N,)) and II (sizes (M, N)).
 
     alpha solves alpha' = delta + q e^{-alpha} in closed form; beta is the
@@ -187,21 +347,11 @@ class SharedAlphaCurves:
     c: float
     identity_violation: float = 0.0
 
-    def profile(self, t) -> SharedAlphaProfile:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        alpha, alpha_prime, exp_alpha = alpha_values(self.q, self.delta, t)
-        ena = 1.0 / exp_alpha
-        w = exp_beta_single(self.q, self.delta, self.b1, self.c, t)
-        beta_prime = self.c - 2.0 * alpha_prime + self.b1 * ena / w
-        return SharedAlphaProfile(t, alpha, alpha_prime, ena, np.log(w), beta_prime)
+    def _kernel(self, t):
+        return _shared_profile(t, self.q, self.delta, self.b1, self.c)
 
     def alpha(self, t):
-        prof = self.profile(t)
-        return prof.alpha, prof.alpha_prime
-
-    def beta(self, t):
-        prof = self.profile(t)
-        return prof.beta, prof.beta_prime
+        return self._alpha(t, 0)
 
 
 def reduced_curves_I(lam0: float, lam1: float, lam2: float, n_vertices: int) -> SharedAlphaCurves:
@@ -215,8 +365,20 @@ def reduced_curves_I(lam0: float, lam1: float, lam2: float, n_vertices: int) -> 
         raise ValueError("need at least two vertices")
     if min(lam0, lam1, lam2) <= 0.0:
         raise ValueError("lumped rates entering the curves must be positive")
-    lam0, lam1, lam2, n = float(lam0), float(lam1), float(lam2), n_vertices
-    return SharedAlphaCurves((n,), lam0 / n, lam0 - lam1, 2.0 * lam1 / (n - 1), lam0 - lam2)
+    return SharedAlphaCurves((n_vertices,), *_constants_I(float(lam0), float(lam1), float(lam2), n_vertices))
+
+
+def _positive_times(t):
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(t <= 0.0):
+        raise ValueError("t must be positive")
+    return t
+
+
+def _residual_rows(layout, tab, curves, t):
+    """Residual (cells, T) of every layout cell, for the raw table tab under curves."""
+    _, ena, ap, bp, w = curves._kernel(t)
+    return _block(layout, tab[:, None], ena, ap, bp, np.exp(layout.neg_j * np.log(w)))[:, 0]
 
 
 def residual_I(lumped: LumpedRatesI, curves: SharedAlphaCurves, t) -> np.ndarray:
@@ -228,16 +390,8 @@ def residual_I(lumped: LumpedRatesI, curves: SharedAlphaCurves, t) -> np.ndarray
     """
     if curves.sizes != (lumped.n_vertices,):
         raise ValueError("lumped rates and curves disagree on N")
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t <= 0.0):
-        raise ValueError("t must be positive")
-    lam, n, prof = lumped.lam, lumped.n_vertices, curves.profile(t)
-    k = np.arange(1, n + 1, dtype=float)[:, None]
-    inflow = lam[:-1, None] * (k / (n - k + 1.0)) * prof.exp_neg_alpha[None, :] * np.exp(
-        -(k - 1.0) * prof.beta[None, :]
-    )
-    lhs = k * prof.alpha_prime[None, :] + 0.5 * k * (k - 1.0) * prof.beta_prime[None, :]
-    return lhs - (lam[0] - lam[1:, None]) - inflow
+    n = lumped.n_vertices
+    return _residual_rows(_layout_I(n, np.arange(1, n + 1)), lumped.lam, curves, _positive_times(t))
 
 
 @dataclass(frozen=True)
@@ -277,14 +431,9 @@ def coeff_check_I(lumped: LumpedRatesI, beta_star: float) -> CoeffCheckI:
 def reduced_curves_II(lumped: LumpedRatesBi) -> SharedAlphaCurves:
     """Curves forced by the (1,0) and (1,1) occupancy equations."""
     m, n = lumped.n_hat, lumped.n_check
-    hat, check = lumped.hat_rates, lumped.check_rates
-    r = lumped.r
-    q = float(hat[0, 0]) / m
-    delta = r - float(hat[1, 0] + check[1, 0])
-    b1 = float(hat[0, 1]) / m + float(check[1, 0]) / n
-    c = r - float(hat[1, 1] + check[1, 1])
-    identity_violation = abs(float(hat[0, 0]) / m - float(check[0, 0]) / n)
-    return SharedAlphaCurves((m, n), q, delta, b1, c, identity_violation)
+    rates = _ctor_rates(lumped)
+    identity_violation = abs(rates[0] / m - rates[4] / n)
+    return SharedAlphaCurves((m, n), *_constants_bi("II", m, n, *rates), identity_violation)
 
 
 def _shift_hat(table):
@@ -331,27 +480,7 @@ def coeff_check_II(n_hat: int, n_check: int, beta_star: float) -> float:
 
 
 @dataclass(frozen=True)
-class TwoAlphaProfile:
-    """One-pass evaluation of the class-dependent curves on a time grid."""
-
-    t: np.ndarray
-    alpha_hat: np.ndarray
-    alpha_hat_prime: np.ndarray
-    exp_neg_alpha_hat: np.ndarray
-    alpha_check: np.ndarray
-    alpha_check_prime: np.ndarray
-    exp_neg_alpha_check: np.ndarray
-    beta: np.ndarray
-    beta_prime: np.ndarray
-
-    def occupancy_terms(self, m, n):
-        """m alpha_hat' + n alpha_check' + m n beta', and the e^{-alpha_hat}, e^{-alpha_check} rows."""
-        lhs = m * self.alpha_hat_prime + n * self.alpha_check_prime + m * n * self.beta_prime
-        return lhs, self.exp_neg_alpha_hat, self.exp_neg_alpha_check
-
-
-@dataclass(frozen=True)
-class ReducedCurvesIII:
+class ReducedCurvesIII(_Curves):
     """Class-dependent bipartite curves from the (1,0), (0,1), (1,1) equations."""
 
     sizes: Tuple[int, int]
@@ -363,36 +492,16 @@ class ReducedCurvesIII:
     drive_check: float
     c: float
 
-    def profile(self, t) -> TwoAlphaProfile:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        a_hat, ap_hat, ea_hat = alpha_values(self.q_hat, self.delta_hat, t)
-        a_check, ap_check, ea_check = alpha_values(self.q_check, self.delta_check, t)
-        ena_hat, ena_check = 1.0 / ea_hat, 1.0 / ea_check
-        w = exp_beta_pair(
-            self.q_hat,
-            self.delta_hat,
-            self.q_check,
-            self.delta_check,
-            self.drive_check,
-            self.drive_hat,
-            self.c,
-            t,
+    def _kernel(self, t):
+        return _pair_profile(
+            t, self.q_hat, self.delta_hat, self.q_check, self.delta_check, self.drive_hat, self.drive_check, self.c
         )
-        drive = self.drive_hat * ena_hat + self.drive_check * ena_check
-        beta_prime = self.c - ap_hat - ap_check + drive / w
-        return TwoAlphaProfile(t, a_hat, ap_hat, ena_hat, a_check, ap_check, ena_check, np.log(w), beta_prime)
 
     def alpha_hat(self, t):
-        prof = self.profile(t)
-        return prof.alpha_hat, prof.alpha_hat_prime
+        return self._alpha(t, 0)
 
     def alpha_check(self, t):
-        prof = self.profile(t)
-        return prof.alpha_check, prof.alpha_check_prime
-
-    def beta(self, t):
-        prof = self.profile(t)
-        return prof.beta, prof.beta_prime
+        return self._alpha(t, 1)
 
 
 def reduced_curves_III(lumped: LumpedRatesBi) -> ReducedCurvesIII:
@@ -403,18 +512,7 @@ def reduced_curves_III(lumped: LumpedRatesBi) -> ReducedCurvesIII:
     log((hat00 check10 + check00 hat01) / (2 hat00 check00)).
     """
     m, n = lumped.n_hat, lumped.n_check
-    hat, check = lumped.hat_rates, lumped.check_rates
-    r = lumped.r
-    return ReducedCurvesIII(
-        (m, n),
-        q_hat=float(hat[0, 0]) / m,
-        delta_hat=r - float(hat[1, 0] + check[1, 0]),
-        q_check=float(check[0, 0]) / n,
-        delta_check=r - float(hat[0, 1] + check[0, 1]),
-        drive_hat=float(hat[0, 1]) / m,
-        drive_check=float(check[1, 0]) / n,
-        c=r - float(hat[1, 1] + check[1, 1]),
-    )
+    return ReducedCurvesIII((m, n), *_constants_bi("III", m, n, *_ctor_rates(lumped)))
 
 
 def residual_bipartite(
@@ -431,19 +529,11 @@ def residual_bipartite(
     m_hat, n_check = lumped.n_hat, lumped.n_check
     if curves.sizes != (m_hat, n_check):
         raise ValueError("lumped rates and curves disagree on (M, N)")
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t <= 0.0):
-        raise ValueError("t must be positive")
-    hat, check, prof = lumped.hat_rates, lumped.check_rates, curves.profile(t)
-    r = hat[0, 0] + check[0, 0]
-    m = np.arange(m_hat + 1, dtype=float)[:, None, None]
-    n = np.arange(n_check + 1, dtype=float)[None, :, None]
-    lhs, ena_hat, ena_check = prof.occupancy_terms(m, n)
-    inflow = (m / (m_hat - m + 1.0)) * _shift_hat(hat)[:, :, None] * ena_hat * np.exp(-n * prof.beta)
-    inflow += (n / (n_check - n + 1.0)) * _shift_check(check)[:, :, None] * ena_check * np.exp(-m * prof.beta)
-    res = lhs - (r - hat[:, :, None] - check[:, :, None]) - inflow
-    res[0, 0, :] = 0.0
-    return res
+    cells = [(m, n) for m in range(m_hat + 1) for n in range(n_check + 1)]
+    layout = _layout_bi(m_hat, n_check, cells, isinstance(curves, SharedAlphaCurves))
+    res = _residual_rows(layout, _raw_bi(lumped), curves, _positive_times(t))
+    res[0] = 0.0
+    return res.reshape(m_hat + 1, n_check + 1, -1)
 
 
 residual_II = residual_III = residual_bipartite
@@ -538,6 +628,10 @@ def coeff_check_III(lumped: LumpedRatesBi, beta_star: float) -> CoeffCheckIII:
         n_satisfied=n_satisfied,
         intersection_bound=bound,
     )
+
+
+class SearchFailedError(RuntimeError):
+    """No restart of a feasibility search produced a rate table."""
 
 
 @dataclass(frozen=True)
@@ -669,16 +763,9 @@ class _SearchProblem:
     objective is always evaluated on the full space, so floors are
     max-residuals of explicit positive rate tables.
 
-    Every index map and coefficient column depends only on the sizes and is
-    built here, once.  A call then works on B raw tables, one per column
-    (Model I: lam; bipartite: hat and check row-major, then a zero that
-    stands in for absent upstream entries), and repeats the floating-point
-    operations of the curves' profile (reduced_curves_I/II/III) and of
-    residual_I or residual_bipartite elementwise, in their order, so each
-    table's numbers equal those references bit for bit, whatever else is in
-    the batch.  Curve constants are (B, 1) columns, or floats for a batch of
-    one.  LumpedRates* tables are built, and validated, only for rates that
-    are reported.
+    The index maps are built here, once; a call scores B raw tables, one per
+    column, through the module's kernels.  LumpedRates* tables are built,
+    and validated, only for rates that are reported.
     """
 
     def __init__(self, kind, sizes, targets, config):
@@ -696,27 +783,22 @@ class _SearchProblem:
             self.scatter = np.arange(n)
             # lam2 enters the curves, and is lam[N] = 0 when N = 2; q = lam0 / N
             positive, q_at, q_div = np.arange(max(n, 3)), [0], [n]
-            k = np.arange(3, n + 1)  # rows k = 1, 2 hold by construction; score k >= 3
-            self.gather = np.array([k - 1, k])  # upstream lam_{k-1}, own lam_k
-            self.inflow_coef = (k / (n - k + 1.0))[None, :, None]
-            self.exp_row = (k - 1)[None]
-            self.lhs_coef = np.array([k, 0.5 * k * (k - 1.0)])[:, :, None, None]
-            self.neg_j = -np.arange(n, dtype=float)[:, None, None]
+            self.layout = _layout_I(n, np.arange(3, n + 1))  # rows k = 1, 2 hold by construction
         else:
             positive, q_at, q_div = self._init_bipartite(*sizes)
         # the rates the curves need positive, and those whose q = rate / size must not underflow to 0
         self.guard_at = np.concatenate([positive, q_at])
         self.guard_div = np.concatenate([np.ones(len(positive)), q_div])[:, None]
-        self.ls_length = self.gather.shape[1] * len(self.grid) + len(self.targets)
+        self.ls_length = self.layout.gather.shape[1] * len(self.grid) + len(self.targets)
 
     def _init_bipartite(self, m, n):
         kind = self.kind
         p = (m + 1) * (n + 1)
         hat = np.arange(p).reshape(m + 1, n + 1)  # table positions of hat[i, j] and check[i, j]
-        check, zero = p + hat, 2 * p
+        check = p + hat
         self.table_size = 2 * p + 1
         cells = [(i, j) for i in range(m + 1) for j in range(n + 1)]
-        ctor = [(0, 0), (1, 0), (0, 1), (1, 1)]
+        ctor = _CTOR_CELLS
         skip = [(0, 0), (1, 0), (1, 1)] + ([(0, 1)] if kind == "III" else [])  # hold by construction
         scored = [cell for cell in cells if cell not in skip]
         row = {cell: r for r, cell in enumerate(scored)}
@@ -732,15 +814,7 @@ class _SearchProblem:
         # outer coordinates: Model II s, hat10, hat01, hat11, check10, check11; Model III all of ctor
         self.outer_pos = np.array(self.ctor)[[1, 2, 3, 5, 7] if kind == "II" else slice(None)]
         self.outer_dim = (kind == "II") + len(self.outer_pos)
-        i, j = np.array(scored).T
-        # upstream hat_{i-1,j} and check_{i,j-1} (the zero when absent), then own hat_ij, check_ij
-        up_hat, up_check = np.where(i > 0, hat[i - 1, j], zero), np.where(j > 0, check[i, j - 1], zero)
-        self.gather = np.array([up_hat, up_check, hat[i, j], check[i, j]])
-        self.inflow_coef = np.array([i / (m - i + 1.0), j / (n - j + 1.0)])[:, :, None]
-        self.exp_row = np.array([j, i])
-        lhs = [i + j, i * j] if kind == "II" else [i, j, i * j]
-        self.lhs_coef = np.array(lhs, dtype=float)[:, :, None, None]
-        self.neg_j = -np.arange(max(m, n) + 1, dtype=float)[:, None, None]
+        self.layout = _layout_bi(m, n, scored, kind == "II")
 
         # _solve_inner's design matrix: each unknown enters its own cell with
         # weight t and its downstream cell through one inflow term
@@ -786,11 +860,6 @@ class _SearchProblem:
         """Rows of raw tables as (B, 1) columns, or as floats for a batch of one."""
         return rows.ravel().tolist() if rows.shape[1] == 1 else rows[:, :, None]
 
-    def _raw(self, rates):
-        if self.kind == "I":
-            return rates.lam
-        return np.concatenate([rates.hat_rates.ravel(), rates.check_rates.ravel(), [0.0]])
-
     def _validated(self, tab):
         if self.kind == "I":
             return LumpedRatesI(self.sizes[0], tab)
@@ -801,69 +870,12 @@ class _SearchProblem:
         return self._validated(self._fill(softplus(np.asarray(x, dtype=float)), self.scatter))
 
     def pack(self, rates) -> np.ndarray:
-        """Inverse of unpack, for seeding full-space polish from a table."""
-        tab = self._raw(rates)
+        """Inverse of unpack on a bipartite table, for seeding full-space polish from it."""
+        tab = _raw_bi(rates)
         values = tab[self.scatter]
         if self.kind == "II":
             values = np.concatenate([[tab[self.ctor[0]] / self.sizes[0]], values])
         return np.asarray(inv_softplus(values), dtype=float)
-
-    def _products(self, coefs, n_expm1):
-        """Rows coef * t (len(coefs), B, T), and expm1(y)/y (limit 1 at y = 0) of the first n_expm1.
-
-        Every product of a curve constant with the grid is formed once here.
-        A row with coef d gives expm1_over(d t); one with coef -x gives
-        phi_minus(x t), because expm1(-y)/(-y) and (1 - e^{-y})/y round alike.
-        """
-        y = np.array(coefs).reshape(len(coefs), -1, 1) * self.grid
-        head = y[:n_expm1]
-        if head.all():
-            return y, np.expm1(head) / head
-        return y, np.divide(np.expm1(head), head, out=np.ones_like(head), where=head != 0.0)
-
-    def _phi_diff(self, phi_a, phi_b, gap, a, b):
-        """phi_minus_diff(a, b, t) from phi_minus(a t), phi_minus(b t) and gap = (b - a) t."""
-        # |gap| is smallest at the earliest time, which decides whether
-        # phi_minus_diff switches to its midpoint derivative anywhere in a row
-        if min(map(abs, gap[:, 0].tolist())) >= 1e-6:
-            return (phi_a - phi_b) / gap
-        small = np.abs(gap) < 1e-6
-        with np.errstate(invalid="ignore", over="ignore"):
-            direct = (phi_a - phi_b) / np.where(small, 1.0, gap)
-        return np.where(small, -_phi_minus_prime(0.5 * (a + b) * self.grid), direct)
-
-    def _shared_profile(self, q, d, b1, c):
-        """Models I and II: SharedAlphaCurves.profile on the grid."""
-        c0 = c - 2.0 * d
-        a, b = c0 + d, c0 + 2.0 * d
-        # rows: expm1_over(d t), phi_minus at d t, a t, b t; then q t, c0 t, (b - a) t
-        y, ratio = self._products([d, -d, -a, -b, q, c0, b - a], 4)
-        pm = ratio[1]
-        w = np.exp(y[5]) * (b1 / q * self._phi_diff(ratio[2], ratio[3], y[6], a, b)) / (pm * pm)
-        ea = y[4:5] * ratio[:1]
-        ena = 1.0 / ea
-        ap = 1.0 / (self.grid * ratio[1:2])
-        return self._finish(ea, ena, ap, c - 2.0 * ap[0] + b1 * ena[0] / w, w)
-
-    def _pair_profile(self, q_hat, d_hat, q_check, d_check, drive_hat, drive_check, c):
-        """Model III: ReducedCurvesIII.profile on the grid."""
-        c0 = c - d_hat - d_check
-        a_hat, a_check = c0 + d_hat, c0 + d_check
-        b = c0 + d_hat + d_check
-        # rows: expm1_over for both deltas, phi_minus at both deltas, a_hat, a_check
-        # and b (times t); then q_hat t, q_check t, c0 t and the two gaps (b - a) t
-        y, ratio = self._products(
-            [d_hat, d_check, -d_hat, -d_check, -a_hat, -a_check, -b, q_hat, q_check, c0, b - a_hat, b - a_check], 7
-        )
-        pm = ratio[2:4]
-        num = drive_hat / q_hat * self._phi_diff(ratio[4], ratio[6], y[10], a_hat, b)
-        num = num + drive_check / q_check * self._phi_diff(ratio[5], ratio[6], y[11], a_check, b)
-        w = np.exp(y[9]) * num / (pm[0] * pm[1])
-        ea = y[7:9] * ratio[:2]
-        ena = 1.0 / ea
-        ap = 1.0 / (self.grid * pm)
-        drive = drive_hat * ena[0] + drive_check * ena[1]
-        return self._finish(ea, ena, ap, c - ap[0] - ap[1] + drive / w, w)
 
     def _finish(self, ea, ena, ap, bp, w):
         """Profile tuple: e^{-alpha} and alpha' rows, beta', the e^{-j beta} table, terminal deltas.
@@ -873,44 +885,17 @@ class _SearchProblem:
         """
         beta = np.log(w)
         deltas = np.concatenate([np.log(ea[:, :, -1]), beta[None, :, -1]]) - self.targets[:, None]
-        return ena, ap, bp, np.exp(self.neg_j * beta), deltas
-
-    def _table_profile(self, tab):
-        """Profile of the curves reduced_curves_X builds from each column of tab."""
-        if self.kind == "I":
-            (n,) = self.sizes
-            lam0, lam1, lam2 = self._columns(tab[:3])
-            return self._shared_profile(lam0 / n, lam0 - lam1, 2.0 * lam1 / (n - 1), lam0 - lam2)
-        m, n = self.sizes
-        h00, h10, h01, h11, c00, c10, c01, c11 = self._columns(tab[self.ctor])
-        r = h00 + c00
-        if self.kind == "II":
-            return self._shared_profile(h00 / m, r - (h10 + c10), h01 / m + c10 / n, r - (h11 + c11))
-        return self._pair_profile(
-            h00 / m, r - (h10 + c10), c00 / n, r - (h01 + c01), h01 / m, c10 / n, r - (h11 + c11)
-        )
-
-    def _block(self, tab, prof):
-        """Kept residual block (cells, B, T) of raw tables under their profile."""
-        ena, ap, bp, exp_nb, _ = prof
-        v = tab[self.gather]
-        # every inflow term at once (bipartite: hat, then check); a shared-alpha
-        # profile has a single e^{-alpha} row
-        upstream = self.inflow_coef * v[: len(self.inflow_coef)]
-        terms = upstream[..., None] * ena[:, None] * exp_nb[self.exp_row]
-        lhs = self.lhs_coef[0] * ap[0]
-        if self.kind == "III":
-            lhs = lhs + self.lhs_coef[1] * ap[1]
-        if self.kind == "I":
-            own, inflow = tab[0] - v[1], terms[0]
-        else:
-            own, inflow = tab[self.ctor[0]] + tab[self.ctor[4]] - v[2] - v[3], terms[0] + terms[1]
-        return lhs + self.lhs_coef[-1] * bp - own[..., None] - inflow
+        return ena, ap, bp, np.exp(self.layout.neg_j * beta), deltas
 
     def _parts(self, tab):
-        """Kept residual blocks and terminal deltas of raw tables: the one evaluation path."""
-        prof = self._table_profile(tab)
-        return self._block(tab, prof), prof[-1]
+        """Kept residual blocks and terminal deltas of raw tables, under the curves reduced_curves_X builds."""
+        if self.kind == "I":
+            kernel, constants = _shared_profile, _constants_I(*self._columns(tab[:3]), self.sizes[0])
+        else:
+            kernel = _shared_profile if self.kind == "II" else _pair_profile
+            constants = _constants_bi(self.kind, *self.sizes, *self._columns(tab[self.ctor]))
+        prof = self._finish(*kernel(self.grid, *constants))
+        return _block(self.layout, tab, *prof[:4]), prof[-1]
 
     def _scores(self, tab):
         """(residual_max, terminal_mismatch) per column of tab."""
@@ -922,11 +907,13 @@ class _SearchProblem:
             mismatch = np.hypot(d[0], d[1])
         return np.abs(res).max(axis=(0, 2), initial=0.0), mismatch  # 0 when no cell is scored (Model I, N = 2)
 
-    def evaluate(self, rates):
-        """(residual_max, terminal_mismatch) for a rate table."""
-        tab = self._raw(rates)[:, None]
+    def evaluate(self, x):
+        """(residual_max, terminal_mismatch) at full-space x; both inf for no x or a rejected table."""
+        if x is None:
+            return np.inf, np.inf
+        tab = self._fill(softplus(np.asarray(x, dtype=float)), self.scatter)[:, None]
         if not self._admissible(tab)[0]:
-            raise ValueError("lumped rates entering the curves must be positive")
+            return np.inf, np.inf
         return tuple(float(score[0]) for score in self._scores(tab))
 
     def objective(self, x):
@@ -959,7 +946,7 @@ class _SearchProblem:
                 tab, prof = self._warm(outer_x)
                 if not np.isfinite(tab).all():  # a table that assemble's LumpedRatesBi rejects
                     return np.full(self.ls_length, 1e6)
-                res, deltas = self._block(tab, prof), prof[-1]
+                res, deltas = _block(self.layout, tab, *prof[:4]), prof[-1]
             vec = np.concatenate([(res[:, 0] * self.grid).reshape(-1), self.sqrt_penalty * deltas[:, 0]])
         return np.where(np.isfinite(vec), vec, 1e6)
 
@@ -975,13 +962,14 @@ class _SearchProblem:
         if self.kind == "II":
             s, h10, h01, h11, c10, c11 = outer
             r = m * s + n * s
-            prof = self._shared_profile(s, r - h10 - c10, h01 / m + c10 / n, r - h11 - c11)
+            prof = _shared_profile(self.grid, s, r - h10 - c10, h01 / m + c10 / n, r - h11 - c11)
         else:
             h00, h10, h01, h11, c00, c10, c01, c11 = outer
             r = h00 + c00
-            prof = self._pair_profile(
-                h00 / m, r - h10 - c10, c00 / n, r - h01 - c01, h01 / m, c10 / n, r - h11 - c11
+            prof = _pair_profile(
+                self.grid, h00 / m, r - h10 - c10, c00 / n, r - h01 - c01, h01 / m, c10 / n, r - h11 - c11
             )
+        prof = self._finish(*prof)
         return self._solve_inner(self._fill(outer, self.outer_pos)[:, None], prof), prof
 
     def _solve_inner(self, tab, prof):
@@ -997,7 +985,7 @@ class _SearchProblem:
         a = self.design.copy()
         coef = self.down_coef * ena[self.down_ena, 0] * exp_nb[self.down_exp, 0]
         a.reshape(-1)[self.down_at] = -coef * self.grid
-        b = (-self._block(tab, prof)[:, 0] * self.grid).ravel()
+        b = (-_block(self.layout, tab, *prof[:4])[:, 0] * self.grid).ravel()
         n_unknowns = len(self.inner)
         solution = self.gelsy(a, b, np.zeros(n_unknowns, np.int32), np.finfo(float).eps, self.gelsy_lwork)[1]
         tab = tab.copy()
@@ -1078,7 +1066,12 @@ def _nelder_mead(x0, maxfev, xatol, fatol, adaptive):
 
 
 def _polish(x0, budget, max_rounds, adaptive):
-    """Ask/tell Nelder-Mead re-seeding its simplex while the value keeps dropping; returns (x, value, nfev, rounds)."""
+    """Ask/tell Nelder-Mead re-seeding its simplex while the value keeps dropping; returns (x, value, nfev, rounds).
+
+    Without a starting point it asks for none and returns (None, inf, 0, 0).
+    """
+    if x0 is None:
+        return None, np.inf, 0, 0
     x, value, n_evals, rounds = np.asarray(x0, dtype=float), np.inf, 0, 0
     for _ in range(max_rounds):
         sim, fsim, nfev, _ = yield from _nelder_mead(x, budget, 1e-10, 1e-14, adaptive)
@@ -1138,7 +1131,10 @@ def feasibility_search(model, targets, config: SearchConfig = SearchConfig()) ->
     objective call per step; a restart's result depends only on (seed,
     index), not on how many restarts run beside it.  Reported floors are
     always max-residuals of explicit positive full rate tables.
-    Non-convergence is reported, never raised.
+    Non-convergence is reported, never raised: a restart whose warm start
+    gives no valid table (a rate of 0, or a non-finite one) is recorded with
+    objective, residual and mismatch inf, and SearchFailedError is raised
+    only when that happens to every restart.
     """
     kind, sizes = _parse_model(model)
     targets = _normalize_targets(kind, targets)
@@ -1156,11 +1152,14 @@ def feasibility_search(model, targets, config: SearchConfig = SearchConfig()) ->
         if kind == "I":
             x_full = warm.x
         else:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                x_full = problem.pack(problem.assemble(warm.x))
+            try:
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    x_full = problem.pack(problem.assemble(warm.x))
+            except ValueError:  # a warm table with a rate of 0 or a non-finite one is reported, not polished
+                x_full = None
         # a warm start that already solved the system only needs a short
         # confirmation round; otherwise Nelder-Mead does the minimax shaping
-        if problem.objective(x_full) < 1e-7:
+        if x_full is not None and problem.objective(x_full) < 1e-7:
             budget, max_rounds = min(600, full_budget), 1
         else:
             budget, max_rounds = full_budget, 1 + _POLISH_ROUNDS
@@ -1168,10 +1167,12 @@ def feasibility_search(model, targets, config: SearchConfig = SearchConfig()) ->
         wall[index] = time.perf_counter() - restart_start
     finals = _lockstep(problem.objective, polishers, wall)  # (x, objective, n_polish, rounds) per restart
     trace = tuple(
-        RestartRecord(index, value, *problem.evaluate(problem.unpack(x)), n_warm[index], n_polish, rounds, wall[index])
+        RestartRecord(index, value, *problem.evaluate(x), n_warm[index], n_polish, rounds, wall[index])
         for index, (x, value, n_polish, rounds) in enumerate(finals)
     )
     best_index = min(range(config.restarts), key=lambda index: trace[index].objective)  # the first, on ties
+    if finals[best_index][0] is None:
+        raise SearchFailedError(f"no warm start of the {config.restarts} restart(s) gave a valid rate table")
     return SearchResult(
         model=kind,
         sizes=sizes,

@@ -4,13 +4,16 @@ Everything here is deliberately written with different algorithms than the
 package: mpmath Taylor series and stepwise uniformization, explicit alternating
 sums instead of in-place transforms, closed forms for the two-vertex chain,
 index gathers instead of reshaped views, dense 0/1 bit matrices instead of
-subset transforms.
+subset transforms, and the lumped curves and residuals of reduced.py as
+separate closed forms per curve, occupancy grids and shifted rate tables.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
-from corrdefault._num import phi_minus, phi_minus_diff
+from corrdefault._num import alpha_values, exp_beta_pair, phi_minus, phi_minus_diff
 
 
 def subset_bit_matrix(n_vertices):
@@ -219,3 +222,139 @@ def integrate_scalar_ode(rhs, t0, y0, t_grid, rtol=1e-11, atol=1e-13):
     )
     assert sol.success, sol.message
     return sol.y[0]
+
+
+def exp_beta_single(q, d, b1, c, t):
+    """e^{beta(t)} for the shared-alpha lumped ODE beta' = (c - 2 alpha') + b1 e^{-alpha - beta}.
+
+    Same integrating-factor construction as exp_beta_pair with both vertices
+    carrying the curve (q, d); bounded limit w(0+) = b1/(2q).
+    """
+    c0 = c - 2.0 * d
+    t = np.asarray(t, dtype=float)
+    num = (b1 / q) * phi_minus_diff(c0 + d, c0 + 2.0 * d, t)
+    pm = phi_minus(d * t)
+    return np.exp(c0 * t) * num / (pm * pm)
+
+
+@dataclass(frozen=True)
+class SharedAlphaProfile:
+    """One-pass evaluation of a shared-alpha curve pair on a time grid."""
+
+    t: np.ndarray
+    alpha: np.ndarray
+    alpha_prime: np.ndarray
+    exp_neg_alpha: np.ndarray
+    beta: np.ndarray
+    beta_prime: np.ndarray
+
+    def occupancy_terms(self, m, n):
+        """(m+n) alpha' + m n beta', and the e^{-alpha} rows of the hat and check inflows."""
+        lhs = (m + n) * self.alpha_prime + m * n * self.beta_prime
+        return lhs, self.exp_neg_alpha, self.exp_neg_alpha
+
+
+def shared_alpha_profile(curves, t) -> SharedAlphaProfile:
+    """reduced.SharedAlphaCurves.profile by the separate closed forms of alpha and e^beta."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    alpha, alpha_prime, exp_alpha = alpha_values(curves.q, curves.delta, t)
+    ena = 1.0 / exp_alpha
+    w = exp_beta_single(curves.q, curves.delta, curves.b1, curves.c, t)
+    beta_prime = curves.c - 2.0 * alpha_prime + curves.b1 * ena / w
+    return SharedAlphaProfile(t, alpha, alpha_prime, ena, np.log(w), beta_prime)
+
+
+@dataclass(frozen=True)
+class TwoAlphaProfile:
+    """One-pass evaluation of the class-dependent curves on a time grid."""
+
+    t: np.ndarray
+    alpha_hat: np.ndarray
+    alpha_hat_prime: np.ndarray
+    exp_neg_alpha_hat: np.ndarray
+    alpha_check: np.ndarray
+    alpha_check_prime: np.ndarray
+    exp_neg_alpha_check: np.ndarray
+    beta: np.ndarray
+    beta_prime: np.ndarray
+
+    def occupancy_terms(self, m, n):
+        """m alpha_hat' + n alpha_check' + m n beta', and the e^{-alpha_hat}, e^{-alpha_check} rows."""
+        lhs = m * self.alpha_hat_prime + n * self.alpha_check_prime + m * n * self.beta_prime
+        return lhs, self.exp_neg_alpha_hat, self.exp_neg_alpha_check
+
+
+def two_alpha_profile(curves, t) -> TwoAlphaProfile:
+    """reduced.ReducedCurvesIII.profile by the separate closed forms of both alphas and e^beta."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    a_hat, ap_hat, ea_hat = alpha_values(curves.q_hat, curves.delta_hat, t)
+    a_check, ap_check, ea_check = alpha_values(curves.q_check, curves.delta_check, t)
+    ena_hat, ena_check = 1.0 / ea_hat, 1.0 / ea_check
+    w = exp_beta_pair(
+        curves.q_hat,
+        curves.delta_hat,
+        curves.q_check,
+        curves.delta_check,
+        curves.drive_check,
+        curves.drive_hat,
+        curves.c,
+        t,
+    )
+    drive = curves.drive_hat * ena_hat + curves.drive_check * ena_check
+    beta_prime = curves.c - ap_hat - ap_check + drive / w
+    return TwoAlphaProfile(t, a_hat, ap_hat, ena_hat, a_check, ap_check, ena_check, np.log(w), beta_prime)
+
+
+def lumped_profile(curves, t):
+    """The oracle profile of either curve type."""
+    return shared_alpha_profile(curves, t) if hasattr(curves, "b1") else two_alpha_profile(curves, t)
+
+
+def residual_I(lumped, curves, t):
+    """reduced.residual_I on an occupancy column k = 1..N."""
+    if curves.sizes != (lumped.n_vertices,):
+        raise ValueError("lumped rates and curves disagree on N")
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(t <= 0.0):
+        raise ValueError("t must be positive")
+    lam, n, prof = lumped.lam, lumped.n_vertices, shared_alpha_profile(curves, t)
+    k = np.arange(1, n + 1, dtype=float)[:, None]
+    inflow = lam[:-1, None] * (k / (n - k + 1.0)) * prof.exp_neg_alpha[None, :] * np.exp(
+        -(k - 1.0) * prof.beta[None, :]
+    )
+    lhs = k * prof.alpha_prime[None, :] + 0.5 * k * (k - 1.0) * prof.beta_prime[None, :]
+    return lhs - (lam[0] - lam[1:, None]) - inflow
+
+
+def _shift_hat(table):
+    """table[m-1, n] with a zero row at m = 0."""
+    out = np.zeros_like(table)
+    out[1:, :] = table[:-1, :]
+    return out
+
+
+def _shift_check(table):
+    """table[m, n-1] with a zero column at n = 0."""
+    out = np.zeros_like(table)
+    out[:, 1:] = table[:, :-1]
+    return out
+
+
+def residual_bipartite(lumped, curves, t):
+    """reduced.residual_bipartite on (M+1, N+1) occupancy grids with shifted rate tables."""
+    m_hat, n_check = lumped.n_hat, lumped.n_check
+    if curves.sizes != (m_hat, n_check):
+        raise ValueError("lumped rates and curves disagree on (M, N)")
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(t <= 0.0):
+        raise ValueError("t must be positive")
+    hat, check, prof = lumped.hat_rates, lumped.check_rates, lumped_profile(curves, t)
+    r = hat[0, 0] + check[0, 0]
+    m = np.arange(m_hat + 1, dtype=float)[:, None, None]
+    n = np.arange(n_check + 1, dtype=float)[None, :, None]
+    lhs, ena_hat, ena_check = prof.occupancy_terms(m, n)
+    inflow = (m / (m_hat - m + 1.0)) * _shift_hat(hat)[:, :, None] * ena_hat * np.exp(-n * prof.beta)
+    inflow += (n / (n_check - n + 1.0)) * _shift_check(check)[:, :, None] * ena_check * np.exp(-m * prof.beta)
+    res = lhs - (r - hat[:, :, None] - check[:, :, None]) - inflow
+    res[0, 0, :] = 0.0
+    return res

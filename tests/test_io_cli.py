@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from corrdefault import io as cdio
 from corrdefault.cli import main
 from corrdefault.ctmc import ForwardSolution, random_generator
+from corrdefault.reduced import _SearchProblem
 from corrdefault.model import (
     Graph,
     InteractionCoeffs,
@@ -561,3 +562,36 @@ class TestCmdSearch:
         assert self._run(tmp_path, config) == 2
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("search", [{"restart": 1}, {"restarts": 1, "seeds": 3, "maxiter": 5}])
+    def test_unknown_search_key_exits_2(self, tmp_path, capsys, search):
+        # {"restart": 1} used to run the default 16 restarts and exit 0
+        config = {"model": "I", "N": 3, "targets": {"alpha": 0.3, "beta": 0.0}, "search": search}
+        config["io"] = {"out_dir": str(tmp_path / "out")}
+        assert self._run(tmp_path, config) == 2
+        err = capsys.readouterr().err
+        assert "unknown search key" in err
+        for key in set(search) - {"restarts"}:
+            assert repr(key) in err
+        assert not (tmp_path / "out").exists()
+
+    def test_rejected_warm_table_exits_0(self, tmp_path):
+        # restart 1's warm start ends at a zero rate, which exited 2 with "interior lumped rates must be positive"
+        out = tmp_path / "out"
+        config = {"model": "II", "M": 3, "N": 3, "targets": {"alpha": 0.3, "beta": 0.25}}
+        config.update(search={"restarts": 4, "seed": 975633704}, io={"out_dir": str(out)})
+        assert self._run(tmp_path, config) == 0
+        rows = (out / "restarts.csv").read_text().splitlines()[3:]
+        assert rows[1] == "1,245,inf,inf,inf"
+        assert json.loads((out / "result.json").read_text())["best_index"] != 1
+
+    def test_no_warm_table_exits_4(self, tmp_path, capsys):
+        def reject(problem, outer_x):
+            raise ValueError("interior lumped rates must be positive and finite")
+
+        config = {"model": "III", "M": 3, "N": 2, "targets": {"alpha_hat": 0.3, "alpha_check": 0.1, "beta": 0.0}}
+        config.update(search={"restarts": 2}, io={"out_dir": str(tmp_path / "out")})
+        with mock.patch.object(_SearchProblem, "assemble", reject):
+            assert self._run(tmp_path, config) == 4
+        assert "numeric failure: no warm start of the 2 restart(s) gave a valid rate table" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from corrdefault._num import (
     exp_alpha_value,
     exp_beta_pair,
-    exp_beta_single,
     expm1_over,
     geometric_grid,
     inv_softplus,
@@ -59,16 +58,6 @@ def test_phi_minus_diff_degenerate_gap():
 def test_exp_alpha_value_degenerate_delta():
     t = np.array([0.25, 1.0])
     np.testing.assert_allclose(exp_alpha_value(1.5, 0.0, t), 1.5 * t, rtol=1e-14)
-
-
-def test_exp_beta_single_is_symmetric_pair_case(rng):
-    t = np.geomspace(1e-3, 1.0, 9)
-    for _ in range(5):
-        q, d, quv, qvu, c = rng.uniform(0.2, 2.0, 5)
-        d -= 1.0  # allow negative drift gaps
-        single = exp_beta_single(q, d, quv + qvu, c, t)
-        pair = exp_beta_pair(q, d, q, d, quv, qvu, c, t)
-        np.testing.assert_allclose(single, pair, rtol=1e-10)
 
 
 def test_exp_beta_pair_small_time_limit(rng):

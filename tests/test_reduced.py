@@ -15,6 +15,7 @@ from corrdefault.reduced import (
     LumpedRatesI,
     ReducedCurvesIII,
     SearchConfig,
+    SearchFailedError,
     SharedAlphaCurves,
     _nelder_mead,
     _normalize_targets,
@@ -35,6 +36,7 @@ from corrdefault.reduced import (
     residual_bipartite,
 )
 
+import oracles
 from oracles import integrate_scalar_ode
 
 
@@ -449,6 +451,8 @@ class TestBipartiteKernel:
         expected = residual_bipartite(lumped, shared, grid)
         scale = np.max(np.abs(expected))
         np.testing.assert_allclose(residual_bipartite(lumped, equal, grid), expected, rtol=0, atol=1e-12 * scale)
+        # the shared-alpha e^beta is the pair e^beta with equal classes
+        np.testing.assert_allclose(np.exp(shared.beta(grid)[0]), np.exp(equal.beta(grid)[0]), rtol=1e-10)
 
     def test_sizes_must_match(self):
         lumped = independent_lumped_bi(3, 3, 0.4, 0.4)
@@ -539,6 +543,27 @@ class TestFeasibilitySearch:
         with pytest.raises(ValueError, match=next(iter(knobs))):
             SearchConfig(**knobs)
 
+    def test_rejected_warm_table_is_reported(self):
+        # restart 1's warm start ends at a hat10 coordinate near -793, whose rate is exactly 0, and
+        # assembling its table raised "interior lumped rates must be positive and finite"
+        targets = {"alpha": 0.3, "beta": 0.25}
+        result = feasibility_search(("II", 3, 3), targets, SearchConfig(restarts=4, seed=975633704))
+        rejected = result.trace[1]
+        assert (rejected.objective, rejected.residual_max, rejected.terminal_mismatch) == (np.inf, np.inf, np.inf)
+        assert (rejected.n_polish_evaluations, rejected.rounds) == (0, 0)
+        assert result.best_index != 1 and np.isfinite(result.residual_floor)
+        # the other restarts keep their records
+        alone = feasibility_search(("II", 3, 3), targets, SearchConfig(restarts=1, seed=975633704))
+        assert alone.trace[0] == result.trace[0]
+
+    def test_no_warm_table_raises(self, monkeypatch):
+        def reject(problem, outer_x):
+            raise ValueError("interior lumped rates must be positive and finite")
+
+        monkeypatch.setattr(_SearchProblem, "assemble", reject)
+        with pytest.raises(SearchFailedError, match="no warm start of the 2 restart"):
+            feasibility_search(("II", 3, 3), (0.3, 0.25), SearchConfig(restarts=2))
+
     def test_model_I_rejects_two_vertices(self):
         # the pair curve needs lam2 > 0, and at N = 2 it is the absorbing rate lam[N] = 0
         with pytest.raises(ValueError, match="N >= 3"):
@@ -566,29 +591,34 @@ def _problem(kind, sizes):
 
 
 def _scored(problem, lumped, curves):
-    """Kept residual block and terminal deltas from the public curves and residuals."""
+    """Kept residual block and terminal deltas from the oracle copies of the public curves and residuals."""
     grid, targets = problem.grid, problem.targets
-    prof = curves.profile(grid)
+    prof = oracles.lumped_profile(curves, grid)
     if problem.kind == "I":
-        return residual_I(lumped, curves, grid)[2:], [prof.alpha[-1] - targets[0], prof.beta[-1] - targets[1]]
+        res = oracles.residual_I(lumped, curves, grid)[2:]
+        return res, [prof.alpha[-1] - targets[0], prof.beta[-1] - targets[1]]
     keep = np.ones((lumped.n_hat + 1, lumped.n_check + 1), dtype=bool)
     keep[0, 0] = keep[1, 0] = keep[1, 1] = False
     if problem.kind == "II":
-        res = residual_II(lumped, curves, grid)[keep]
+        res = oracles.residual_bipartite(lumped, curves, grid)[keep]
         return res, [prof.alpha[-1] - targets[0], prof.beta[-1] - targets[1]]
     keep[0, 1] = False
     deltas = [prof.alpha_hat[-1] - targets[0], prof.alpha_check[-1] - targets[1], prof.beta[-1] - targets[2]]
-    return residual_III(lumped, curves, grid)[keep], deltas
+    return oracles.residual_bipartite(lumped, curves, grid)[keep], deltas
+
+
+def _public_curves(problem, x):
+    """The rate table at x and the curves the public constructor builds from it (ValueError if rejected)."""
+    lumped = problem.unpack(x)
+    if problem.kind == "I":
+        return lumped, reduced_curves_I(*lumped.lam[:3], lumped.n_vertices)
+    return lumped, (reduced_curves_II if problem.kind == "II" else reduced_curves_III)(lumped)
 
 
 def reference_objective(problem, x):
     with np.errstate(all="ignore"):
         try:
-            lumped = problem.unpack(x)
-            if problem.kind == "I":
-                curves = reduced_curves_I(*lumped.lam[:3], lumped.n_vertices)
-            else:
-                curves = (reduced_curves_II if problem.kind == "II" else reduced_curves_III)(lumped)
+            lumped, curves = _public_curves(problem, x)
         except ValueError:
             return 1e12
         res, d = _scored(problem, lumped, curves)
@@ -635,9 +665,41 @@ def reference_ls_residual(problem, outer_x):
     return np.where(np.isfinite(vec), vec, 1e6)
 
 
+def _check_public_path(problem, x, data):
+    """The public profile and residuals equal their oracle copies bit for bit, on every cell and time.
+
+    The times are the grid in a drawn order plus 1e-9, where the gap
+    quotient of e^beta switches to its midpoint derivative.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            lumped, curves = _public_curves(problem, x)
+        except ValueError:
+            return
+        t = np.array(data.draw(st.permutations(np.append(problem.grid, 1e-9).tolist())))
+        prof, ref = curves.profile(t), oracles.lumped_profile(curves, t)
+        if problem.kind == "III":
+            alphas = [ref.alpha_hat, ref.alpha_check], [ref.alpha_hat_prime, ref.alpha_check_prime]
+            res, expected = residual_III(lumped, curves, t), oracles.residual_bipartite(lumped, curves, t)
+        else:
+            alphas = [ref.alpha], [ref.alpha_prime]
+            if problem.kind == "I":
+                res, expected = residual_I(lumped, curves, t), oracles.residual_I(lumped, curves, t)
+            else:
+                res, expected = residual_II(lumped, curves, t), oracles.residual_bipartite(lumped, curves, t)
+        empty = (residual_I if problem.kind == "I" else residual_bipartite)(lumped, curves, [])
+    assert empty.shape == expected.shape[:-1] + (0,)
+    np.testing.assert_array_equal(prof.alpha, alphas[0])
+    np.testing.assert_array_equal(prof.alpha_prime, alphas[1])
+    np.testing.assert_array_equal(prof.beta, ref.beta)
+    np.testing.assert_array_equal(prof.beta_prime, ref.beta_prime)
+    np.testing.assert_array_equal(res, expected)
+
+
 def _check_evaluation_path(problem, data):
     x = _coords(data, problem.dim)
     assert problem.objective(x) == reference_objective(problem, x)
+    _check_public_path(problem, x, data)
     outer = _coords(data, problem.outer_dim)
     if problem.kind != "I":
         # assemble validates its table; a constructor rate of exactly 0 has none
@@ -646,7 +708,7 @@ def _check_evaluation_path(problem, data):
 
 
 class TestSearchEvaluationPath:
-    """The search's one-pass evaluation equals the public reference bit for bit."""
+    """The search and the public curves and residuals equal the oracle copies bit for bit."""
 
     @settings(max_examples=40)
     @given(n=st.integers(2, 5), data=st.data())
