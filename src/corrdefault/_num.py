@@ -14,6 +14,9 @@ import numpy as np
 EXACT_ENUM_CAP = 20
 FORWARD_CAP = 14
 
+# Below this log, e^x is subnormal or 0 (_log_w).
+_LOG_TINY = float(np.log(np.finfo(float).tiny))
+
 
 def softplus(x):
     """log(1 + e^x), overflow-safe."""
@@ -36,12 +39,8 @@ def expm1_over(x):
 
 
 def phi_minus(x):
-    """(1 - e^{-x})/x with the limit value 1 at x = 0."""
-    x = np.asarray(x, dtype=float)
-    num = -np.expm1(-x)
-    if np.all(x != 0.0):
-        return num / x
-    return np.divide(num, x, out=np.ones_like(num), where=x != 0.0)
+    """(1 - e^{-x})/x with the limit value 1 at x = 0; it rounds as expm1_over(-x) does."""
+    return expm1_over(-np.asarray(x, dtype=float))
 
 
 def _phi_minus_prime(x):
@@ -73,50 +72,131 @@ def phi_minus_quotient(phi_a, phi_b, gap, a, b, t, least=None):
     return np.where(small, -_phi_minus_prime(0.5 * (a + b) * t), direct)
 
 
-def phi_minus_diff(a, b, t):
-    """[phi_minus(a t) - phi_minus(b t)] / ((b - a) t), smooth in all arguments."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    t = np.asarray(t, dtype=float)
-    return phi_minus_quotient(phi_minus(a * t), phi_minus(b * t), (b - a) * t, a, b, t)
-
-
-def exp_alpha_value(q, delta, t):
-    """e^{alpha(t)} = (q/delta)(e^{delta t} - 1), continuous through delta = 0."""
-    t = np.asarray(t, dtype=float)
-    return q * t * expm1_over(delta * t)
-
-
-def alpha_prime_value(delta, t):
-    """alpha'(t) = delta/(1 - e^{-delta t}), continuous through delta = 0 (-> 1/t)."""
-    t = np.asarray(t, dtype=float)
-    return 1.0 / (t * phi_minus(delta * t))
-
-
 def alpha_values(q, delta, t):
-    """(alpha, alpha', e^alpha) solving alpha' = delta + q e^{-alpha} with e^alpha -> 0 as t -> 0."""
-    exp_alpha = exp_alpha_value(q, delta, t)
+    """(alpha, alpha', e^alpha) solving alpha' = delta + q e^{-alpha} with e^alpha -> 0 as t -> 0.
+
+    e^alpha = (q/delta)(e^{delta t} - 1) and alpha' = delta/(1 - e^{-delta t}),
+    continuous through delta = 0 (alpha' -> 1/t).
+    """
+    t = np.asarray(t, dtype=float)
+    exp_alpha = q * t * expm1_over(delta * t)
     with np.errstate(divide="ignore"):
         alpha = np.log(exp_alpha)
-    return alpha, alpha_prime_value(delta, t), exp_alpha
+    return alpha, 1.0 / (t * phi_minus(delta * t)), exp_alpha
+
+
+# Curve kernels.  The full lattice's pair curves (consistency) and the lumped
+# curves (reduced) evaluate through these on a time grid t.  Curve constants
+# are floats, or (B, 1) columns that put B curves on the batch axis.
+
+
+def _products(t, coefs, n_expm1):
+    """Rows coef * t (len(coefs), B, T), and expm1(y)/y (limit 1 at y = 0) of the first n_expm1.
+
+    Every product of a curve constant with the times is formed once here.
+    A row with coef d gives expm1_over(d t); one with coef -x gives
+    phi_minus(x t), because expm1(-y)/(-y) and (1 - e^{-y})/y round alike.
+    """
+    y = np.array(coefs).reshape(len(coefs), -1, 1) * t
+    head = y[:n_expm1]
+    if head.all():
+        return y, np.expm1(head) / head
+    return y, np.divide(np.expm1(head), head, out=np.ones_like(head), where=head != 0.0)
+
+
+def _log_phi_minus(x):
+    """log phi_minus(x), in range for any x: -x + log(expm1(x)/x) below 0."""
+    return np.maximum(-x, 0.0) + np.log(expm1_over(-np.abs(x)))
+
+
+def _log_quotient(a, b, gap):
+    """log([phi_minus(a) - phi_minus(b)] / gap), gap = b - a, in range for any a and b.
+
+    For low = min(a, b) < 0 it is -low plus the log of the same quotient at
+    -low and |gap|, two arguments >= 0.
+    """
+    low, high = np.minimum(a, b), np.maximum(a, b)
+    p, q, gap = np.abs(low), np.where(low < 0.0, np.abs(gap), high), np.where(low < 0.0, high, np.abs(gap))
+    return np.maximum(-low, 0.0) + np.log(phi_minus_quotient(expm1_over(-p), expm1_over(-q), gap, p, q, 1.0))
+
+
+def _log_w(w, y, c0, d_u, d_v, terms):
+    """(beta, w): beta = log w for w = e^{c0 t} num / (phi_minus(d_u t) phi_minus(d_v t)) in product form.
+
+    num sums k [phi_minus(a t) - phi_minus(b t)] / ((b - a) t) over terms
+    (k, i, j, g); c0, d_u, d_v, i, j and g index the _products rows c0 t,
+    d_u t, d_v t, -a t, -b t and (b - a) t.  Where w or e^{c0 t} is not a
+    finite normal float, a factor left the float range; there beta sums the
+    logs of the factors, and w = e^beta.
+    """
+    beta = np.log(w)
+    low = np.minimum(beta, y[c0])
+    # ufunc reductions cost about half of ndarray.min and max on a search's small arrays
+    lowest, highest = np.minimum.reduce(low, None, initial=np.inf), np.maximum.reduce(beta, None, initial=0.0)
+    if lowest >= _LOG_TINY and highest < np.inf:
+        return beta, w
+    bad = ~(low >= _LOG_TINY) | (beta == np.inf)
+    pick = lambda x: np.broadcast_to(x, w.shape)[bad]  # noqa: E731
+    with np.errstate(divide="ignore"):  # a zero k adds nothing to num
+        logs = [np.log(pick(k)) + _log_quotient(-pick(y[i]), -pick(y[j]), pick(y[g])) for k, i, j, g in terms]
+    beta[bad] = pick(y[c0]) + np.logaddexp.reduce(logs) - _log_phi_minus(pick(y[d_u])) - _log_phi_minus(pick(y[d_v]))
+    return beta, np.where(bad, np.exp(beta), w)
+
+
+def _shared_profile(t, q, d, b1, c):
+    """Models I and II: e^alpha, e^{-alpha} and alpha' (one row each), then beta' and beta, on t.
+
+    alpha solves alpha' = d + q e^{-alpha} in closed form; w = e^beta is the
+    bounded-at-0 solution of the linear equation that beta' = c - 2 alpha'
+    + b1 e^{-alpha - beta} becomes, with limit w(0+) = b1 / (2 q).
+    """
+    c0 = c - 2.0 * d
+    a, b = c0 + d, c0 + 2.0 * d
+    # rows: expm1_over(d t), phi_minus at d t, a t, b t; then q t, c0 t, (b - a) t
+    y, ratio = _products(t, [d, -d, -a, -b, q, c0, b - a], 4)
+    least = np.abs(t).argmin() if t.size else None
+    pm = ratio[1]
+    w = np.exp(y[5]) * (b1 / q * phi_minus_quotient(ratio[2], ratio[3], y[6], a, b, t, least)) / (pm * pm)
+    beta, w = _log_w(w, y, 5, 0, 0, [(b1 / q, 2, 3, 6)])
+    ea = y[4:5] * ratio[:1]
+    ena = 1.0 / ea
+    ap = 1.0 / (t * ratio[1:2])
+    return ea, ena, ap, c - 2.0 * ap[0] + b1 * ena[0] / w, beta
+
+
+def _pair_profile(t, q_hat, d_hat, q_check, d_check, drive_hat, drive_check, c):
+    """Model III and the full lattice's pairs: e^alpha, e^{-alpha} and alpha' rows (hat, then check), beta', beta.
+
+    As _shared_profile, with beta' = c - alpha_hat' - alpha_check'
+    + (drive_hat e^{-alpha_hat} + drive_check e^{-alpha_check}) e^{-beta}.
+    A lattice pair (u, v) has hat u, check v, drive_hat q({v}, u) and
+    drive_check q({u}, v).
+    """
+    c0 = c - d_hat - d_check
+    a_hat, a_check = c0 + d_hat, c0 + d_check
+    b = c0 + d_hat + d_check
+    # rows: expm1_over for both deltas, phi_minus at both deltas, a_hat, a_check
+    # and b (times t); then q_hat t, q_check t, c0 t and the two gaps (b - a) t
+    y, ratio = _products(
+        t, [d_hat, d_check, -d_hat, -d_check, -a_hat, -a_check, -b, q_hat, q_check, c0, b - a_hat, b - a_check], 7
+    )
+    least = np.abs(t).argmin() if t.size else None
+    pm = ratio[2:4]
+    num = drive_hat / q_hat * phi_minus_quotient(ratio[4], ratio[6], y[10], a_hat, b, t, least)
+    num = num + drive_check / q_check * phi_minus_quotient(ratio[5], ratio[6], y[11], a_check, b, t, least)
+    w = np.exp(y[9]) * num / (pm[0] * pm[1])
+    beta, w = _log_w(w, y, 9, 0, 1, [(drive_hat / q_hat, 4, 6, 10), (drive_check / q_check, 5, 6, 11)])
+    ea = y[7:9] * ratio[:2]
+    ena = 1.0 / ea
+    ap = 1.0 / (t * pm)
+    drive = drive_hat * ena[0] + drive_check * ena[1]
+    return ea, ena, ap, c - ap[0] - ap[1] + drive / w, beta
 
 
 def exp_beta_pair(q_u, d_u, q_v, d_v, q_uv, q_vu, c, t):
-    """e^{beta(t)} for the pair consistency ODE, as the bounded-at-0 solution.
-
-    The ODE is beta' = (c - alpha_u' - alpha_v') + (q_vu e^{-alpha_u}
-    + q_uv e^{-alpha_v}) e^{-beta} with alpha_w the closed-form curve for
-    (q_w, d_w) and c the exit-rate gap R_empty - R_uv.  Substituting
-    w = e^beta makes the equation linear in w; the integrating factor
-    diverges at 0, which pins the unique solution with the finite limit
-    w(0+) = (q_vu/q_u + q_uv/q_v)/2.
-    """
-    c0 = c - d_u - d_v
-    t = np.asarray(t, dtype=float)
-    num = (q_vu / q_u) * phi_minus_diff(c0 + d_u, c0 + d_u + d_v, t) + (
-        q_uv / q_v
-    ) * phi_minus_diff(c0 + d_v, c0 + d_u + d_v, t)
-    return np.exp(c0 * t) * num / (phi_minus(d_u * t) * phi_minus(d_v * t))
+    """e^{beta(t)} of the pair consistency ODE (_pair_profile with drives q_vu, q_uv), shaped like t."""
+    beta = _pair_profile(np.ravel(t).astype(float), q_u, d_u, q_v, d_v, q_vu, q_uv, c)[-1]
+    return np.exp(beta).reshape(np.shape(t))
 
 
 def geometric_grid(horizon, n_points=32, t_min_fraction=1e-3):

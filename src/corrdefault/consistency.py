@@ -15,14 +15,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ._num import (
-    alpha_prime_value,
-    alpha_values,
-    exp_alpha_value,
-    exp_beta_pair,
-    geometric_grid,
-    zeta_over_subsets,
-)
+from ._num import _pair_profile, alpha_values, geometric_grid, zeta_over_subsets
 from .ctmc import ForwardSolution, MonotoneGenerator, forward_solve
 from .model import Graph, SubsetDist, family_membership_residual
 
@@ -43,50 +36,40 @@ def alpha_curve(q_u: float, r_empty: float, r_u: float, t):
     return alpha_values(q_u, r_empty - r_u, t)
 
 
+def _pair_values(t, constants):
+    """(beta, beta') at t of one pair, or of P as columns of one kernel call, from (7,) or (7, P) constants."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0.0):
+        raise ValueError("t must be positive")
+    constants = np.asarray(constants, dtype=float)
+    shape = t.shape + constants.shape[1:]
+    if not constants.size:
+        return np.zeros(shape), np.zeros(shape)
+    with np.errstate(all="ignore"):  # the kernel redoes in log space what leaves the float range
+        *_, beta_prime, beta = _pair_profile(t.ravel(), *constants.reshape(7, -1, 1))
+    return beta.T.reshape(shape), beta_prime.T.reshape(shape)
+
+
 @dataclass(frozen=True)
 class BetaCurve:
-    """Pair interaction curve beta_uv: values on a grid, and (beta, beta') at any t > 0."""
+    """Pair interaction curve beta_uv: values on a grid, and (beta, beta') at any t > 0.
+
+    constants are the pair's (q_u, d_u, q_v, d_v, q({v}, u), q({u}, v), c)
+    with d_w = R_empty - R_w and c = R_empty - R_uv.
+    """
 
     t_grid: np.ndarray
     beta: np.ndarray
     beta_prime: np.ndarray
-    _value: object
-    _rhs: object
+    constants: Tuple[float, ...]
 
     def __call__(self, t):
         """(beta, beta') at arbitrary positive times."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t <= 0.0):
-            raise ValueError("t must be positive")
-        beta = self._value(t)
-        return beta, self._rhs(t, beta)
-
-
-def _pair_functions(q_u, q_v, q_uv, q_vu, r_empty, r_u, r_v, r_uv):
-    """The closed-form curve t -> beta and the ODE right-hand side (t, beta) -> beta'."""
-    d_u, d_v, c = r_empty - r_u, r_empty - r_v, r_empty - r_uv
-
-    def value(t):
-        return np.log(exp_beta_pair(q_u, d_u, q_v, d_v, q_uv, q_vu, c, t))
-
-    def rhs(t, beta):
-        ap = alpha_prime_value(d_u, t) + alpha_prime_value(d_v, t)
-        drive = q_vu / exp_alpha_value(q_u, d_u, t) + q_uv / exp_alpha_value(q_v, d_v, t)
-        return c - ap + drive * np.exp(-beta)
-
-    return value, rhs
+        return _pair_values(t, self.constants)
 
 
 def beta_curve(
-    q_u: float,
-    q_v: float,
-    q_uv: float,
-    q_vu: float,
-    r_empty: float,
-    r_u: float,
-    r_v: float,
-    r_uv: float,
-    t_grid,
+    q_u: float, q_v: float, q_uv: float, q_vu: float, r_empty: float, r_u: float, r_v: float, r_uv: float, t_grid
 ) -> BetaCurve:
     """Pair curve: the bounded solution of the consistency ODE for the two-vertex subset.
 
@@ -94,7 +77,7 @@ def beta_curve(
             + (q_vu e^{-alpha_u} + q_uv e^{-alpha_v}) e^{-beta}
     is linear in e^beta; its unique solution bounded as t -> 0, with
     beta(0+) = log((q_u q_uv + q_v q_vu) / (2 q_u q_v)), is evaluated in closed
-    form by _num.exp_beta_pair, and beta' from the equation itself.
+    form by _num._pair_profile, and beta' from the equation itself.
     """
     if q_u <= 0.0 or q_v <= 0.0:
         raise ValueError("q_u and q_v must be positive")
@@ -105,24 +88,30 @@ def beta_curve(
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if np.any(t_grid <= 0.0) or np.any(np.diff(t_grid) <= 0.0):
         raise ValueError("t_grid must be positive and strictly increasing")
-    value, rhs = _pair_functions(q_u, q_v, q_uv, q_vu, r_empty, r_u, r_v, r_uv)
-    beta = value(t_grid)
-    return BetaCurve(t_grid, beta, rhs(t_grid, beta), value, rhs)
+    constants = (q_u, r_empty - r_u, q_v, r_empty - r_v, q_vu, q_uv, r_empty - r_uv)
+    return BetaCurve(t_grid, *_pair_values(t_grid, constants), constants)
 
 
 @dataclass(frozen=True)
 class ParamCurves:
     """Time-dependent parameters (alpha_u, beta_uv) with derivative evaluators.
 
-    Vertex and pair curves are closed-form.  Pairs absent from the mapping
-    evaluate to the constant zero curve.
+    Vertex curves are closed-form.  Row p of pairs, (u, v) with u < v, has
+    column p of pair_constants as its BetaCurve constants, and all pairs are
+    evaluated in one kernel call.  Other pairs are the constant zero curve.
     """
 
     n_vertices: int
     q: np.ndarray
     delta: np.ndarray
-    pair_curves: Dict[Tuple[int, int], BetaCurve]
+    pairs: np.ndarray
+    pair_constants: np.ndarray
     horizon: float
+
+    @property
+    def pair_curves(self) -> Dict[Tuple[int, int], np.ndarray]:
+        """The constants of every stored pair curve, by pair."""
+        return dict(zip(map(tuple, self.pairs.tolist()), self.pair_constants.T))
 
     def alpha(self, t) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(alpha_u, alpha_u', e^{alpha_u}) for all vertices, shape t.shape + (n,)."""
@@ -130,65 +119,55 @@ class ParamCurves:
         return alpha_values(self.q, self.delta, t[..., None])
 
     def beta_matrices(self, t) -> Tuple[np.ndarray, np.ndarray]:
-        """Symmetric (beta, beta') matrices, shape t.shape + (n, n); zeros off the stored pairs.
-
-        Each pair curve is evaluated once, on every time at once.
-        """
+        """Symmetric (beta, beta') matrices, shape t.shape + (n, n); zeros off the stored pairs."""
         t = np.asarray(t, dtype=float)
         n = self.n_vertices
         b = np.zeros(t.shape + (n, n))
         bp = np.zeros(t.shape + (n, n))
-        for (u, v), curve in self.pair_curves.items():
-            beta, beta_prime = curve(t)
-            b[..., u, v] = b[..., v, u] = beta
-            bp[..., u, v] = bp[..., v, u] = beta_prime
+        u, v = self.pairs.T
+        b[..., u, v], bp[..., u, v] = _pair_values(t, self.pair_constants)
+        b[..., v, u], bp[..., v, u] = b[..., u, v], bp[..., u, v]
         return b, bp
 
     def beta(self, u: int, v: int, t) -> Tuple[np.ndarray, np.ndarray]:
-        key = (u, v) if u < v else (v, u)
-        curve = self.pair_curves.get(key)
-        if curve is None:
+        """(beta_uv, beta_uv') at times t; zeros for a pair with no stored curve."""
+        n = self.n_vertices
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"({u}, {v}) is not a pair of distinct vertices in range({n})")
+        at = np.flatnonzero((self.pairs == (min(u, v), max(u, v))).all(axis=1))
+        if not at.size:
             t = np.asarray(t, dtype=float)
             return np.zeros_like(t), np.zeros_like(t)
-        return curve(t)
+        return _pair_values(t, self.pair_constants[:, at[0]])
 
 
-def curves_from_rates(
-    gen: MonotoneGenerator,
-    horizon: float = 1.0,
-    t_grid=None,
-) -> ParamCurves:
+def curves_from_rates(gen: MonotoneGenerator, horizon: float = 1.0, t_grid=None) -> ParamCurves:
     """Assemble every vertex and pair curve from the generator's low-order rates.
 
     These curves are forced by the consistency requirements on subsets of
     size one and two, so they are the only candidate parameter trajectories
     the generator could realize.
     """
-    n = gen.n_vertices
-    q = np.array([gen.q_u(u) for u in range(n)])
-    for u in range(n):
-        if q[u] <= 0.0:
-            raise ValueError(f"q(empty, {u}) must be positive; alpha_{u} is undefined otherwise")
+    n, q = gen.n_vertices, gen.rates[0].copy()
+    if (q <= 0.0).any():
+        u = int((q <= 0.0).argmax())
+        raise ValueError(f"q(empty, {u}) must be positive; alpha_{u} is undefined otherwise")
     if t_grid is None:
         t_grid = geometric_grid(horizon)
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    r_empty = gen.r_empty
-    delta = r_empty - np.array([gen.r_u(u) for u in range(n)])
-    pair_curves = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            pair_curves[(u, v)] = beta_curve(
-                q[u],
-                q[v],
-                gen.q_uv(u, v),
-                gen.q_uv(v, u),
-                r_empty,
-                gen.r_u(u),
-                gen.r_u(v),
-                gen.r_uv(u, v),
-                t_grid,
-            )
-    return ParamCurves(n, q, delta, pair_curves, horizon=float(t_grid[-1]))
+    if np.any(t_grid <= 0.0) or np.any(np.diff(t_grid) <= 0.0):
+        raise ValueError("t_grid must be positive and strictly increasing")
+    r_empty, single = gen.r_empty, 1 << np.arange(n)
+    delta = r_empty - gen.exit_rates[single]
+    pairs = np.transpose(np.triu_indices(n, 1))
+    u, v = pairs.T
+    drive_u, drive_v = gen.rates[single[v], u], gen.rates[single[u], v]  # q({v}, u) and q({u}, v)
+    unreachable = q[u] * drive_v + q[v] * drive_u <= 0.0
+    if unreachable.any():
+        raise ValueError(f"the pair state {tuple(pairs[unreachable.argmax()])} is unreachable; beta diverges to -inf")
+    c = r_empty - gen.exit_rates[single[u] | single[v]]
+    constants = np.array([q[u], delta[u], q[v], delta[v], drive_u, drive_v, c])
+    return ParamCurves(n, q, delta, pairs, constants, horizon=float(t_grid[-1]))
 
 
 def independent_curves(alpha, horizon: float = 1.0, t_grid=None) -> ParamCurves:
@@ -197,9 +176,8 @@ def independent_curves(alpha, horizon: float = 1.0, t_grid=None) -> ParamCurves:
     lam = np.logaddexp(0.0, alpha) / horizon
     if t_grid is None:
         t_grid = geometric_grid(horizon)
-    return ParamCurves(
-        alpha.shape[0], lam, lam, {}, horizon=float(np.max(t_grid))
-    )
+    no_pairs = np.zeros((0, 2), dtype=int), np.zeros((7, 0))
+    return ParamCurves(alpha.shape[0], lam, lam, *no_pairs, horizon=float(np.max(t_grid)))
 
 
 # master_residual transforms at most this many cells at once (8 MB of floats).

@@ -202,7 +202,8 @@ def write_curves_csv(path, curves, t_grid, config=None):
     """Curve dump: one row per time per vertex (alpha) and per pair (beta); each curve is evaluated once."""
     t_grid = np.asarray(t_grid, dtype=float)
     alpha, alpha_prime, _ = curves.alpha(t_grid)
-    pairs = [(f"e{u}-{v}", *curve(t_grid)) for (u, v), curve in sorted(curves.pair_curves.items())]
+    b, bp = curves.beta_matrices(t_grid)
+    pairs = [(f"e{u}-{v}", b[:, u, v], bp[:, u, v]) for u, v in curves.pairs.tolist()]
 
     def rows():
         for i, t in enumerate(t_grid):

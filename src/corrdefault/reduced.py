@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 from scipy.optimize import least_squares
 
-from ._num import geometric_grid, inv_softplus, phi_minus_quotient, popcounts, softplus
+from ._num import _pair_profile, _shared_profile, geometric_grid, inv_softplus, popcounts, softplus
 from .ctmc import MonotoneGenerator
 
 
@@ -143,70 +143,8 @@ def independent_lumped_bi(
     return LumpedRatesBi(n_hat, n_check, hat, check)
 
 
-# Evaluation kernels.  One path evaluates the lumped curves and residuals: the
-# public functions run it on one table and any positive times, the search on
-# B tables at once (one per column) on its grid.  Curve constants are floats,
-# or (B, 1) columns.
-
-
-def _products(t, coefs, n_expm1):
-    """Rows coef * t (len(coefs), B, T), and expm1(y)/y (limit 1 at y = 0) of the first n_expm1.
-
-    Every product of a curve constant with the times is formed once here.
-    A row with coef d gives expm1_over(d t); one with coef -x gives
-    phi_minus(x t), because expm1(-y)/(-y) and (1 - e^{-y})/y round alike.
-    """
-    y = np.array(coefs).reshape(len(coefs), -1, 1) * t
-    head = y[:n_expm1]
-    if head.all():
-        return y, np.expm1(head) / head
-    return y, np.divide(np.expm1(head), head, out=np.ones_like(head), where=head != 0.0)
-
-
-def _shared_profile(t, q, d, b1, c):
-    """Models I and II: e^alpha, e^{-alpha} and alpha' (one row each), then beta' and e^beta, on t.
-
-    alpha solves alpha' = d + q e^{-alpha} in closed form; w = e^beta is the
-    bounded-at-0 solution of the linear equation that beta' = c - 2 alpha'
-    + b1 e^{-alpha - beta} becomes, with limit w(0+) = b1 / (2 q).
-    """
-    c0 = c - 2.0 * d
-    a, b = c0 + d, c0 + 2.0 * d
-    # rows: expm1_over(d t), phi_minus at d t, a t, b t; then q t, c0 t, (b - a) t
-    y, ratio = _products(t, [d, -d, -a, -b, q, c0, b - a], 4)
-    least = np.abs(t).argmin() if t.size else None
-    pm = ratio[1]
-    w = np.exp(y[5]) * (b1 / q * phi_minus_quotient(ratio[2], ratio[3], y[6], a, b, t, least)) / (pm * pm)
-    ea = y[4:5] * ratio[:1]
-    ena = 1.0 / ea
-    ap = 1.0 / (t * ratio[1:2])
-    return ea, ena, ap, c - 2.0 * ap[0] + b1 * ena[0] / w, w
-
-
-def _pair_profile(t, q_hat, d_hat, q_check, d_check, drive_hat, drive_check, c):
-    """Model III: e^alpha, e^{-alpha} and alpha' rows (hat, then check), then beta' and e^beta, on t.
-
-    As _shared_profile, with beta' = c - alpha_hat' - alpha_check'
-    + (drive_hat e^{-alpha_hat} + drive_check e^{-alpha_check}) e^{-beta}.
-    """
-    c0 = c - d_hat - d_check
-    a_hat, a_check = c0 + d_hat, c0 + d_check
-    b = c0 + d_hat + d_check
-    # rows: expm1_over for both deltas, phi_minus at both deltas, a_hat, a_check
-    # and b (times t); then q_hat t, q_check t, c0 t and the two gaps (b - a) t
-    y, ratio = _products(
-        t, [d_hat, d_check, -d_hat, -d_check, -a_hat, -a_check, -b, q_hat, q_check, c0, b - a_hat, b - a_check], 7
-    )
-    least = np.abs(t).argmin() if t.size else None
-    pm = ratio[2:4]
-    num = drive_hat / q_hat * phi_minus_quotient(ratio[4], ratio[6], y[10], a_hat, b, t, least)
-    num = num + drive_check / q_check * phi_minus_quotient(ratio[5], ratio[6], y[11], a_check, b, t, least)
-    w = np.exp(y[9]) * num / (pm[0] * pm[1])
-    ea = y[7:9] * ratio[:2]
-    ena = 1.0 / ea
-    ap = 1.0 / (t * pm)
-    drive = drive_hat * ena[0] + drive_check * ena[1]
-    return ea, ena, ap, c - ap[0] - ap[1] + drive / w, w
+# Evaluation path: the curve kernels of _num and _block run on one table and any
+# positive times (public functions), or on B tables, one per column (the search).
 
 
 class _Layout(NamedTuple):
@@ -315,10 +253,10 @@ class _Curves:
 
     def profile(self, t) -> CurveProfile:
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        ea, _, ap, bp, w = self._kernel(t)
-        with np.errstate(divide="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # the kernel redoes beta in log space
+            ea, _, ap, bp, beta = self._kernel(t)
             alpha = np.log(ea[:, 0])
-        return CurveProfile(t, alpha, ap[:, 0], np.log(w[0]), bp[0])
+        return CurveProfile(t, alpha, ap[:, 0], beta[0], bp[0])
 
     def _alpha(self, t, row):
         prof = self.profile(t)
@@ -377,8 +315,9 @@ def _positive_times(t):
 
 def _residual_rows(layout, tab, curves, t):
     """Residual (cells, T) of every layout cell, for the raw table tab under curves."""
-    _, ena, ap, bp, w = curves._kernel(t)
-    return _block(layout, tab[:, None], ena, ap, bp, np.exp(layout.neg_j * np.log(w)))[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, ena, ap, bp, beta = curves._kernel(t)
+    return _block(layout, tab[:, None], ena, ap, bp, np.exp(layout.neg_j * beta))[:, 0]
 
 
 def residual_I(lumped: LumpedRatesI, curves: SharedAlphaCurves, t) -> np.ndarray:
@@ -877,13 +816,12 @@ class _SearchProblem:
             values = np.concatenate([[tab[self.ctor[0]] / self.sizes[0]], values])
         return np.asarray(inv_softplus(values), dtype=float)
 
-    def _finish(self, ea, ena, ap, bp, w):
+    def _finish(self, ea, ena, ap, bp, beta):
         """Profile tuple: e^{-alpha} and alpha' rows, beta', the e^{-j beta} table, terminal deltas.
 
         The grid ends exactly at the horizon, so terminal values are the last
         profile entries.
         """
-        beta = np.log(w)
         deltas = np.concatenate([np.log(ea[:, :, -1]), beta[None, :, -1]]) - self.targets[:, None]
         return ena, ap, bp, np.exp(self.layout.neg_j * beta), deltas
 

@@ -6,6 +6,9 @@ sums instead of in-place transforms, closed forms for the two-vertex chain,
 index gathers instead of reshaped views, dense 0/1 bit matrices instead of
 subset transforms, and the lumped curves and residuals of reduced.py as
 separate closed forms per curve, occupancy grids and shifted rate tables.
+The pair curves keep their former product form for e^beta; where a factor
+of it leaves the normal floats, the curves take beta from the same closed
+form in 50-digit mpmath (beta_in_range).
 """
 
 from dataclasses import dataclass
@@ -13,7 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from corrdefault._num import alpha_values, exp_beta_pair, phi_minus, phi_minus_diff
+from corrdefault._num import alpha_values, phi_minus, phi_minus_quotient
+
+
+def phi_minus_diff(a, b, t):
+    """[phi_minus(a t) - phi_minus(b t)] / ((b - a) t), smooth in all arguments."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    t = np.asarray(t, dtype=float)
+    return phi_minus_quotient(phi_minus(a * t), phi_minus(b * t), (b - a) * t, a, b, t)
 
 
 def subset_bit_matrix(n_vertices):
@@ -224,6 +235,52 @@ def integrate_scalar_ode(rhs, t0, y0, t_grid, rtol=1e-11, atol=1e-13):
     return sol.y[0]
 
 
+def exp_beta_pair(q_u, d_u, q_v, d_v, q_uv, q_vu, c, t):
+    """e^{beta(t)} for the pair consistency ODE, as the bounded-at-0 solution.
+
+    The ODE is beta' = (c - alpha_u' - alpha_v') + (q_vu e^{-alpha_u}
+    + q_uv e^{-alpha_v}) e^{-beta} with alpha_w the closed-form curve for
+    (q_w, d_w) and c the exit-rate gap R_empty - R_uv.  Substituting
+    w = e^beta makes the equation linear in w; the integrating factor
+    diverges at 0, which pins the unique solution with the finite limit
+    w(0+) = (q_vu/q_u + q_uv/q_v)/2.
+    """
+    c0 = c - d_u - d_v
+    t = np.asarray(t, dtype=float)
+    num = (q_vu / q_u) * phi_minus_diff(c0 + d_u, c0 + d_u + d_v, t) + (
+        q_uv / q_v
+    ) * phi_minus_diff(c0 + d_v, c0 + d_u + d_v, t)
+    return np.exp(c0 * t) * num / (phi_minus(d_u * t) * phi_minus(d_v * t))
+
+
+def beta_pair_mp(q_u, d_u, q_v, d_v, q_uv, q_vu, c, t, digits=50):
+    """beta(t) of exp_beta_pair's closed form, evaluated in mpmath at `digits` digits, as floats.
+
+    mpmath's exponent range holds every factor, so the product form is
+    taken as written; an exactly zero gap takes the limit -phi_minus'.
+    """
+    import mpmath
+
+    def phi(x):
+        return -mpmath.expm1(-x) / x if x else mpmath.mpf(1)
+
+    def quotient(a, b, s):
+        if a == b:
+            x = a * s
+            return (1 - mpmath.exp(-x) * (1 + x)) / x**2 if x else mpmath.mpf(1) / 2
+        return (phi(a * s) - phi(b * s)) / ((b - a) * s)
+
+    with mpmath.workdps(digits):
+        q_u, d_u, q_v, d_v, q_uv, q_vu, c = (mpmath.mpf(float(x)) for x in (q_u, d_u, q_v, d_v, q_uv, q_vu, c))
+        c0 = c - d_u - d_v
+        b = c0 + d_u + d_v
+        out = []
+        for s in map(mpmath.mpf, np.ravel(t).tolist()):
+            num = q_vu / q_u * quotient(c0 + d_u, b, s) + q_uv / q_v * quotient(c0 + d_v, b, s)
+            out.append(float(c0 * s + mpmath.log(num) - mpmath.log(phi(d_u * s)) - mpmath.log(phi(d_v * s))))
+    return np.array(out).reshape(np.shape(t))
+
+
 def exp_beta_single(q, d, b1, c, t):
     """e^{beta(t)} for the shared-alpha lumped ODE beta' = (c - 2 alpha') + b1 e^{-alpha - beta}.
 
@@ -237,9 +294,26 @@ def exp_beta_single(q, d, b1, c, t):
     return np.exp(c0 * t) * num / (pm * pm)
 
 
+def beta_in_range(w, c0t, exact):
+    """(beta, w, repaired): log w of a product form, but exact(repaired) where a factor left the normal floats.
+
+    repaired marks the cells where w or e^{c0 t} is not a finite normal
+    float; there beta is exact(repaired), the 50-digit value, and w = e^beta.
+    """
+    tiny = np.finfo(float).tiny
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta = np.log(w)
+    repaired = ~((w >= tiny) & (w <= np.finfo(float).max)) | (c0t < np.log(tiny))
+    if repaired.any():
+        beta, w = beta.copy(), w.copy()
+        beta[repaired] = exact(repaired)
+        w[repaired] = np.exp(beta[repaired])
+    return beta, w, repaired
+
+
 @dataclass(frozen=True)
 class SharedAlphaProfile:
-    """One-pass evaluation of a shared-alpha curve pair on a time grid."""
+    """One-pass evaluation of a shared-alpha curve pair on a time grid; repaired as in beta_in_range."""
 
     t: np.ndarray
     alpha: np.ndarray
@@ -247,6 +321,7 @@ class SharedAlphaProfile:
     exp_neg_alpha: np.ndarray
     beta: np.ndarray
     beta_prime: np.ndarray
+    repaired: np.ndarray
 
     def occupancy_terms(self, m, n):
         """(m+n) alpha' + m n beta', and the e^{-alpha} rows of the hat and check inflows."""
@@ -259,14 +334,17 @@ def shared_alpha_profile(curves, t) -> SharedAlphaProfile:
     t = np.atleast_1d(np.asarray(t, dtype=float))
     alpha, alpha_prime, exp_alpha = alpha_values(curves.q, curves.delta, t)
     ena = 1.0 / exp_alpha
-    w = exp_beta_single(curves.q, curves.delta, curves.b1, curves.c, t)
+    q, d, b1, c = curves.q, curves.delta, curves.b1, curves.c
+    beta, w, repaired = beta_in_range(
+        exp_beta_single(q, d, b1, c, t), (c - 2.0 * d) * t, lambda at: beta_pair_mp(q, d, q, d, b1 / 2, b1 / 2, c, t[at])
+    )
     beta_prime = curves.c - 2.0 * alpha_prime + curves.b1 * ena / w
-    return SharedAlphaProfile(t, alpha, alpha_prime, ena, np.log(w), beta_prime)
+    return SharedAlphaProfile(t, alpha, alpha_prime, ena, beta, beta_prime, repaired)
 
 
 @dataclass(frozen=True)
 class TwoAlphaProfile:
-    """One-pass evaluation of the class-dependent curves on a time grid."""
+    """One-pass evaluation of the class-dependent curves on a time grid; repaired as in beta_in_range."""
 
     t: np.ndarray
     alpha_hat: np.ndarray
@@ -277,6 +355,7 @@ class TwoAlphaProfile:
     exp_neg_alpha_check: np.ndarray
     beta: np.ndarray
     beta_prime: np.ndarray
+    repaired: np.ndarray
 
     def occupancy_terms(self, m, n):
         """m alpha_hat' + n alpha_check' + m n beta', and the e^{-alpha_hat}, e^{-alpha_check} rows."""
@@ -300,9 +379,15 @@ def two_alpha_profile(curves, t) -> TwoAlphaProfile:
         curves.c,
         t,
     )
+    constants = curves.q_hat, curves.delta_hat, curves.q_check, curves.delta_check, curves.drive_check, curves.drive_hat
+    beta, w, repaired = beta_in_range(
+        w,
+        (curves.c - curves.delta_hat - curves.delta_check) * t,
+        lambda at: beta_pair_mp(*constants, curves.c, t[at]),
+    )
     drive = curves.drive_hat * ena_hat + curves.drive_check * ena_check
     beta_prime = curves.c - ap_hat - ap_check + drive / w
-    return TwoAlphaProfile(t, a_hat, ap_hat, ena_hat, a_check, ap_check, ena_check, np.log(w), beta_prime)
+    return TwoAlphaProfile(t, a_hat, ap_hat, ena_hat, a_check, ap_check, ena_check, beta, beta_prime, repaired)
 
 
 def lumped_profile(curves, t):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrdefault import consistency
-from corrdefault._num import geometric_grid, popcounts
+from corrdefault._num import alpha_values, geometric_grid, popcounts
 from corrdefault.consistency import (
     alpha_curve,
     beta_curve,
@@ -26,6 +26,7 @@ from corrdefault.model import Graph
 
 from conftest import permutations
 from oracles import (
+    exp_beta_pair,
     integrate_scalar_ode,
     log_partition_curve,
     master_residual_bits,
@@ -34,6 +35,7 @@ from oracles import (
 )
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
+PAIRS_OF = [[(u, v) for u in range(n) for v in range(u + 1, n)] for n in range(7)]
 
 
 def permute_mask(mask, perm):
@@ -153,8 +155,8 @@ class TestCurvesFromRates:
             alpha, _, exp_alpha = curves.alpha(t)
             ref_alpha, ref_exp = independent_alpha_curve(alpha_target, 1.0, np.array([t]))
             np.testing.assert_allclose(exp_alpha, ref_exp.ravel(), rtol=1e-10)
-            for (u, v), curve in curves.pair_curves.items():
-                beta, _ = curve(t)
+            for u, v in curves.pair_curves:
+                beta, _ = curves.beta(u, v, t)
                 assert abs(float(beta)) < 1e-8
 
     def test_terminal_boundary_identity(self):
@@ -172,6 +174,21 @@ class TestCurvesFromRates:
         gen = MonotoneGenerator(2, rates)
         with pytest.raises(ValueError, match="alpha_1"):
             curves_from_rates(gen)
+
+    def test_beta_rejects_invalid_vertex_pairs(self):
+        curves = curves_from_rates(random_generator(3, seed=1))
+        for u, v in ((0, 7), (7, 0), (1, 1), (-1, 0), (0, -3), (3, 2)):
+            with pytest.raises(ValueError, match="distinct vertices"):
+                curves.beta(u, v, 0.5)
+        beta, beta_prime = curves.beta(2, 0, np.array([0.25, 0.5]))
+        assert beta.shape == beta_prime.shape == (2,) and np.all(beta != 0.0)
+        scalar, _ = curves.beta(0, 2, 0.5)
+        assert scalar.shape == () and scalar == beta[1]
+        # a valid pair with no stored curve is the zero curve
+        empty = independent_curves([0.1, 0.6, -0.2], horizon=1.0)
+        assert empty.beta(0, 2, 0.5) == (0.0, 0.0)
+        with pytest.raises(ValueError, match="distinct vertices"):
+            empty.beta(0, 3, 0.5)
 
     def test_pair_coefficients_match_extraction_oracle(self):
         from corrdefault.model import SubsetDist, extract_interactions
@@ -247,6 +264,21 @@ class TestMasterResidual:
             b_t, bp_t = curves.beta_matrices(float(t))
             np.testing.assert_array_equal(b[k], b_t)
             np.testing.assert_array_equal(bp[k], bp_t)
+            for u, v in PAIRS_OF[n]:
+                beta, beta_prime = curves.beta(v, u, float(t))
+                assert (b[k, u, v], b[k, v, u], bp[k, u, v], bp[k, v, u]) == (beta, beta, beta_prime, beta_prime)
+        # every pair column of the batched kernel against the former closed form, pair by pair
+        r_empty = gen.r_empty
+        for u, v in PAIRS_OF[n]:
+            d_u, d_v, c = r_empty - gen.r_u(u), r_empty - gen.r_u(v), r_empty - gen.r_uv(u, v)
+            beta = np.log(exp_beta_pair(gen.q_u(u), d_u, gen.q_u(v), d_v, gen.q_uv(u, v), gen.q_uv(v, u), c, grid))
+            np.testing.assert_array_equal(b[:, u, v], beta)
+            _, ap_u, ea_u = alpha_values(gen.q_u(u), d_u, grid)
+            _, ap_v, ea_v = alpha_values(gen.q_u(v), d_v, grid)
+            drive = (gen.q_uv(v, u) / ea_u + gen.q_uv(u, v) / ea_v) * np.exp(-beta)
+            # relative to the terms of beta' = c - alpha_u' - alpha_v' + drive, which cancel
+            gap = np.abs(bp[:, u, v] - (c - (ap_u + ap_v) + drive))
+            np.testing.assert_array_less(gap, 1e-12 * (abs(c) + ap_u + ap_v + drive))
 
     def test_rejects_times_outside_the_horizon(self):
         gen = random_generator(3, seed=1)

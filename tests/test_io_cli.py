@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from corrdefault import io as cdio
 from corrdefault.cli import main
-from corrdefault.ctmc import ForwardSolution, random_generator
+from corrdefault.ctmc import ForwardSolution, MonotoneGenerator, random_generator
 from corrdefault.reduced import _SearchProblem
 from corrdefault.model import (
     Graph,
@@ -320,6 +320,23 @@ class TestCmdDynamics:
         ]
         assert max(abs(float(r[2])) for r in rows) > 1e-3
 
+    def test_overflowing_pair_curve_writes_finite_files(self, tmp_path):
+        # c = R_empty - R_{01} is about -900: e^{c0 t} underflows and phi_minus(a t) overflows on the grid
+        gen = random_generator(3, seed=1)
+        rates = gen.rates.copy()
+        rates[0b011, 2] = 900.0
+        gen_path = tmp_path / "gen.json"
+        cdio.write_generator_json(gen_path, MonotoneGenerator(3, rates))
+        cfg_path = tmp_path / "run.json"
+        write_json(cfg_path, {"io": {"generator_file": str(gen_path)}})
+        out = tmp_path / "out"
+        assert main(["dynamics", "--config", str(cfg_path), "--out", str(out)]) == 0
+        files = sorted(out.iterdir())
+        assert [f.name for f in files] == ["curves.csv", "master_residual.csv", "membership.csv", "trajectory.csv"]
+        for f in files:
+            text = f.read_text().lower()
+            assert "nan" not in text and "inf" not in text, f.name
+
     def test_forward_law_is_solved_once(self, tmp_path):
         # membership.csv reads the law written to trajectory.csv instead of solving again
         gen_path = tmp_path / "gen.json"
@@ -341,8 +358,8 @@ class TestCmdDynamics:
         for t in grid:
             alpha, alpha_prime, _ = curves.alpha(float(t))
             expected += [(t, f"v{u}", alpha[u], alpha_prime[u]) for u in range(4)]
-            for (u, v), curve in sorted(curves.pair_curves.items()):
-                expected.append((t, f"e{u}-{v}", *curve(float(t))))
+            for u, v in sorted(curves.pair_curves):
+                expected.append((t, f"e{u}-{v}", *curves.beta(u, v, float(t))))
         rows = [
             line.split(",")
             for line in (tmp_path / "curves.csv").read_text().splitlines()

@@ -4,21 +4,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrdefault._num import (
-    exp_alpha_value,
+    _pair_profile,
+    _shared_profile,
+    alpha_values,
     exp_beta_pair,
     expm1_over,
     geometric_grid,
     inv_softplus,
     mobius_from_log,
     phi_minus,
-    phi_minus_diff,
     popcounts,
     softplus,
     zeta_over_subsets,
     zeta_over_supersets,
 )
+from corrdefault.consistency import beta_curve, curves_from_rates, master_residual
+from corrdefault.ctmc import MonotoneGenerator, random_generator
+from corrdefault.reduced import reduced_curves_I
 
-from oracles import subset_bit_matrix
+from oracles import beta_pair_mp, phi_minus_diff, subset_bit_matrix
+from oracles import exp_beta_pair as exp_beta_pair_oracle
 
 
 def test_softplus_round_trip(rng):
@@ -57,7 +62,7 @@ def test_phi_minus_diff_degenerate_gap():
 
 def test_exp_alpha_value_degenerate_delta():
     t = np.array([0.25, 1.0])
-    np.testing.assert_allclose(exp_alpha_value(1.5, 0.0, t), 1.5 * t, rtol=1e-14)
+    np.testing.assert_allclose(alpha_values(1.5, 0.0, t)[2], 1.5 * t, rtol=1e-14)
 
 
 def test_exp_beta_pair_small_time_limit(rng):
@@ -65,6 +70,60 @@ def test_exp_beta_pair_small_time_limit(rng):
     w = exp_beta_pair(q_u, 0.3, q_v, -0.2, q_uv, q_vu, 0.9, np.array([1e-9]))
     expected = (q_vu / q_u + q_uv / q_v) / 2.0
     assert w[0] == pytest.approx(expected, rel=1e-7)
+
+
+def test_pair_kernels_match_50_digit_closed_form():
+    # Rate gaps up to 1e4 in size, so e^{c0 t} and phi_minus(a t) leave the
+    # float range on much of the grid.  Sizes stay above 1e-2 (or exactly 0):
+    # gaps (b - a) t just above the 1e-6 midpoint switch lose accuracy to
+    # cancellation, which test_pair_kernel_small_gap_cancellation records.
+    rng = np.random.default_rng(11)
+    grid = geometric_grid(1.0, 32)
+    n = 40
+    q_u, q_v, drive_u, drive_v = rng.uniform(0.2, 2.0, (4, n))
+    d_u, d_v, c = rng.choice([-1.0, 1.0], (3, n)) * 10.0 ** rng.uniform(-2.0, 4.0, (3, n))
+    d_u[::5], d_v[1::6], c[2::9] = 0.0, d_u[1::6], 0.0
+    drive_v[::7] = 0.0
+    # e^{c0 t} subnormal at t = 1 while the product form stays finite: that form is off by 1.5e-9 to 0.25
+    d_u[-4:] = d_v[-4:] = 40.0
+    c[-4:] = 80.0 - np.array([725.0, 735.0, 740.0, 744.0])
+    col = lambda x: x[:, None]  # noqa: E731
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        product_form = np.log(exp_beta_pair_oracle(*map(col, (q_u, d_u, q_v, d_v, drive_v, drive_u, c)), grid))
+        assert np.mean(~np.isfinite(product_form)) > 0.05
+        pair = _pair_profile(grid, *map(col, (q_u, d_u, q_v, d_v, drive_u, drive_v, c)))
+        shared = _shared_profile(grid, col(q_u), col(d_u), col(2.0 * drive_u), col(c))
+    for p in range(n):
+        exact = beta_pair_mp(q_u[p], d_u[p], q_v[p], d_v[p], drive_v[p], drive_u[p], c[p], grid)
+        np.testing.assert_allclose(pair[-1][p], exact, rtol=0.0, atol=1e-9)
+        exact = beta_pair_mp(q_u[p], d_u[p], q_u[p], d_u[p], drive_u[p], drive_u[p], c[p], grid)
+        np.testing.assert_allclose(shared[-1][p], exact, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.xfail(strict=True, reason="phi_minus_quotient cancels for gaps just above its 1e-6 switch")
+def test_pair_kernel_small_gap_cancellation():
+    grid = geometric_grid(1.0, 32)
+    beta = _pair_profile(grid, 1.0, 0.0, 1.0, 2e-6, 1.0, 1.0, 396.0)[-1][0]
+    exact = beta_pair_mp(1.0, 0.0, 1.0, 2e-6, 1.0, 1.0, 396.0, grid)
+    np.testing.assert_allclose(beta, exact, rtol=0.0, atol=1e-9)
+
+
+def test_overflowing_curves_are_finite():
+    # products of a factor beyond e^709 and one below e^-745 used to give inf or NaN
+    beta, beta_prime = reduced_curves_I(3.14, 2.14, 720.0, 4).beta(1.0)
+    assert np.isfinite(beta).all() and np.isfinite(beta_prime).all()
+    grid = geometric_grid(1.0)
+    for r_uv in (709.0, 720.0, 1000.0):
+        curve = beta_curve(1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, r_uv, grid)
+        assert np.isfinite(curve.beta).all() and np.isfinite(curve.beta_prime).all()
+        np.testing.assert_allclose(curve.beta, beta_pair_mp(1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 2.0 - r_uv, grid), atol=1e-9)
+    gen = random_generator(3, seed=1)
+    rates = gen.rates.copy()
+    rates[0b011, 2] = 900.0
+    gen = MonotoneGenerator(3, rates)
+    curves = curves_from_rates(gen, t_grid=grid)
+    for values in (*curves.beta_matrices(grid), master_residual(gen, curves, grid)):
+        assert np.isfinite(values).all()
 
 
 def test_geometric_grid_endpoints():
