@@ -199,14 +199,19 @@ def exp_beta_pair(q_u, d_u, q_v, d_v, q_uv, q_vu, c, t):
     return np.exp(beta).reshape(np.shape(t))
 
 
+def is_integer(value):
+    """Whether value is an int or a numpy integer, and not a bool (JSON true)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def geometric_grid(horizon, n_points=32, t_min_fraction=1e-3):
     """Geometric time grid on [t_min_fraction * horizon, horizon]."""
     if not (np.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
     if not 0.0 < t_min_fraction < 1.0:
         raise ValueError(f"t_min_fraction must lie in (0, 1), got {t_min_fraction}")
-    if n_points < 2:
-        raise ValueError("need at least two grid points")
+    if not (is_integer(n_points) and n_points >= 2):
+        raise ValueError(f"grid_points must be an integer of at least 2, got {n_points!r}")
     return np.geomspace(t_min_fraction * horizon, horizon, n_points)
 
 

@@ -79,7 +79,7 @@ def _numerics(config) -> dict:
         raise ConfigError(f"unknown numerics key(s): {', '.join(map(repr, unknown))}")
     numerics.update(given)
     # a bad horizon or grid raises ValueError, which exits 2 before any output directory is made
-    geometric_grid(float(config.get("horizon", 1.0)), int(numerics["grid_points"]), numerics["t_min_fraction"])
+    geometric_grid(float(config.get("horizon", 1.0)), numerics["grid_points"], numerics["t_min_fraction"])
     return numerics
 
 
@@ -155,7 +155,7 @@ def cmd_dynamics(config, args) -> int:
     numerics = _numerics(config)
     with _staged(_out_dir(config, args)) as out:
         gen, horizon = _dynamics_generator(config, args)
-        grid = geometric_grid(horizon, int(numerics["grid_points"]), numerics["t_min_fraction"])
+        grid = geometric_grid(horizon, numerics["grid_points"], numerics["t_min_fraction"])
         solution = forward_solve(gen, grid)
         cdio.write_trajectory_csv(out / "trajectory.csv", solution, config)
         curves = curves_from_rates(gen, horizon=horizon, t_grid=grid)
@@ -194,10 +194,10 @@ def cmd_search(config, args) -> int:
         search_block["seed"] = args.seed
         config = {**config, "search": search_block}  # every writer hashes the config actually run
     search_config = SearchConfig(
-        restarts=int(search_block.get("restarts", 16)),
+        restarts=search_block.get("restarts", 16),
         max_iter=search_block.get("max_iter"),
-        seed=int(search_block.get("seed", 0)),
-        grid_points=int(numerics["grid_points"]),
+        seed=search_block.get("seed", 0),
+        grid_points=numerics["grid_points"],
         t_min_fraction=float(numerics["t_min_fraction"]),
         penalty_weight=float(search_block.get("penalty_weight", 1e4)),
         horizon=float(config.get("horizon", 1.0)),

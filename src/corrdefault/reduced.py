@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 from scipy.optimize import least_squares
 
-from ._num import _pair_profile, _shared_profile, geometric_grid, inv_softplus, popcounts, softplus
+from ._num import _pair_profile, _shared_profile, geometric_grid, inv_softplus, is_integer, popcounts, softplus
 from .ctmc import MonotoneGenerator
 
 
@@ -586,14 +586,17 @@ class SearchConfig:
     horizon: float = 1.0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
+        for name, least in (("restarts", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
         if not (np.isfinite(self.penalty_weight) and self.penalty_weight > 0.0):
             raise ValueError(f"penalty_weight must be finite and positive, got {self.penalty_weight}")
-        integer = isinstance(self.max_iter, (int, np.integer)) and not isinstance(self.max_iter, bool)
-        if self.max_iter is not None and not (integer and self.max_iter > 0):
+        if self.max_iter is not None and not (is_integer(self.max_iter) and self.max_iter > 0):
             raise ValueError(f"max_iter must be a positive integer or None, got {self.max_iter!r}")
-        geometric_grid(self.horizon, self.grid_points, self.t_min_fraction)  # checks the grid knobs
+        geometric_grid(self.horizon, self.grid_points, self.t_min_fraction)  # checks the grid knobs, grid_points too
 
 
 # A restart whose warm start did not solve the system re-seeds Nelder-Mead up
@@ -719,7 +722,8 @@ class _SearchProblem:
             (n,) = sizes
             self.dim = self.outer_dim = n
             self.table_size = n + 1
-            self.scatter = np.arange(n)
+            self.scatter = self.outer_pos = np.arange(n)
+            self.inner = np.zeros(0, dtype=int)  # no rate is solved for
             # lam2 enters the curves, and is lam[N] = 0 when N = 2; q = lam0 / N
             positive, q_at, q_div = np.arange(max(n, 3)), [0], [n]
             self.layout = _layout_I(n, np.arange(3, n + 1))  # rows k = 1, 2 hold by construction
@@ -728,6 +732,7 @@ class _SearchProblem:
         # the rates the curves need positive, and those whose q = rate / size must not underflow to 0
         self.guard_at = np.concatenate([positive, q_at])
         self.guard_div = np.concatenate([np.ones(len(positive)), q_div])[:, None]
+        self.warm_guard = ~np.isin(self.guard_at, self.inner)  # those the warm start has before its solve
         self.ls_length = self.layout.gather.shape[1] * len(self.grid) + len(self.targets)
 
     def _init_bipartite(self, m, n):
@@ -740,7 +745,6 @@ class _SearchProblem:
         ctor = _CTOR_CELLS
         skip = [(0, 0), (1, 0), (1, 1)] + ([(0, 1)] if kind == "III" else [])  # hold by construction
         scored = [cell for cell in cells if cell not in skip]
-        row = {cell: r for r, cell in enumerate(scored)}
         # Model II pins check00 = (N/M) hat00 through one shared coordinate s
         hat_free = [(i, j) for i, j in cells if i < m and (kind == "III" or (i, j) != (0, 0))]
         check_free = [(i, j) for i, j in cells if j < n and (kind == "III" or (i, j) != (0, 0))]
@@ -755,28 +759,16 @@ class _SearchProblem:
         self.outer_dim = (kind == "II") + len(self.outer_pos)
         self.layout = _layout_bi(m, n, scored, kind == "II")
 
-        # _solve_inner's design matrix: each unknown enters its own cell with
-        # weight t and its downstream cell through one inflow term
-        n_grid = len(self.grid)
-        unknowns = [(c, True) for c in hat_inner] + [(c, False) for c in check_inner]
-        self.inner = np.array([hat[c] if is_hat else check[c] for c, is_hat in unknowns])
-        self.design = np.zeros((len(scored) * n_grid, len(unknowns)))
-        down_at, down_coef, down_ena, down_exp = [], [], [], []
-        for u, ((mm, nn), is_hat) in enumerate(unknowns):
-            if (mm, nn) in row:
-                self.design[row[(mm, nn)] * n_grid : (row[(mm, nn)] + 1) * n_grid, u] = self.grid
-            down = (mm + 1, nn) if is_hat else (mm, nn + 1)
-            if down in row:
-                down_at.append((row[down] * n_grid + np.arange(n_grid)) * len(unknowns) + u)
-                down_coef.append((mm + 1.0) / (m - mm) if is_hat else (nn + 1.0) / (n - nn))
-                down_ena.append(0 if is_hat or kind == "II" else 1)
-                down_exp.append(nn if is_hat else mm)
-        self.down_at = np.array(down_at)
-        self.down_coef = np.array(down_coef)[:, None]
-        self.down_ena, self.down_exp = np.array(down_ena, dtype=int), np.array(down_exp, dtype=int)
+        # _solve_inner's unknowns, and where _block reads them: (cell, unknown) of each own
+        # rate, and (inflow, cell, unknown) of each upstream one
+        self.inner = np.array([hat[c] for c in hat_inner] + [check[c] for c in check_inner])
+        n_inflow = len(self.layout.inflow_coef)
+        self.own_at = np.nonzero(self.layout.gather[n_inflow:, :, None] == self.inner)[1:]
+        self.inflow_at = np.nonzero(self.layout.gather[:n_inflow, :, None] == self.inner)
         # scipy.linalg.lstsq's gelsy driver, with the workspace size it would query on every call
-        self.gelsy, gelsy_lwork = get_lapack_funcs(("gelsy", "gelsy_lwork"), (self.design,))
-        self.gelsy_lwork = int(gelsy_lwork(*self.design.shape, 1, np.finfo(float).eps)[0])
+        self.gelsy, gelsy_lwork = get_lapack_funcs(("gelsy", "gelsy_lwork"))
+        shape = (len(scored) * len(self.grid), len(self.inner))
+        self.gelsy_lwork = int(gelsy_lwork(*shape, 1, np.finfo(float).eps)[0])
         # interior rates; q_hat = hat00 / M, and Model III's q_check = check00 / N
         q_at, q_div = ([self.ctor[0], self.ctor[4]], [m, n]) if kind == "III" else ([self.ctor[0]], [m])
         return np.concatenate([hat[:-1].ravel(), check[:, :-1].ravel()]), q_at, q_div
@@ -790,9 +782,12 @@ class _SearchProblem:
         tab[positions] = rates
         return tab
 
-    def _admissible(self, tab):
-        """Columns whose curve rates are positive and whose q = rate / size (0 for a subnormal rate) are not 0."""
-        return (tab[self.guard_at] / self.guard_div).min(0) > 0.0
+    def _admissible(self, tab, rows=slice(None)):
+        """Columns whose curve rates are positive and whose q = rate / size (0 for a subnormal rate) are not 0.
+
+        rows selects the guarded rates, all by default.
+        """
+        return (tab[self.guard_at[rows]] / self.guard_div[rows]).min(0) > 0.0
 
     @staticmethod
     def _columns(rows):
@@ -816,34 +811,27 @@ class _SearchProblem:
             values = np.concatenate([[tab[self.ctor[0]] / self.sizes[0]], values])
         return np.asarray(inv_softplus(values), dtype=float)
 
-    def _finish(self, ea, ena, ap, bp, beta):
-        """Profile tuple: e^{-alpha} and alpha' rows, beta', the e^{-j beta} table, terminal deltas.
+    def _profile(self, tab):
+        """Profile of raw tables, one per column, under the curves reduced_curves_X builds.
 
-        The grid ends exactly at the horizon, so terminal values are the last
-        profile entries.
+        The e^{-alpha} and alpha' rows, beta', the e^{-j beta} table, then the
+        terminal deltas: the grid ends exactly at the horizon, so terminal
+        values are the last profile entries.
         """
-        deltas = np.concatenate([np.log(ea[:, :, -1]), beta[None, :, -1]]) - self.targets[:, None]
-        return ena, ap, bp, np.exp(self.layout.neg_j * beta), deltas
-
-    def _parts(self, tab):
-        """Kept residual blocks and terminal deltas of raw tables, under the curves reduced_curves_X builds."""
         if self.kind == "I":
             kernel, constants = _shared_profile, _constants_I(*self._columns(tab[:3]), self.sizes[0])
         else:
             kernel = _shared_profile if self.kind == "II" else _pair_profile
             constants = _constants_bi(self.kind, *self.sizes, *self._columns(tab[self.ctor]))
-        prof = self._finish(*kernel(self.grid, *constants))
-        return _block(self.layout, tab, *prof[:4]), prof[-1]
+        ea, ena, ap, bp, beta = kernel(self.grid, *constants)
+        deltas = np.concatenate([np.log(ea[:, :, -1]), beta[None, :, -1]]) - self.targets[:, None]
+        return ena, ap, bp, np.exp(self.layout.neg_j * beta), deltas
 
     def _scores(self, tab):
         """(residual_max, terminal_mismatch) per column of tab."""
-        res, d = self._parts(tab)
-        if self.kind == "III":
-            # squared with pow, as numpy scalars are, since pow(x, 2) and x * x can round apart
-            mismatch = np.sqrt([a**2 + b**2 + c**2 for a, b, c in zip(*d.tolist())])
-        else:
-            mismatch = np.hypot(d[0], d[1])
-        return np.abs(res).max(axis=(0, 2), initial=0.0), mismatch  # 0 when no cell is scored (Model I, N = 2)
+        *prof, deltas = self._profile(tab)
+        res = _block(self.layout, tab, *prof)
+        return np.abs(res).max(axis=(0, 2), initial=0.0), np.hypot.reduce(deltas, axis=0)  # 0 when no cell is scored
 
     def evaluate(self, x):
         """(residual_max, terminal_mismatch) at full-space x; both inf for no x or a rejected table."""
@@ -874,60 +862,55 @@ class _SearchProblem:
         lower edge) stacked with sqrt(penalty)-scaled terminal deltas; its
         zeros are exactly the zeros of the search objective.
         """
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if self.kind == "I":
-                tab = self._fill(softplus(np.asarray(outer_x, dtype=float)), self.scatter)[:, None]
-                if not self._admissible(tab)[0]:
-                    return np.full(self.ls_length, 1e6)
-                res, deltas = self._parts(tab)
-            else:
-                tab, prof = self._warm(outer_x)
-                if not np.isfinite(tab).all():  # a table that assemble's LumpedRatesBi rejects
-                    return np.full(self.ls_length, 1e6)
-                res, deltas = _block(self.layout, tab, *prof[:4]), prof[-1]
-            vec = np.concatenate([(res[:, 0] * self.grid).reshape(-1), self.sqrt_penalty * deltas[:, 0]])
+        tab, res, deltas = self._warm(outer_x)
+        if not np.isfinite(tab).all():  # a table that assemble's LumpedRates* rejects
+            return np.full(self.ls_length, 1e6)
+        vec = np.concatenate([(res[:, 0] * self.grid).reshape(-1), self.sqrt_penalty * deltas[:, 0]])
         return np.where(np.isfinite(vec), vec, 1e6)
 
     def _warm(self, outer_x):
-        """Full raw table from outer softplus coordinates (inner solved), and its profile.
+        """Full raw table from outer softplus coordinates (inner rates solved), its residual block and deltas.
 
-        The warm start builds its curves straight from the outer rates: drift
-        gaps grouped as (r - a) - b and Model II's q = s, unlike
-        reduced_curves_II/III.
+        Outer rates the guard rejects give a table of NaN rates, and no curves:
+        they would divide by a q of 0.
         """
-        outer = softplus(np.asarray(outer_x, dtype=float))
-        m, n = self.sizes
-        if self.kind == "II":
-            s, h10, h01, h11, c10, c11 = outer
-            r = m * s + n * s
-            prof = _shared_profile(self.grid, s, r - h10 - c10, h01 / m + c10 / n, r - h11 - c11)
-        else:
-            h00, h10, h01, h11, c00, c10, c01, c11 = outer
-            r = h00 + c00
-            prof = _pair_profile(
-                self.grid, h00 / m, r - h10 - c10, c00 / n, r - h01 - c01, h01 / m, c10 / n, r - h11 - c11
-            )
-        prof = self._finish(*prof)
-        return self._solve_inner(self._fill(outer, self.outer_pos)[:, None], prof), prof
+        tab = self._fill(softplus(np.asarray(outer_x, dtype=float)), self.outer_pos)[:, None]
+        if not self._admissible(tab, self.warm_guard)[0]:
+            tab[self.guard_at] = np.nan
+            return tab, None, None
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            *prof, deltas = self._profile(tab)
+            tab = self._solve_inner(tab, prof)
+            return tab, _block(self.layout, tab, *prof), deltas
+
+    def _inner_system(self, tab, prof):
+        """(A, b) of the one table tab: with its inner rates set to x, the t-weighted residual block is A x - b.
+
+        The inner (non-constructor) rates enter the scored residuals
+        linearly, with weight 1 in their own cell and their inflow factor in
+        the downstream one; A reads both off the layout.
+        """
+        ena, _, _, exp_nb = prof
+        layout, t = self.layout, self.grid
+        a = np.zeros((layout.gather.shape[1], len(t), len(self.inner)))
+        a[self.own_at[0], :, self.own_at[1]] = t
+        k, cell, u = self.inflow_at
+        coef = layout.inflow_coef[..., None] * ena[:, None] * exp_nb[layout.exp_row]  # _block's, in its order
+        a[cell, :, u] = -coef[k, cell, 0] * t
+        return a.reshape(-1, len(self.inner)), (-_block(layout, tab, *prof)[:, 0] * t).ravel()
 
     def _solve_inner(self, tab, prof):
-        """Fill the non-constructor entries by weighted least squares.
+        """Fill the inner rates of the one table tab by weighted least squares, floored at a tiny positive rate.
 
-        Those entries enter the scored residuals linearly (own-cell sum plus
-        one downstream inflow term each), so for fixed constructor rates the
-        best-fitting table is a small linear problem.  Rows are weighted by t
-        to tame the 1/t growth of the residuals near the grid's lower edge;
-        the solution is floored at a tiny positive rate to stay admissible.
+        Rows are weighted by t to tame the 1/t growth of the residuals near
+        the grid's lower edge.
         """
-        ena, _, _, exp_nb, _ = prof
-        a = self.design.copy()
-        coef = self.down_coef * ena[self.down_ena, 0] * exp_nb[self.down_exp, 0]
-        a.reshape(-1)[self.down_at] = -coef * self.grid
-        b = (-_block(self.layout, tab, *prof[:4])[:, 0] * self.grid).ravel()
-        n_unknowns = len(self.inner)
-        solution = self.gelsy(a, b, np.zeros(n_unknowns, np.int32), np.finfo(float).eps, self.gelsy_lwork)[1]
-        tab = tab.copy()
-        tab[self.inner, 0] = np.maximum(solution[:n_unknowns], 1e-10)
+        if not len(self.inner):  # Model I
+            return tab
+        n_inner = len(self.inner)
+        a, b = self._inner_system(tab, prof)
+        solution = self.gelsy(a, b, np.zeros(n_inner, np.int32), np.finfo(float).eps, self.gelsy_lwork)[1]
+        tab[self.inner, 0] = np.maximum(solution[:n_inner], 1e-10)
         return tab
 
     def assemble(self, outer_x):
@@ -1091,8 +1074,7 @@ def feasibility_search(model, targets, config: SearchConfig = SearchConfig()) ->
             x_full = warm.x
         else:
             try:
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    x_full = problem.pack(problem.assemble(warm.x))
+                x_full = problem.pack(problem.assemble(warm.x))
             except ValueError:  # a warm table with a rate of 0 or a non-finite one is reported, not polished
                 x_full = None
         # a warm start that already solved the system only needs a short

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from corrdefault.ctmc import MonotoneGenerator, random_generator
 from corrdefault.model import Graph, ModelParams
+from corrdefault.reduced import _SearchProblem
 
 # Every run replays the same examples, and no example is failed for its
 # wall-clock time, which varies run to run on a loaded machine.
@@ -26,6 +27,19 @@ def unreachable_triple_generator():
     rates = random_generator(4, seed=1).rates.copy()
     rates[0b011, 2] = rates[0b101, 1] = rates[0b110, 0] = 0.0
     return MonotoneGenerator(4, rates)
+
+
+def reject_restart_1(patcher):
+    """Make _SearchProblem.assemble reject the second table it assembles: restart 1's, in a fresh search."""
+    assemble, calls = _SearchProblem.assemble, []
+
+    def patched(problem, outer_x):
+        calls.append(outer_x)
+        if len(calls) == 2:
+            raise ValueError("interior lumped rates must be positive and finite")
+        return assemble(problem, outer_x)
+
+    patcher.setattr(_SearchProblem, "assemble", patched)
 
 
 def random_graph(rng, n_vertices, edge_prob=0.6):

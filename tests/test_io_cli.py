@@ -21,7 +21,7 @@ from corrdefault.model import (
     full_distribution,
 )
 
-from conftest import random_model, unreachable_triple_generator
+from conftest import random_model, reject_restart_1, unreachable_triple_generator
 
 
 def write_json(path, payload):
@@ -550,11 +550,14 @@ class TestCmdSearch:
             ("search", {"numerics": {"t_min_fraction": 2.0}}, "t_min_fraction must lie in (0, 1), got 2.0"),
             ("dynamics", {"horizon": float("inf")}, "horizon must be finite and positive, got inf"),
             ("dynamics", {"numerics": {"t_min_fraction": 2.0}}, "t_min_fraction must lie in (0, 1), got 2.0"),
+            ("search", {"numerics": {"grid_points": 8.7}}, "grid_points must be an integer of at least 2, got 8.7"),
+            ("search", {"numerics": {"grid_points": True}}, "grid_points must be an integer of at least 2, got True"),
+            ("dynamics", {"numerics": {"grid_points": 8.7}}, "grid_points must be an integer of at least 2, got 8.7"),
         ],
     )
     def test_bad_numerics_exit_2(self, tmp_path, capsys, command, patch, message):
         # the search cases used to exit 0, with a warm-start floor, a NaN floor or times past the horizon;
-        # dynamics exited 2 without naming the bad knob
+        # dynamics exited 2 without naming the bad knob; both ran grid_points 8.7 as 8
         gen_path = tmp_path / "gen.json"
         cdio.write_generator_json(gen_path, random_generator(3, seed=1))
         config = {"model": "I", "N": 3, "targets": {"alpha": 0.3, "beta": 0.0}, "io": {"generator_file": str(gen_path)}}
@@ -571,9 +574,14 @@ class TestCmdSearch:
             ({"restarts": 0}, "restarts must be at least 1, got 0"),
             ({"penalty_weight": -1.0}, "penalty_weight must be finite and positive, got -1.0"),
             ({"penalty_weight": float("nan")}, "penalty_weight must be finite and positive, got nan"),
+            ({"restarts": 2.5}, "restarts must be an integer, got 2.5"),
+            ({"restarts": True}, "restarts must be an integer, got True"),
+            ({"seed": 1.9}, "seed must be an integer, got 1.9"),
+            ({"seed": -1}, "seed must be at least 0, got -1"),
         ],
     )
     def test_bad_search_knobs_exit_2(self, tmp_path, capsys, search, message):
+        # restarts 2.5 ran 2 restarts and True 1, and seed 1.9 ran seed 1
         config = {"model": "I", "N": 3, "targets": {"alpha": 0.3, "beta": 0.0}, "search": search}
         config["io"] = {"out_dir": str(tmp_path / "out")}
         assert self._run(tmp_path, config) == 2
@@ -592,14 +600,15 @@ class TestCmdSearch:
             assert repr(key) in err
         assert not (tmp_path / "out").exists()
 
-    def test_rejected_warm_table_exits_0(self, tmp_path):
-        # restart 1's warm start ends at a zero rate, which exited 2 with "interior lumped rates must be positive"
+    def test_rejected_warm_table_exits_0(self, tmp_path, monkeypatch):
+        # a warm table with a zero rate exited 2 with "interior lumped rates must be positive"
+        reject_restart_1(monkeypatch)
         out = tmp_path / "out"
         config = {"model": "II", "M": 3, "N": 3, "targets": {"alpha": 0.3, "beta": 0.25}}
         config.update(search={"restarts": 4, "seed": 975633704}, io={"out_dir": str(out)})
         assert self._run(tmp_path, config) == 0
         rows = (out / "restarts.csv").read_text().splitlines()[3:]
-        assert rows[1] == "1,245,inf,inf,inf"
+        assert rows[1] == "1,420,inf,inf,inf"
         assert json.loads((out / "result.json").read_text())["best_index"] != 1
 
     def test_no_warm_table_exits_4(self, tmp_path, capsys):

@@ -2,7 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import minimize, rosen
@@ -16,7 +16,7 @@ from corrdefault.reduced import (
     ReducedCurvesIII,
     SearchConfig,
     SearchFailedError,
-    SharedAlphaCurves,
+    _block,
     _nelder_mead,
     _normalize_targets,
     _SearchProblem,
@@ -37,6 +37,7 @@ from corrdefault.reduced import (
 )
 
 import oracles
+from conftest import reject_restart_1
 from oracles import integrate_scalar_ode
 
 
@@ -534,18 +535,24 @@ class TestFeasibilitySearch:
         + [{"penalty_weight": w} for w in (-1.0, 0.0, np.nan, np.inf)]
         + [{"max_iter": m} for m in (0, -3, 2.5, True)]
         + [{"horizon": h} for h in (np.nan, np.inf, 0.0)]
-        + [{"t_min_fraction": f} for f in (2.0, 1.0, 0.0, np.nan)],
+        + [{"t_min_fraction": f} for f in (2.0, 1.0, 0.0, np.nan)]
+        + [{"restarts": r} for r in (2.5, True)]
+        + [{"seed": s} for s in (-1, 1.9, True)]
+        + [{"grid_points": g} for g in (1, 8.7, True)],
     )
     def test_config_rejects_bad_knobs(self, knobs):
         # restarts=0 used to fail with KeyError('x'); a weight <= 0 ran and ignored or rewarded mismatch;
         # max_iter 0 or 2.5 ran no polish and True (JSON true) a one-evaluation one, a NaN horizon
-        # reported a NaN floor, and t_min_fraction 2.0 scored times past the horizon
+        # reported a NaN floor, and t_min_fraction 2.0 scored times past the horizon; the CLI truncated
+        # restarts 2.5 to 2, True to 1, seed 1.9 to 1 and grid_points 8.7 to 8
         with pytest.raises(ValueError, match=next(iter(knobs))):
             SearchConfig(**knobs)
 
-    def test_rejected_warm_table_is_reported(self):
-        # restart 1's warm start ends at a hat10 coordinate near -793, whose rate is exactly 0, and
-        # assembling its table raised "interior lumped rates must be positive and finite"
+    def test_rejected_warm_table_is_reported(self, monkeypatch):
+        # a warm table with a rate of 0 raised "interior lumped rates must be positive and finite".  Such a
+        # table scores all 1e6 in ls_residual, so no trust-region step from a valid start accepts it, and
+        # assemble is made to reject restart 1's table instead
+        reject_restart_1(monkeypatch)
         targets = {"alpha": 0.3, "beta": 0.25}
         result = feasibility_search(("II", 3, 3), targets, SearchConfig(restarts=4, seed=975633704))
         rejected = result.trace[1]
@@ -611,60 +618,38 @@ def _scored(problem, lumped, curves):
     return oracles.residual_bipartite(lumped, curves, grid)[keep], deltas, repaired
 
 
-def _public_curves(problem, x):
-    """The rate table at x and the curves the public constructor builds from it (ValueError if rejected)."""
-    lumped = problem.unpack(x)
+def _public_curves(problem, lumped):
+    """The curves the public constructor builds from a rate table (ValueError if it rejects the rates)."""
     if problem.kind == "I":
-        return lumped, reduced_curves_I(*lumped.lam[:3], lumped.n_vertices)
-    return lumped, (reduced_curves_II if problem.kind == "II" else reduced_curves_III)(lumped)
+        return reduced_curves_I(*lumped.lam[:3], lumped.n_vertices)
+    return (reduced_curves_II if problem.kind == "II" else reduced_curves_III)(lumped)
 
 
 def reference_objective(problem, x):
     """The objective from the oracle copies, and whether a curve cell took its 50-digit value."""
     with np.errstate(all="ignore"):
         try:
-            lumped, curves = _public_curves(problem, x)
+            lumped = problem.unpack(x)
+            curves = _public_curves(problem, lumped)
         except ValueError:
             return 1e12, False
         res, d, repaired = _scored(problem, lumped, curves)
-        if problem.kind == "III":
-            mismatch = float(np.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2))
-        else:
-            mismatch = float(np.hypot(d[0], d[1]))
+        mismatch = float(np.hypot.reduce(d))
         value = float(np.max(np.abs(res))) + problem.config.penalty_weight * mismatch * mismatch
     return (value if np.isfinite(value) else 1e12), repaired
 
 
-def warm_curves(problem, outer_x):
-    """Curves of the warm start, built from the outer rates as the search builds them."""
-    m, n = problem.sizes
-    rates = softplus(np.asarray(outer_x, dtype=float))
-    if problem.kind == "II":
-        s, h10, h01, h11, c10, c11 = rates
-        r = m * s + n * s
-        return SharedAlphaCurves((m, n), s, r - h10 - c10, h01 / m + c10 / n, r - h11 - c11)
-    h00, h10, h01, h11, c00, c10, c01, c11 = rates
-    r = h00 + c00
-    return ReducedCurvesIII(
-        (m, n), h00 / m, r - h10 - c10, c00 / n, r - h01 - c01, h01 / m, c10 / n, r - h11 - c11
-    )
-
-
 def reference_ls_residual(problem, outer_x):
-    """ls_residual from the oracle copies, and whether a curve cell took its 50-digit value."""
+    """ls_residual from the oracle copies, on the table the warm start assembles.
+
+    Also whether a curve cell took its 50-digit value.
+    """
     with np.errstate(all="ignore"):
-        if problem.kind == "I":
-            try:
-                lumped = problem.unpack(outer_x)
-                curves = reduced_curves_I(*lumped.lam[:3], lumped.n_vertices)
-            except ValueError:
-                return np.full(problem.ls_length, 1e6), False
-        else:
-            try:
-                lumped = problem.assemble(outer_x)
-            except ValueError:  # LumpedRatesBi rejects a non-finite warm-start table
-                return np.full(problem.ls_length, 1e6), False
-            curves = warm_curves(problem, outer_x)
+        try:
+            lumped = problem.assemble(outer_x)
+            curves = _public_curves(problem, lumped)
+        except ValueError:  # LumpedRates* reject a warm table with a rate of 0 or a non-finite one
+            return np.full(problem.ls_length, 1e6), False
         res, deltas, repaired = _scored(problem, lumped, curves)
         scaled = np.sqrt(problem.config.penalty_weight) * np.array(deltas)
         vec = np.concatenate([(res * problem.grid).reshape(-1), scaled])
@@ -688,7 +673,8 @@ def _check_public_path(problem, x, data):
     """
     with np.errstate(all="ignore"):
         try:
-            lumped, curves = _public_curves(problem, x)
+            lumped = problem.unpack(x)
+            curves = _public_curves(problem, lumped)
         except ValueError:
             return
         t = np.array(data.draw(st.permutations(np.append(problem.grid, 1e-9).tolist())))
@@ -721,9 +707,6 @@ def _check_evaluation_path(problem, data):
     _assert_matches(problem.objective(x), *reference_objective(problem, x))
     _check_public_path(problem, x, data)
     outer = _coords(data, problem.outer_dim)
-    if problem.kind != "I":
-        # assemble validates its table; a constructor rate of exactly 0 has none
-        assume(np.all(softplus(outer) > 0.0))
     _assert_matches(problem.ls_residual(outer), *reference_ls_residual(problem, outer))
 
 
@@ -754,15 +737,39 @@ class TestSearchEvaluationPath:
             problem.assemble(outer)
         np.testing.assert_array_equal(problem.ls_residual(outer), np.full(problem.ls_length, 1e6))
 
-    @pytest.mark.parametrize("kind, sizes, index", [("I", (4,), 0), ("III", (4, 3), 0), ("III", (4, 3), 16)])
+    @pytest.mark.parametrize(
+        "kind, sizes, index", [("I", (4,), 0), ("III", (4, 3), 0), ("III", (4, 3), 16), ("II", (3, 3), 0)]
+    )
     def test_subnormal_rates_are_rejected(self, kind, sizes, index):
-        # softplus(-745) is the subnormal 5e-324: positive, but rate / size underflows to 0
+        # softplus(-745) is the subnormal 5e-324: positive, but rate / size underflows to 0 (Model I's q,
+        # Model III's q_hat and q_check), or the curves divide by a subnormal q (Model II's s).  The warm
+        # start guards its outer rates before building curves, whose float constants would divide by 0
         problem = _problem(kind, sizes)
         x = np.zeros(problem.dim)
         x[index] = -745.0
         assert problem.objective(x) == 1e12
-        if kind == "I":  # the bipartite warm start divides numpy scalars, which give inf instead
-            np.testing.assert_array_equal(problem.ls_residual(x), np.full(problem.ls_length, 1e6))
+        # index 0 is lam0, s or hat00 in the full and the outer coordinates; Model III's check00 is 16 and 4
+        outer = np.zeros(problem.outer_dim)
+        outer[{16: 4}.get(index, index)] = -745.0
+        np.testing.assert_array_equal(problem.ls_residual(outer), np.full(problem.ls_length, 1e6))
+
+    @settings(max_examples=30)
+    @given(case=st.sampled_from([("II", (3, 3)), ("II", (2, 4)), ("III", (4, 3)), ("III", (2, 3))]), data=st.data())
+    def test_inner_system_is_exact(self, case, data):
+        # the inner rates enter the t-weighted residual block affinely, with the coefficients read off the layout
+        problem = _problem(*case)
+
+        def floats(low, high, size):
+            return np.array(data.draw(st.lists(st.floats(low, high), min_size=size, max_size=size)))
+
+        tab = problem._fill(softplus(floats(-3.0, 3.0, problem.outer_dim)), problem.outer_pos)[:, None]
+        *prof, _ = problem._profile(tab)
+        a, b = problem._inner_system(tab, prof)
+        x = floats(1e-3, 5.0, len(problem.inner))
+        tab[problem.inner, 0] = x
+        weighted = (_block(problem.layout, tab, *prof)[:, 0] * problem.grid).ravel()
+        scale = max(np.abs(a * x).max(), np.abs(b).max())
+        np.testing.assert_allclose(weighted, a @ x - b, rtol=0.0, atol=1e-12 * scale)
 
 
 BATCH_CASES = [("I", (3,)), ("I", (5,)), ("II", (3, 3)), ("II", (2, 4)), ("III", (4, 3)), ("III", (2, 3))]
