@@ -76,12 +76,15 @@ def alpha_values(q, delta, t):
     """(alpha, alpha', e^alpha) solving alpha' = delta + q e^{-alpha} with e^alpha -> 0 as t -> 0.
 
     e^alpha = (q/delta)(e^{delta t} - 1) and alpha' = delta/(1 - e^{-delta t}),
-    continuous through delta = 0 (alpha' -> 1/t).
+    continuous through delta = 0 (alpha' -> 1/t).  Where e^alpha overflows,
+    alpha = log(q t) + log phi_minus(-delta t) stays in range.
     """
     t = np.asarray(t, dtype=float)
-    exp_alpha = q * t * expm1_over(delta * t)
-    with np.errstate(divide="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
+        exp_alpha = q * t * expm1_over(delta * t)
         alpha = np.log(exp_alpha)
+    if np.isposinf(alpha).any():
+        alpha = np.where(np.isposinf(alpha), np.log(q * t) + _log_phi_minus(-delta * t), alpha)
     return alpha, 1.0 / (t * phi_minus(delta * t)), exp_alpha
 
 

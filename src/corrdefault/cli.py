@@ -58,26 +58,40 @@ class ConfigError(ValueError):
     """Invalid or incomplete run configuration."""
 
 
+# The keys each config block may hold; one schema for every subcommand.
+_KEYS = {
+    "config": {"io", "numerics", "horizon", "independent", "model", "N", "M", "targets", "search"},
+    "io": {"model_file", "generator_file", "targets_file", "out_dir"},
+    "independent": {"alpha"},
+    "numerics": {"t_min_fraction", "grid_points"},
+    "search": {"restarts", "max_iter", "seed"},
+}
+
+
+def _check_block(name, block):
+    """Require block to be a JSON object holding only the keys _KEYS[name] allows."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    unknown = sorted(set(block) - _KEYS[name])
+    if unknown:
+        raise ConfigError(f"unknown {name} key(s): {', '.join(map(repr, unknown))}")
+
+
 def _load_config(path) -> dict:
     try:
         with open(path) as handle:
             config = json.load(handle)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
+    _check_block("config", config)
+    for name in sorted(_KEYS.keys() & config.keys()):
+        _check_block(name, config[name])
     return config
 
 
 def _numerics(config) -> dict:
     numerics = {"t_min_fraction": 1e-3, "grid_points": 32}
-    given = config.get("numerics", {})
-    unknown = sorted(set(given) - set(numerics))
-    if unknown:
-        raise ConfigError(f"unknown numerics key(s): {', '.join(map(repr, unknown))}")
-    numerics.update(given)
+    numerics.update(config.get("numerics", {}))
     # a bad horizon or grid raises ValueError, which exits 2 before any output directory is made
     geometric_grid(float(config.get("horizon", 1.0)), numerics["grid_points"], numerics["t_min_fraction"])
     return numerics
@@ -103,26 +117,26 @@ def _staged(out: Path):
 
 def cmd_model(config, args) -> int:
     io_block = config.get("io", {})
-    model_file = io_block.get("model_file")
+    model_file, targets_file = io_block.get("model_file"), io_block.get("targets_file")
     if model_file is None:
         raise ConfigError("model command needs io.model_file")
+    params = cdio.read_model_json(model_file)
+    if args.fit:
+        if targets_file is None:
+            raise ConfigError("--fit needs io.targets_file")
+        with open(targets_file) as handle:
+            targets = json.load(handle)
+        vertex_targets = np.asarray(targets["vertex_targets"], dtype=float)
+        pair_targets = np.zeros(params.graph.n_edges)
+        for entry in targets.get("pair_targets", []):
+            u, v = (int(x) for x in entry["edge"])
+            pair_targets[params.graph.edge_position(u, v)] = float(entry["value"])
     with _staged(_out_dir(config, args)) as out:
-        params = cdio.read_model_json(model_file)
         dist = full_distribution(params)
         cdio.write_distribution_csv(out / "distribution.csv", dist, config)
         cdio.write_json(out / "ising.json", cdio.ising_to_dict(to_ising(params)), config)
         cdio.write_interactions_csv(out / "interactions.csv", extract_interactions(dist), config)
         if args.fit:
-            targets_file = io_block.get("targets_file")
-            if targets_file is None:
-                raise ConfigError("--fit needs io.targets_file")
-            with open(targets_file) as handle:
-                targets = json.load(handle)
-            vertex_targets = np.asarray(targets["vertex_targets"], dtype=float)
-            pair_targets = np.zeros(params.graph.n_edges)
-            for entry in targets.get("pair_targets", []):
-                u, v = (int(x) for x in entry["edge"])
-                pair_targets[params.graph.edge_position(u, v)] = float(entry["value"])
             fitted = fit_moments(params.graph, vertex_targets, pair_targets)
             cdio.write_model_json(out / "fitted_model.json", fitted, config)
             v_fit, p_fit = moments(fitted)
@@ -132,29 +146,27 @@ def cmd_model(config, args) -> int:
     return EXIT_OK
 
 
-def _dynamics_generator(config, args):
+def _dynamics_generator(config, horizon):
+    if "independent" in config:
+        return independent_generator(np.asarray(config["independent"]["alpha"], dtype=float), horizon)
+    generator_file = config.get("io", {}).get("generator_file")
+    if generator_file is None:
+        raise ConfigError("dynamics needs io.generator_file, an independent block, or --independent")
+    return cdio.read_generator_json(generator_file)
+
+
+def cmd_dynamics(config, args) -> int:
     if args.independent is not None:
         alpha_file, horizon_text = args.independent
         with open(alpha_file) as handle:
             payload = json.load(handle)
         alpha = payload["alpha"] if isinstance(payload, dict) else payload
-        return independent_generator(np.asarray(alpha, dtype=float), float(horizon_text)), float(
-            horizon_text
-        )
-    independent = config.get("independent")
-    if independent is not None:
-        horizon = float(independent.get("horizon", config.get("horizon", 1.0)))
-        return independent_generator(np.asarray(independent["alpha"], dtype=float), horizon), horizon
-    generator_file = config.get("io", {}).get("generator_file")
-    if generator_file is None:
-        raise ConfigError("dynamics needs io.generator_file, an independent block, or --independent")
-    return cdio.read_generator_json(generator_file), float(config.get("horizon", 1.0))
-
-
-def cmd_dynamics(config, args) -> int:
+        # every writer hashes the config actually run
+        config = {**config, "independent": {"alpha": [float(a) for a in alpha]}, "horizon": float(horizon_text)}
     numerics = _numerics(config)
+    horizon = float(config.get("horizon", 1.0))
+    gen = _dynamics_generator(config, horizon)
     with _staged(_out_dir(config, args)) as out:
-        gen, horizon = _dynamics_generator(config, args)
         grid = geometric_grid(horizon, numerics["grid_points"], numerics["t_min_fraction"])
         solution = forward_solve(gen, grid)
         cdio.write_trajectory_csv(out / "trajectory.csv", solution, config)
@@ -187,9 +199,6 @@ def cmd_search(config, args) -> int:
         raise ConfigError("search needs a targets object")
     numerics = _numerics(config)
     search_block = dict(config.get("search", {}))
-    unknown = sorted(set(search_block) - {"restarts", "max_iter", "seed", "penalty_weight"})
-    if unknown:
-        raise ConfigError(f"unknown search key(s): {', '.join(map(repr, unknown))}")
     if args.seed is not None:
         search_block["seed"] = args.seed
         config = {**config, "search": search_block}  # every writer hashes the config actually run
@@ -199,7 +208,6 @@ def cmd_search(config, args) -> int:
         seed=search_block.get("seed", 0),
         grid_points=numerics["grid_points"],
         t_min_fraction=float(numerics["t_min_fraction"]),
-        penalty_weight=float(search_block.get("penalty_weight", 1e4)),
         horizon=float(config.get("horizon", 1.0)),
     )
     out = _out_dir(config, args)
@@ -257,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="JSON run configuration")
         cmd.add_argument("--out", default=None, help="output directory (overrides io.out_dir)")
-        cmd.add_argument("--seed", type=int, default=None, help="override the configured seed")
+        if name == "search":
+            cmd.add_argument("--seed", type=int, default=None, help="override the configured search seed")
         if name == "model":
             cmd.add_argument("--fit", action="store_true", help="fit moments from io.targets_file")
         if name == "dynamics":
@@ -286,7 +295,7 @@ def main(argv=None) -> int:
     except (FitConvergenceError, SearchFailedError, ZeroProbabilityError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, FileNotFoundError, FileExistsError, NotADirectoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

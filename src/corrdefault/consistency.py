@@ -63,10 +63,6 @@ class BetaCurve:
     beta_prime: np.ndarray
     constants: Tuple[float, ...]
 
-    def __call__(self, t):
-        """(beta, beta') at arbitrary positive times."""
-        return _pair_values(t, self.constants)
-
 
 def beta_curve(
     q_u: float, q_v: float, q_uv: float, q_vu: float, r_empty: float, r_u: float, r_v: float, r_uv: float, t_grid
@@ -170,14 +166,12 @@ def curves_from_rates(gen: MonotoneGenerator, horizon: float = 1.0, t_grid=None)
     return ParamCurves(n, q, delta, pairs, constants, horizon=float(t_grid[-1]))
 
 
-def independent_curves(alpha, horizon: float = 1.0, t_grid=None) -> ParamCurves:
+def independent_curves(alpha, horizon: float = 1.0) -> ParamCurves:
     """Curves of the independent construction: closed-form alphas, no pair terms."""
     alpha = np.asarray(alpha, dtype=float)
     lam = np.logaddexp(0.0, alpha) / horizon
-    if t_grid is None:
-        t_grid = geometric_grid(horizon)
     no_pairs = np.zeros((0, 2), dtype=int), np.zeros((7, 0))
-    return ParamCurves(alpha.shape[0], lam, lam, *no_pairs, horizon=float(np.max(t_grid)))
+    return ParamCurves(alpha.shape[0], lam, lam, *no_pairs, horizon=float(horizon))
 
 
 # master_residual transforms at most this many cells at once (8 MB of floats).

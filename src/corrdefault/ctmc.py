@@ -19,7 +19,7 @@ from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.special import gammaln, xlogy
 
 from ._num import FORWARD_CAP, permuted_masks, softplus
-from .model import SubsetDist, bernoulli_product_distribution, subset_mask
+from .model import SubsetDist, bernoulli_product_distribution
 
 
 # Paths advance together in blocks of this many; the output does not depend on it.
@@ -64,9 +64,6 @@ class MonotoneGenerator:
         r = self.rates.sum(axis=1)
         r.setflags(write=False)
         return r
-
-    def rate(self, subset, vertex: int) -> float:
-        return float(self.rates[subset_mask(subset, self.n_vertices), vertex])
 
     @property
     def r_empty(self) -> float:
@@ -160,9 +157,6 @@ class ForwardSolution:
     probs: np.ndarray
     renormalized: np.ndarray
     n_terms: int = 0
-
-    def dist(self, index: int) -> SubsetDist:
-        return SubsetDist(self.n_vertices, self.probs[index])
 
 
 def _uniformised_step(gen: MonotoneGenerator, rate_bound: float):

@@ -55,10 +55,10 @@ class FitConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def _check_cap(n_vertices, cap=EXACT_ENUM_CAP):
-    if n_vertices > cap:
+def _check_cap(n_vertices):
+    if n_vertices > EXACT_ENUM_CAP:
         raise EnumerationCapError(
-            f"exact enumeration over {n_vertices} vertices exceeds the cap of {cap}"
+            f"exact enumeration over {n_vertices} vertices exceeds the cap of {EXACT_ENUM_CAP}"
         )
 
 
@@ -153,15 +153,6 @@ class Graph:
             cached = {e: i for i, e in enumerate(self.edges)}
             self.__dict__["_edge_index_cache"] = cached
         return cached
-
-    def is_complete(self) -> bool:
-        return self.n_edges == self.n_vertices * (self.n_vertices - 1) // 2
-
-    def is_complete_bipartite(self) -> bool:
-        if self.bipartition is None:
-            return False
-        hat, check = self.bipartition
-        return self.n_edges == len(hat) * len(check)
 
     def relabel(self, perm: Iterable[int]) -> "Graph":
         """Graph with vertex v renamed to perm[v]."""
@@ -439,14 +430,14 @@ def _check_target_feasibility(graph, vertex_targets, pair_targets):
             )
 
 
-def fit_moments(
-    graph: Graph,
-    vertex_targets,
-    pair_targets,
-    tol: float = 1e-8,
-    damping: float = 0.5,
-    max_iter: int = 10_000,
-) -> ModelParams:
+# fit_moments stops once every moment is within _FIT_TOL of its target, and
+# gives up after _FIT_SWEEPS sweeps; each sweep moves _FIT_DAMPING of the gap.
+_FIT_TOL = 1e-8
+_FIT_DAMPING = 0.5
+_FIT_SWEEPS = 10_000
+
+
+def fit_moments(graph: Graph, vertex_targets, pair_targets) -> ModelParams:
     """Parameters matching prescribed vertex marginals and edge pair probabilities.
 
     Damped coordinate updates in the style of iterative proportional fitting:
@@ -481,24 +472,24 @@ def fit_moments(
     alpha = np.array(target_logit)
     beta = np.zeros(graph.n_edges)
     residual = np.inf
-    for _ in range(max_iter):
+    for _ in range(_FIT_SWEEPS):
         cur_vertex, cur_pair = moments(ModelParams(graph, alpha, beta))
         residual = max(
             float(np.max(np.abs(cur_vertex - vertex_targets), initial=0.0)),
             float(np.max(np.abs(cur_pair - pair_targets), initial=0.0)),
         )
-        if residual <= tol:
+        if residual <= _FIT_TOL:
             return ModelParams(graph, alpha, beta)
-        alpha = alpha + damping * (target_logit - _logit(cur_vertex))
+        alpha = alpha + _FIT_DAMPING * (target_logit - _logit(cur_vertex))
         cur_lor = np.array(
             [
                 log_odds_ratio(cur_vertex[u], cur_vertex[v], p_uv)
                 for (u, v), p_uv in zip(graph.edges, cur_pair)
             ]
         )
-        beta = beta + damping * (target_lor - cur_lor)
+        beta = beta + _FIT_DAMPING * (target_lor - cur_lor)
     raise FitConvergenceError(
-        f"moment fit did not reach tol={tol} in {max_iter} sweeps (residual {residual:.3e})",
+        f"moment fit did not reach tol={_FIT_TOL} in {_FIT_SWEEPS} sweeps (residual {residual:.3e})",
         residual,
     )
 

@@ -582,7 +582,6 @@ class SearchConfig:
     seed: int = 0
     grid_points: int = 32
     t_min_fraction: float = 1e-3
-    penalty_weight: float = 1e4
     horizon: float = 1.0
 
     def __post_init__(self):
@@ -592,8 +591,6 @@ class SearchConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
-        if not (np.isfinite(self.penalty_weight) and self.penalty_weight > 0.0):
-            raise ValueError(f"penalty_weight must be finite and positive, got {self.penalty_weight}")
         if self.max_iter is not None and not (is_integer(self.max_iter) and self.max_iter > 0):
             raise ValueError(f"max_iter must be a positive integer or None, got {self.max_iter!r}")
         geometric_grid(self.horizon, self.grid_points, self.t_min_fraction)  # checks the grid knobs, grid_points too
@@ -604,6 +601,9 @@ class SearchConfig:
 # the value the previous round ended at.
 _POLISH_ROUNDS = 5
 _POLISH_GAIN = 0.5
+
+# The objective adds _PENALTY_WEIGHT times the squared terminal mismatch to the residual max.
+_PENALTY_WEIGHT = 1e4
 
 
 @dataclass(frozen=True)
@@ -713,11 +713,10 @@ class _SearchProblem:
     def __init__(self, kind, sizes, targets, config):
         self.kind = kind
         self.sizes = sizes
-        self.config = config
         self.grid = geometric_grid(config.horizon, config.grid_points, config.t_min_fraction)
         names = ("alpha_hat", "alpha_check", "beta") if kind == "III" else ("alpha", "beta")
         self.targets = np.array([targets[name] for name in names])
-        self.sqrt_penalty = np.sqrt(config.penalty_weight)
+        self.sqrt_penalty = np.sqrt(_PENALTY_WEIGHT)
         if kind == "I":
             (n,) = sizes
             self.dim = self.outer_dim = n
@@ -851,7 +850,7 @@ class _SearchProblem:
             tab[:, ~admissible] = np.nan
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             residual_max, mismatch = self._scores(tab)
-            total = residual_max + self.config.penalty_weight * mismatch * mismatch
+            total = residual_max + _PENALTY_WEIGHT * mismatch * mismatch
         value = np.where(np.isfinite(total), total, 1e12)
         return value if x.ndim == 2 else float(value[0])
 
@@ -1036,7 +1035,7 @@ def feasibility_search(model, targets, config: SearchConfig = SearchConfig()) ->
     """Multi-start Nelder-Mead search for admissible lumped rates.
 
     Minimizes (max lumped-equation residual over the scored occupancy
-    indices and the time grid) + penalty_weight * (terminal mismatch)^2 over
+    indices and the time grid) + _PENALTY_WEIGHT * (terminal mismatch)^2 over
     positive softplus-parameterized rates; boundary rates are pinned to zero
     and Model II carries the forced identity check00 = (N/M) hat00.
 

@@ -1,5 +1,7 @@
+import warnings
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -82,6 +84,24 @@ class TestAlphaCurve:
         exact, exact_prime, _ = alpha_curve(1.4, 1.0, 1.0, t)
         np.testing.assert_allclose(near, exact, atol=1e-6)
         np.testing.assert_allclose(near_prime, exact_prime, atol=1e-6)
+
+    def test_overflowing_exp_alpha_keeps_alpha_finite(self):
+        # with delta t past about 709.78, e^alpha is inf, and alpha used to be inf too
+        rates = random_generator(3, seed=1).rates.copy()
+        rates[0, 0] = 800.0
+        curves = curves_from_rates(MonotoneGenerator(3, rates))
+        grid = geometric_grid(1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            alpha, _, exp_alpha = curves.alpha(grid)
+            single, _, single_exp = alpha_curve(1.0, 800.0, 0.0, 1.0)
+        assert np.isinf(exp_alpha[-1]).all() and single_exp == np.inf
+        finite = np.isfinite(exp_alpha)
+        np.testing.assert_array_equal(alpha[finite], np.log(exp_alpha[finite]))  # the same bits as before
+        with mpmath.workdps(50):
+            for value, q, delta in [*zip(alpha[-1], curves.q, curves.delta), (single, 1.0, 800.0)]:
+                exact = mpmath.log(mpmath.mpf(float(q)) / float(delta) * mpmath.expm1(float(delta)))
+                assert abs(value - exact) <= 1e-15 * abs(exact)
 
 
 class TestBetaCurve:

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corrdefault import io as cdio
+from corrdefault import model as cdmodel
 from corrdefault.cli import main
 from corrdefault.ctmc import ForwardSolution, MonotoneGenerator, random_generator
 from corrdefault.reduced import _SearchProblem
@@ -251,6 +252,18 @@ class TestCmdModel:
         )
         assert main(["model", "--config", str(cfg_path), "--fit"]) == 3
 
+    def test_fit_that_does_not_converge_exits_4(self, tmp_path, capsys, monkeypatch, k2_model_file):
+        # one sweep from the product start cannot reach a pair target of 0.3
+        monkeypatch.setattr(cdmodel, "_FIT_SWEEPS", 1)
+        targets_path = tmp_path / "targets.json"
+        write_json(targets_path, {"vertex_targets": [0.4, 0.6], "pair_targets": [{"edge": [0, 1], "value": 0.3}]})
+        cfg_path = tmp_path / "run.json"
+        write_json(cfg_path, {"io": {"model_file": str(k2_model_file), "targets_file": str(targets_path)}})
+        out = tmp_path / "out"
+        assert main(["model", "--config", str(cfg_path), "--out", str(out), "--fit"]) == 4
+        assert "numeric failure: moment fit did not reach tol=1e-08 in 1 sweeps" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["model", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -274,6 +287,30 @@ class TestCmdDynamics:
         header = (out / "membership.csv").read_text().splitlines()
         peak = [float(l.split("=")[1]) for l in header if l.startswith("# max_residual")][0]
         assert peak <= 1e-9
+
+    def test_independent_flag_is_the_hashed_block(self, tmp_path):
+        # the flag's runs used to write one config_hash for every alpha file and horizon
+        numerics = {"grid_points": 8}
+        flag_path, alpha_path, block_path = tmp_path / "flag.json", tmp_path / "alpha.json", tmp_path / "block.json"
+        write_json(flag_path, {"numerics": numerics})
+        heads = set()
+        for alpha, horizon in (([0.3, -0.7], 1.0), ([1.5, 0.2], 1.0), ([0.3, -0.7], 2.0)):
+            write_json(alpha_path, {"alpha": alpha})
+            block = {"numerics": numerics, "independent": {"alpha": alpha}, "horizon": horizon}
+            write_json(block_path, block)
+            outputs = []
+            for name, argv in (
+                ("flag", ["--config", str(flag_path), "--independent", str(alpha_path), repr(horizon)]),
+                ("block", ["--config", str(block_path)]),
+            ):
+                out = tmp_path / f"{name}{len(heads)}"
+                assert main(["dynamics", *argv, "--out", str(out)]) == 0
+                outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+            assert outputs[0] == outputs[1]
+            head = f"# config_hash={cdio.config_hash(block)}"
+            assert {data.decode().splitlines()[1] for data in outputs[0].values()} == {head}
+            heads.add(head)
+        assert len(heads) == 3
 
     def test_empty_cell_matches_exit_rate(self, tmp_path):
         gen = random_generator(3, seed=4)
@@ -572,8 +609,8 @@ class TestCmdSearch:
         "search, message",
         [
             ({"restarts": 0}, "restarts must be at least 1, got 0"),
-            ({"penalty_weight": -1.0}, "penalty_weight must be finite and positive, got -1.0"),
-            ({"penalty_weight": float("nan")}, "penalty_weight must be finite and positive, got nan"),
+            (5, "search must be a JSON object"),
+            ([["seed", 1]], "search must be a JSON object"),
             ({"restarts": 2.5}, "restarts must be an integer, got 2.5"),
             ({"restarts": True}, "restarts must be an integer, got True"),
             ({"seed": 1.9}, "seed must be an integer, got 1.9"),
@@ -581,16 +618,19 @@ class TestCmdSearch:
         ],
     )
     def test_bad_search_knobs_exit_2(self, tmp_path, capsys, search, message):
-        # restarts 2.5 ran 2 restarts and True 1, and seed 1.9 ran seed 1
+        # restarts 2.5 ran 2 restarts and True 1, and seed 1.9 ran seed 1; a search block that is not an
+        # object exited 2 naming only a TypeError, and [["seed", 1]] ran seed 1
         config = {"model": "I", "N": 3, "targets": {"alpha": 0.3, "beta": 0.0}, "search": search}
         config["io"] = {"out_dir": str(tmp_path / "out")}
         assert self._run(tmp_path, config) == 2
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("search", [{"restart": 1}, {"restarts": 1, "seeds": 3, "maxiter": 5}])
+    @pytest.mark.parametrize(
+        "search", [{"restart": 1}, {"restarts": 1, "seeds": 3, "maxiter": 5}, {"penalty_weight": 1e4}]
+    )
     def test_unknown_search_key_exits_2(self, tmp_path, capsys, search):
-        # {"restart": 1} used to run the default 16 restarts and exit 0
+        # {"restart": 1} used to run the default 16 restarts and exit 0; penalty_weight is a constant now
         config = {"model": "I", "N": 3, "targets": {"alpha": 0.3, "beta": 0.0}, "search": search}
         config["io"] = {"out_dir": str(tmp_path / "out")}
         assert self._run(tmp_path, config) == 2
@@ -621,3 +661,60 @@ class TestCmdSearch:
             assert self._run(tmp_path, config) == 4
         assert "numeric failure: no warm start of the 2 restart(s) gave a valid rate table" in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize("command", ["model", "dynamics", "search"])
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ([1, 2], "config must be a JSON object"),
+            ({"horizn": 2.0}, "unknown config key(s): 'horizn'"),
+            ({"io": 5}, "io must be a JSON object"),
+            ({"io": {"model_fle": "m.json", "gen_file": "g.json"}}, "unknown io key(s): 'gen_file', 'model_fle'"),
+            ({"numerics": [32]}, "numerics must be a JSON object"),
+            ({"search": {"seed": 1, "penalty_weight": 1e4}}, "unknown search key(s): 'penalty_weight'"),
+            ({"independent": [0.3, -0.7]}, "independent must be a JSON object"),
+            ({"independent": {"alpha": [0.3, -0.7], "horizon": 2.0}}, "unknown independent key(s): 'horizon'"),
+        ],
+    )
+    def test_every_block_is_checked(self, tmp_path, capsys, command, config, message):
+        # {"io": 5} exited 1 with an AttributeError, {"horizn": 2.0} ran at horizon 1.0, and a block
+        # horizon overrode the top-level one without its check
+        cfg_path = tmp_path / "run.json"
+        write_json(cfg_path, config)
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["model", "dynamics"])
+    def test_seed_is_a_search_flag(self, tmp_path, capsys, command):
+        # model and dynamics parsed --seed and never read it
+        cfg_path = tmp_path / "run.json"
+        write_json(cfg_path, {})
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg_path), "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["model_file", "generator_file", "targets_file", "alpha_file", "out_is_a_file"])
+    def test_bad_paths_exit_2(self, tmp_path, capsys, k2_model_file, case):
+        # each exited 1 with a FileNotFoundError or FileExistsError traceback
+        missing, out = str(tmp_path / "missing.json"), tmp_path / "out"
+        model = str(k2_model_file)
+        argv, io_block, named = {
+            "model_file": (["model"], {"model_file": missing}, missing),
+            "generator_file": (["dynamics"], {"generator_file": missing}, missing),
+            "targets_file": (["model", "--fit"], {"model_file": model, "targets_file": missing}, missing),
+            "alpha_file": (["dynamics", "--independent", missing, "1.0"], {}, missing),
+            "out_is_a_file": (["model"], {"model_file": model}, str(out)),
+        }[case]
+        if case == "out_is_a_file":
+            out.write_text("kept\n")
+        cfg_path = tmp_path / "run.json"
+        write_json(cfg_path, {"io": io_block})
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        assert main([*argv, "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before

@@ -56,12 +56,8 @@ class TestGraph:
             Graph(3, ((0, 1),), bipartition=((0, 1), (2,)))
 
     def test_complete_counts(self):
-        assert Graph.complete(5).is_complete()
         assert Graph.complete(5).n_edges == 10
-        kb = Graph.complete_bipartite(2, 3)
-        assert kb.is_complete_bipartite()
-        assert kb.n_edges == 6
-        assert not Graph(3, ((0, 1),)).is_complete()
+        assert Graph.complete_bipartite(2, 3).n_edges == 6
 
 
 class TestHamiltonian:

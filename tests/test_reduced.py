@@ -16,6 +16,7 @@ from corrdefault.reduced import (
     ReducedCurvesIII,
     SearchConfig,
     SearchFailedError,
+    _PENALTY_WEIGHT,
     _block,
     _nelder_mead,
     _normalize_targets,
@@ -532,7 +533,6 @@ class TestFeasibilitySearch:
     @pytest.mark.parametrize(
         "knobs",
         [{"restarts": 0}, {"restarts": -1}]
-        + [{"penalty_weight": w} for w in (-1.0, 0.0, np.nan, np.inf)]
         + [{"max_iter": m} for m in (0, -3, 2.5, True)]
         + [{"horizon": h} for h in (np.nan, np.inf, 0.0)]
         + [{"t_min_fraction": f} for f in (2.0, 1.0, 0.0, np.nan)]
@@ -541,10 +541,10 @@ class TestFeasibilitySearch:
         + [{"grid_points": g} for g in (1, 8.7, True)],
     )
     def test_config_rejects_bad_knobs(self, knobs):
-        # restarts=0 used to fail with KeyError('x'); a weight <= 0 ran and ignored or rewarded mismatch;
-        # max_iter 0 or 2.5 ran no polish and True (JSON true) a one-evaluation one, a NaN horizon
-        # reported a NaN floor, and t_min_fraction 2.0 scored times past the horizon; the CLI truncated
-        # restarts 2.5 to 2, True to 1, seed 1.9 to 1 and grid_points 8.7 to 8
+        # restarts=0 used to fail with KeyError('x'); max_iter 0 or 2.5 ran no polish and True (JSON true)
+        # a one-evaluation one, a NaN horizon reported a NaN floor, and t_min_fraction 2.0 scored times
+        # past the horizon; the CLI truncated restarts 2.5 to 2, True to 1, seed 1.9 to 1 and grid_points
+        # 8.7 to 8
         with pytest.raises(ValueError, match=next(iter(knobs))):
             SearchConfig(**knobs)
 
@@ -635,7 +635,7 @@ def reference_objective(problem, x):
             return 1e12, False
         res, d, repaired = _scored(problem, lumped, curves)
         mismatch = float(np.hypot.reduce(d))
-        value = float(np.max(np.abs(res))) + problem.config.penalty_weight * mismatch * mismatch
+        value = float(np.max(np.abs(res))) + _PENALTY_WEIGHT * mismatch * mismatch
     return (value if np.isfinite(value) else 1e12), repaired
 
 
@@ -651,7 +651,7 @@ def reference_ls_residual(problem, outer_x):
         except ValueError:  # LumpedRates* reject a warm table with a rate of 0 or a non-finite one
             return np.full(problem.ls_length, 1e6), False
         res, deltas, repaired = _scored(problem, lumped, curves)
-        scaled = np.sqrt(problem.config.penalty_weight) * np.array(deltas)
+        scaled = np.sqrt(_PENALTY_WEIGHT) * np.array(deltas)
         vec = np.concatenate([(res * problem.grid).reshape(-1), scaled])
     return np.where(np.isfinite(vec), vec, 1e6), repaired
 
