@@ -79,8 +79,7 @@ def _check_block(name, block):
 
 def _load_config(path) -> dict:
     try:
-        with open(path) as handle:
-            config = json.load(handle)
+        config = cdio.read_json(path)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _check_block("config", config)
@@ -124,8 +123,7 @@ def cmd_model(config, args) -> int:
     if args.fit:
         if targets_file is None:
             raise ConfigError("--fit needs io.targets_file")
-        with open(targets_file) as handle:
-            targets = json.load(handle)
+        targets = cdio.read_json(targets_file)
         vertex_targets = np.asarray(targets["vertex_targets"], dtype=float)
         pair_targets = np.zeros(params.graph.n_edges)
         for entry in targets.get("pair_targets", []):
@@ -158,8 +156,7 @@ def _dynamics_generator(config, horizon):
 def cmd_dynamics(config, args) -> int:
     if args.independent is not None:
         alpha_file, horizon_text = args.independent
-        with open(alpha_file) as handle:
-            payload = json.load(handle)
+        payload = cdio.read_json(alpha_file)
         alpha = payload["alpha"] if isinstance(payload, dict) else payload
         # every writer hashes the config actually run
         config = {**config, "independent": {"alpha": [float(a) for a in alpha]}, "horizon": float(horizon_text)}
@@ -182,12 +179,8 @@ def cmd_dynamics(config, args) -> int:
 def _search_model(config):
     kind = config.get("model")
     if kind == "I":
-        if "N" not in config:
-            raise ConfigError("Model I needs N")
         return ("I", int(config["N"]))
     if kind in ("II", "III"):
-        if "M" not in config or "N" not in config:
-            raise ConfigError(f"Model {kind} needs M and N")
         return (kind, int(config["M"]), int(config["N"]))
     raise ConfigError(f"unknown search model {kind!r}")
 

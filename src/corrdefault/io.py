@@ -70,6 +70,17 @@ def write_json(path, payload: Mapping, config=None):
         handle.write("\n")
 
 
+def read_json(path):
+    """Load a JSON file whose objects raise a ValueError naming the file and the key when read at a key they lack."""
+
+    class JsonObject(dict):
+        def __missing__(self, key):
+            raise ValueError(f"{path} has no key {key!r}")
+
+    with open(path) as handle:
+        return json.load(handle, object_pairs_hook=JsonObject)
+
+
 def model_to_dict(params: ModelParams) -> dict:
     graph = params.graph
     payload = {
@@ -107,8 +118,7 @@ def write_model_json(path, params: ModelParams, config=None):
 
 
 def read_model_json(path) -> ModelParams:
-    with open(path) as handle:
-        return model_from_dict(json.load(handle))
+    return model_from_dict(read_json(path))
 
 
 def ising_to_dict(ising: IsingParams) -> dict:
@@ -148,8 +158,7 @@ def write_generator_json(path, gen: MonotoneGenerator, config=None):
 
 
 def read_generator_json(path) -> MonotoneGenerator:
-    with open(path) as handle:
-        return generator_from_dict(json.load(handle))
+    return generator_from_dict(read_json(path))
 
 
 def _write_lattice_csv(path, columns, slices, config, first_mask: int = 0):
@@ -158,8 +167,11 @@ def _write_lattice_csv(path, columns, slices, config, first_mask: int = 0):
         handle.write(_csv_head(columns, config))
         for lead, values in slices:
             for start in range(first_mask, len(values), _LATTICE_CHUNK):
-                chunk = np.asarray(values[start : start + _LATTICE_CHUNK], dtype=float).tolist()
-                handle.write(lead + lead.join([f"{mask},{value!r}\n" for mask, value in enumerate(chunk, start)]))
+                chunk = np.ascontiguousarray(values[start : start + _LATTICE_CHUNK], dtype=float)
+                # format each distinct bit pattern once; unlike float values, the int64 view keeps -0.0 apart from 0.0
+                bits, which = np.unique(chunk.view(np.int64), return_inverse=True)
+                text = [_fmt(value) for value in bits.view(float).tolist()]
+                handle.write(lead + lead.join([f"{mask},{text[k]}\n" for mask, k in enumerate(which.tolist(), start)]))
 
 
 def write_distribution_csv(path, dist: SubsetDist, config=None):

@@ -92,6 +92,16 @@ class TestFileFormats:
         assert np.array_equal(back.probs, dist.probs)
 
 
+# Cells that repeat within a chunk: both signed zeros, nan, the infinities, the least subnormal and the
+# +-2^-49 round-off that fills interactions.csv, beside a few normal floats
+POOL = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 2.0**-49, -(2.0**-49), 0.25, -1.5, 1e-300]
+
+
+def pooled(elements, pool=POOL):
+    """elements, or a pool cell; the signed zeros get a branch of their own, so both often share a chunk."""
+    return st.one_of(st.sampled_from([0.0, -0.0]), st.sampled_from(pool), elements)
+
+
 @st.composite
 def lattice_floats(draw, elements):
     n = draw(st.integers(0, 6))
@@ -113,7 +123,7 @@ class TestLatticeWriters:
     """The bulk lattice writers emit the bytes write_csv emits for the same rows."""
 
     @settings(max_examples=40)
-    @given(lattice_floats(st.floats(0.0, 1e300)), st.integers(1, 5))
+    @given(lattice_floats(pooled(st.floats(0.0, 1e300), [w for w in POOL if 0.0 <= w < np.inf])), st.integers(1, 5))
     def test_distribution(self, weights, chunk):
         total = weights.sum()
         assume(0.0 < total < np.inf)
@@ -125,7 +135,7 @@ class TestLatticeWriters:
         assert bulk == reference
 
     @settings(max_examples=40)
-    @given(lattice_floats(st.floats(allow_nan=True, allow_infinity=True)), st.integers(1, 5))
+    @given(lattice_floats(pooled(st.floats(allow_nan=True, allow_infinity=True))), st.integers(1, 5))
     def test_interactions(self, values, chunk):
         coeffs = InteractionCoeffs(len(values).bit_length() - 1, values, 0.0)
         rows = [(mask, float(coeffs.coeffs[mask])) for mask in range(1, len(values))]
@@ -134,10 +144,25 @@ class TestLatticeWriters:
         )
         assert bulk == reference
 
+    def test_each_distinct_value_is_formatted_once_per_chunk(self, tmp_path):
+        # a writer that formats every row calls _fmt 4095 times here, or bypasses it and leaves no mark
+        values = ([0.0, -0.0, 2.0**-49] * (1 << 12))[: 1 << 12]
+        calls = []
+
+        def marked(value):
+            calls.append(value)
+            return f"<{float(value)!r}>"
+
+        with mock.patch.object(cdio, "_LATTICE_CHUNK", 1 << 10), mock.patch.object(cdio, "_fmt", marked):
+            cdio.write_interactions_csv(tmp_path / "c.csv", InteractionCoeffs(12, values, 0.0))
+        rows = (tmp_path / "c.csv").read_text().splitlines()[2:]
+        assert rows == [f"{mask},<{values[mask]!r}>" for mask in range(1, 1 << 12)]
+        assert len(calls) <= 3 * 4
+
 
 def time_slices(draw_floats):
-    """(t_grid, one lattice vector per time) with 0.0, subnormal and 1e-300 cells among the draws."""
-    cells = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300]), draw_floats)
+    """(t_grid, one lattice vector per time) with the POOL cells among the draws."""
+    cells = pooled(draw_floats)
 
     @st.composite
     def build(draw):
@@ -263,6 +288,23 @@ class TestCmdModel:
         assert main(["model", "--config", str(cfg_path), "--out", str(out), "--fit"]) == 4
         assert "numeric failure: moment fit did not reach tol=1e-08 in 1 sweeps" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    def test_lattice_files_equal_row_writer(self, tmp_path, rng):
+        # interactions.csv at n=10 is mostly round-off that repeats (0.0, -0.0, +-2^-k), as at the n=20 cap
+        params = ModelParams(Graph.complete(10), rng.uniform(-1.5, 1.5, 10), rng.uniform(-1.0, 1.0, 45))
+        cdio.write_model_json(tmp_path / "model.json", params)
+        config = {"io": {"model_file": str(tmp_path / "model.json")}}
+        write_json(tmp_path / "run.json", config)
+        assert main(["model", "--config", str(tmp_path / "run.json"), "--out", str(tmp_path / "out")]) == 0
+        dist = full_distribution(params)
+        coeffs = extract_interactions(dist).coeffs
+        assert len(np.unique(coeffs.view(np.int64))) < len(coeffs) // 2
+        for name, columns, values, first in (
+            ("distribution.csv", ("subset_bitmask", "probability"), dist.probs, 0),
+            ("interactions.csv", ("subset_bitmask", "coefficient"), coeffs, 1),
+        ):
+            cdio.write_csv(tmp_path / name, columns, [(m, float(values[m])) for m in range(first, 1 << 10)], config)
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / name).read_bytes()
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["model", "--config", str(tmp_path / "nope.json")]) == 2
@@ -696,6 +738,33 @@ class TestConfigChecks:
             main([command, "--config", str(cfg_path), "--seed", "1"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["independent_alpha", "model_alpha", "vertex_targets", "search_M"])
+    def test_missing_keys_are_named(self, tmp_path, capsys, k2_model_file, case):
+        # the first three printed only the key's repr, as config error: 'alpha'
+        targets, out = tmp_path / "targets.json", tmp_path / "out"
+        write_json(targets, {"pair_targets": []})
+        model = tmp_path / "no_alpha.json"
+        write_json(model, {"n_vertices": 2, "edges": [[0, 1]]})
+        cfg_path = tmp_path / "run.json"
+        argv, config, named = {
+            "independent_alpha": (["dynamics"], {"independent": {}}, f"{cfg_path} has no key 'alpha'"),
+            "model_alpha": (["model"], {"io": {"model_file": str(model)}}, f"{model} has no key 'alpha'"),
+            "vertex_targets": (
+                ["model", "--fit"],
+                {"io": {"model_file": str(k2_model_file), "targets_file": str(targets)}},
+                f"{targets} has no key 'vertex_targets'",
+            ),
+            "search_M": (
+                ["search"],
+                {"model": "II", "N": 3, "targets": {"alpha": 0.3, "beta": 0.0}},
+                f"{cfg_path} has no key 'M'",
+            ),
+        }[case]
+        write_json(cfg_path, config)
+        assert main([*argv, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {named}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("case", ["model_file", "generator_file", "targets_file", "alpha_file", "out_is_a_file"])
     def test_bad_paths_exit_2(self, tmp_path, capsys, k2_model_file, case):
