@@ -14,8 +14,9 @@ import numpy as np
 EXACT_ENUM_CAP = 20
 FORWARD_CAP = 14
 
-# Below this log, e^x is subnormal or 0 (_log_w).
-_LOG_TINY = float(np.log(np.finfo(float).tiny))
+# The least positive normal float (_drive_over_w), and its log, below which e^x is subnormal or 0 (_log_w).
+_TINY = float(np.finfo(float).tiny)
+_LOG_TINY = float(np.log(_TINY))
 
 
 def softplus(x):
@@ -146,6 +147,23 @@ def _log_w(w, y, c0, d_u, d_v, terms):
     return beta, np.where(bad, np.exp(beta), w)
 
 
+def _drive_over_w(drive, w, beta, ena, log_drive):
+    """drive / w, for drive a sum of terms k e^{-alpha} with the e^{-alpha} in the rows of ena, and w = e^beta.
+
+    Where a row of ena or w is not a positive normal float, the quotient is
+    0/0 or has lost digits; there it is exp(log_drive() - beta) instead,
+    with log_drive() = log drive formed from alpha, not e^{-alpha}.  Every
+    other cell keeps the quotient's bits.
+    """
+    lowest = min(np.minimum.reduce(ena, None, initial=np.inf), np.minimum.reduce(w, None, initial=np.inf))
+    highest = max(np.maximum.reduce(ena, None, initial=0.0), np.maximum.reduce(w, None, initial=0.0))
+    if lowest >= _TINY and highest < np.inf:
+        return drive / w
+    normal = lambda x: (x >= _TINY) & (x < np.inf)  # noqa: E731
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero drive's log is -inf; bad cells' quotients go unused
+        return np.where(normal(ena).all(0) & normal(w), drive / w, np.exp(log_drive() - beta))
+
+
 def _shared_profile(t, q, d, b1, c):
     """Models I and II: e^alpha, e^{-alpha} and alpha' (one row each), then beta' and beta, on t.
 
@@ -164,7 +182,8 @@ def _shared_profile(t, q, d, b1, c):
     ea = y[4:5] * ratio[:1]
     ena = 1.0 / ea
     ap = 1.0 / (t * ratio[1:2])
-    return ea, ena, ap, c - 2.0 * ap[0] + b1 * ena[0] / w, beta
+    log_drive = lambda: np.log(b1) - alpha_values(q, d, t)[0]  # noqa: E731
+    return ea, ena, ap, c - 2.0 * ap[0] + _drive_over_w(b1 * ena[0], w, beta, ena, log_drive), beta
 
 
 def _pair_profile(t, q_hat, d_hat, q_check, d_check, drive_hat, drive_check, c):
@@ -193,7 +212,10 @@ def _pair_profile(t, q_hat, d_hat, q_check, d_check, drive_hat, drive_check, c):
     ena = 1.0 / ea
     ap = 1.0 / (t * pm)
     drive = drive_hat * ena[0] + drive_check * ena[1]
-    return ea, ena, ap, c - ap[0] - ap[1] + drive / w, beta
+    log_drive = lambda: np.logaddexp(  # noqa: E731
+        np.log(drive_hat) - alpha_values(q_hat, d_hat, t)[0], np.log(drive_check) - alpha_values(q_check, d_check, t)[0]
+    )
+    return ea, ena, ap, c - ap[0] - ap[1] + _drive_over_w(drive, w, beta, ena, log_drive), beta
 
 
 def exp_beta_pair(q_u, d_u, q_v, d_v, q_uv, q_vu, c, t):

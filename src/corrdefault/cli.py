@@ -42,6 +42,7 @@ from .model import (
 from .reduced import (
     SearchConfig,
     SearchFailedError,
+    _parse_model,
     coeff_check_I,
     coeff_check_II,
     coeff_check_III,
@@ -178,11 +179,11 @@ def cmd_dynamics(config, args) -> int:
 
 def _search_model(config):
     kind = config.get("model")
-    if kind == "I":
-        return ("I", int(config["N"]))
-    if kind in ("II", "III"):
-        return (kind, int(config["M"]), int(config["N"]))
-    raise ConfigError(f"unknown search model {kind!r}")
+    if kind not in ("I", "II", "III"):
+        raise ConfigError(f"unknown search model {kind!r}")
+    model = (kind, config["N"]) if kind == "I" else (kind, config["M"], config["N"])
+    _parse_model(model)  # a bad size exits 2 before any output directory is made
+    return model
 
 
 def cmd_search(config, args) -> int:

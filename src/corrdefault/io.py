@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -18,7 +21,7 @@ from .model import Graph, ModelParams, IsingParams, InteractionCoeffs, SubsetDis
 
 TOOL_VERSION = "0.1.0"
 
-# Lattice writers format this many rows per write; 2^16 rows of text is a few MB.
+# Lattice writers format this many rows per job; 2^16 rows of text is a few MB.
 _LATTICE_CHUNK = 1 << 16
 
 
@@ -161,17 +164,43 @@ def read_generator_json(path) -> MonotoneGenerator:
     return generator_from_dict(read_json(path))
 
 
+def _lattice_text(job) -> str:
+    """Rows lead + "mask,value" of one chunk (lead, values, first mask), each distinct value formatted once."""
+    lead, values, start = job
+    # unlike float values, the int64 view keeps -0.0 apart from 0.0
+    bits, which = np.unique(np.ascontiguousarray(values, dtype=float).view(np.int64), return_inverse=True)
+    text = [_fmt(value) for value in bits.view(float).tolist()]
+    return lead + lead.join([f"{mask},{text[k]}\n" for mask, k in enumerate(which.tolist(), start)])
+
+
 def _write_lattice_csv(path, columns, slices, config, first_mask: int = 0):
-    """write_csv's bytes, formatted in bulk: rows lead + "mask,value" for mask >= first_mask, per (lead, values)."""
-    with open(path, "w") as handle:
-        handle.write(_csv_head(columns, config))
-        for lead, values in slices:
-            for start in range(first_mask, len(values), _LATTICE_CHUNK):
-                chunk = np.ascontiguousarray(values[start : start + _LATTICE_CHUNK], dtype=float)
-                # format each distinct bit pattern once; unlike float values, the int64 view keeps -0.0 apart from 0.0
-                bits, which = np.unique(chunk.view(np.int64), return_inverse=True)
-                text = [_fmt(value) for value in bits.view(float).tolist()]
-                handle.write(lead + lead.join([f"{mask},{text[k]}\n" for mask, k in enumerate(which.tolist(), start)]))
+    """write_csv's bytes, formatted in bulk: rows lead + "mask,value" for mask >= first_mask, per (lead, values).
+
+    Each slice is cut into jobs of at most _LATTICE_CHUNK rows.  A file of
+    more than _LATTICE_CHUNK rows is formatted on every CPU the process may
+    use, because repr holds the GIL.  The workers are forked, so they start
+    without an import, and before the file opens, so none holds a copy of
+    its buffer.  The texts are written in job order as they arrive.  A
+    worker's exception, or its death, raises here.
+    """
+    jobs = [
+        (lead, values[start : start + _LATTICE_CHUNK], start)
+        for lead, values in slices
+        for start in range(first_mask, len(values), _LATTICE_CHUNK)
+    ]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus, len(jobs))
+    rows = sum(len(values) for _, values, _ in jobs)
+    pooled = workers > 1 and rows > _LATTICE_CHUNK and "fork" in multiprocessing.get_all_start_methods()
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) if pooled else None
+    try:
+        texts = pool.map(_lattice_text, jobs) if pool else map(_lattice_text, jobs)  # forks the workers
+        with open(path, "w") as handle:
+            handle.write(_csv_head(columns, config))
+            handle.writelines(texts)
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)  # joins the workers; after a failure, no waiting job starts
 
 
 def write_distribution_csv(path, dist: SubsetDist, config=None):

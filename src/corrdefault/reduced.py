@@ -655,6 +655,9 @@ def _parse_model(model):
     if isinstance(model, str):
         raise ValueError("model must carry sizes, e.g. ('I', 4) or ('II', 3, 3)")
     kind = model[0]
+    for name, size in zip(("M", "N") if len(model) == 3 else ("N",), model[1:]):
+        if not is_integer(size):
+            raise ValueError(f"Model {kind} size {name} must be an integer, got {size!r}")
     if kind == "I":
         if len(model) != 2 or model[1] < 2:
             raise ValueError("Model I needs ('I', N) with N >= 2")

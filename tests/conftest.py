@@ -29,6 +29,13 @@ def unreachable_triple_generator():
     return MonotoneGenerator(4, rates)
 
 
+def fast_exit_generator():
+    """random_generator(3, 1) with q(empty, 0) = 800; past t of about 0.89 every e^{-alpha} is subnormal or 0."""
+    rates = random_generator(3, seed=1).rates.copy()
+    rates[0, 0] = 800.0
+    return MonotoneGenerator(3, rates)
+
+
 def reject_restart_1(patcher):
     """Make _SearchProblem.assemble reject the second table it assembles: restart 1's, in a fresh search."""
     assemble, calls = _SearchProblem.assemble, []

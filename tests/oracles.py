@@ -253,8 +253,8 @@ def exp_beta_pair(q_u, d_u, q_v, d_v, q_uv, q_vu, c, t):
     return np.exp(c0 * t) * num / (phi_minus(d_u * t) * phi_minus(d_v * t))
 
 
-def beta_pair_mp(q_u, d_u, q_v, d_v, q_uv, q_vu, c, t, digits=50):
-    """beta(t) of exp_beta_pair's closed form, evaluated in mpmath at `digits` digits, as floats.
+def beta_pair_mp(q_u, d_u, q_v, d_v, q_uv, q_vu, c, t, digits=50, order=0):
+    """beta(t) of exp_beta_pair's closed form, or its derivative of this order, in mpmath at `digits` digits, as floats.
 
     mpmath's exponent range holds every factor, so the product form is
     taken as written; an exactly zero gap takes the limit -phi_minus'.
@@ -274,10 +274,12 @@ def beta_pair_mp(q_u, d_u, q_v, d_v, q_uv, q_vu, c, t, digits=50):
         q_u, d_u, q_v, d_v, q_uv, q_vu, c = (mpmath.mpf(float(x)) for x in (q_u, d_u, q_v, d_v, q_uv, q_vu, c))
         c0 = c - d_u - d_v
         b = c0 + d_u + d_v
-        out = []
-        for s in map(mpmath.mpf, np.ravel(t).tolist()):
+
+        def beta(s):
             num = q_vu / q_u * quotient(c0 + d_u, b, s) + q_uv / q_v * quotient(c0 + d_v, b, s)
-            out.append(float(c0 * s + mpmath.log(num) - mpmath.log(phi(d_u * s)) - mpmath.log(phi(d_v * s))))
+            return c0 * s + mpmath.log(num) - mpmath.log(phi(d_u * s)) - mpmath.log(phi(d_v * s))
+
+        out = [float(mpmath.diff(beta, s, order)) for s in map(mpmath.mpf, np.ravel(t).tolist())]
     return np.array(out).reshape(np.shape(t))
 
 

@@ -26,8 +26,9 @@ from corrdefault.ctmc import (
 )
 from corrdefault.model import Graph
 
-from conftest import permutations
+from conftest import fast_exit_generator, permutations
 from oracles import (
+    beta_pair_mp,
     exp_beta_pair,
     integrate_scalar_ode,
     log_partition_curve,
@@ -87,9 +88,7 @@ class TestAlphaCurve:
 
     def test_overflowing_exp_alpha_keeps_alpha_finite(self):
         # with delta t past about 709.78, e^alpha is inf, and alpha used to be inf too
-        rates = random_generator(3, seed=1).rates.copy()
-        rates[0, 0] = 800.0
-        curves = curves_from_rates(MonotoneGenerator(3, rates))
+        curves = curves_from_rates(fast_exit_generator())
         grid = geometric_grid(1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -102,6 +101,20 @@ class TestAlphaCurve:
             for value, q, delta in [*zip(alpha[-1], curves.q, curves.delta), (single, 1.0, 800.0)]:
                 exact = mpmath.log(mpmath.mpf(float(q)) / float(delta) * mpmath.expm1(float(delta)))
                 assert abs(value - exact) <= 1e-15 * abs(exact)
+
+    def test_beta_prime_past_alpha_underflow(self):
+        # at t = 1, e^{-alpha} and w = e^beta are both 0, and beta' was 0/0 = NaN for every pair;
+        # at t = 0.9 only e^{-alpha} is 0, and beta' lost its drive term: off by 0.86 in 798
+        curves = curves_from_rates(fast_exit_generator())
+        t = np.array([0.5, 0.9, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            beta, beta_prime = curves.beta_matrices(t)
+        for (u, v), (q_u, d_u, q_v, d_v, drive_u, drive_v, c) in curves.pair_curves.items():
+            exact = beta_pair_mp(q_u, d_u, q_v, d_v, drive_v, drive_u, c, t, order=1)
+            np.testing.assert_allclose(beta_prime[:, u, v], exact, rtol=1e-13, atol=0.0)
+            exact = beta_pair_mp(q_u, d_u, q_v, d_v, drive_v, drive_u, c, t)
+            np.testing.assert_allclose(beta[:, u, v], exact, rtol=0.0, atol=1e-12)
 
 
 class TestBetaCurve:

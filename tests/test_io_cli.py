@@ -1,5 +1,8 @@
 import json
+import multiprocessing
+import os
 import tempfile
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from unittest import mock
 
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from corrdefault import io as cdio
 from corrdefault import model as cdmodel
 from corrdefault.cli import main
+from corrdefault.consistency import curves_from_rates
 from corrdefault.ctmc import ForwardSolution, MonotoneGenerator, random_generator
 from corrdefault.reduced import _SearchProblem
 from corrdefault.model import (
@@ -22,7 +26,8 @@ from corrdefault.model import (
     full_distribution,
 )
 
-from conftest import random_model, reject_restart_1, unreachable_triple_generator
+from conftest import fast_exit_generator, random_model, reject_restart_1, unreachable_triple_generator
+from oracles import beta_pair_mp
 
 
 def write_json(path, payload):
@@ -108,19 +113,25 @@ def lattice_floats(draw, elements):
     return np.array(draw(st.lists(elements, min_size=1 << n, max_size=1 << n)))
 
 
+def _cpus(count):
+    """Make the lattice writers see `count` usable CPUs; with 2, a file of more than one chunk goes to a pool."""
+    return mock.patch("os.sched_getaffinity", return_value=set(range(count)), create=True)
+
+
 def _lattice_bytes(write, payload, reference_rows, columns, chunk):
-    """Bytes of a bulk lattice writer (chunked every `chunk` rows) and of write_csv over the same rows."""
+    """Bytes of a bulk lattice writer (chunked every `chunk` rows) on one CPU and on two, and of write_csv's rows."""
     config = {"seed": 1}
     with tempfile.TemporaryDirectory() as folder:
-        bulk, rows = Path(folder) / "bulk.csv", Path(folder) / "rows.csv"
-        with mock.patch.object(cdio, "_LATTICE_CHUNK", chunk):
-            write(bulk, payload, config)
-        cdio.write_csv(rows, columns, reference_rows, config)
-        return bulk.read_bytes(), rows.read_bytes()
+        paths = [Path(folder) / name for name in ("one_cpu.csv", "two_cpus.csv", "rows.csv")]
+        for path, cpus in zip(paths, (1, 2)):
+            with mock.patch.object(cdio, "_LATTICE_CHUNK", chunk), _cpus(cpus):
+                write(path, payload, config)
+        cdio.write_csv(paths[2], columns, reference_rows, config)
+        return [path.read_bytes() for path in paths]
 
 
 class TestLatticeWriters:
-    """The bulk lattice writers emit the bytes write_csv emits for the same rows."""
+    """The bulk lattice writers emit the bytes write_csv emits for the same rows, in process and from a pool."""
 
     @settings(max_examples=40)
     @given(lattice_floats(pooled(st.floats(0.0, 1e300), [w for w in POOL if 0.0 <= w < np.inf])), st.integers(1, 5))
@@ -129,35 +140,88 @@ class TestLatticeWriters:
         assume(0.0 < total < np.inf)
         dist = SubsetDist(len(weights).bit_length() - 1, weights / total)
         rows = [(mask, float(p)) for mask, p in enumerate(dist.probs)]
-        bulk, reference = _lattice_bytes(
+        one_cpu, two_cpus, reference = _lattice_bytes(
             cdio.write_distribution_csv, dist, rows, ("subset_bitmask", "probability"), chunk
         )
-        assert bulk == reference
+        assert one_cpu == two_cpus == reference
 
     @settings(max_examples=40)
     @given(lattice_floats(pooled(st.floats(allow_nan=True, allow_infinity=True))), st.integers(1, 5))
     def test_interactions(self, values, chunk):
         coeffs = InteractionCoeffs(len(values).bit_length() - 1, values, 0.0)
         rows = [(mask, float(coeffs.coeffs[mask])) for mask in range(1, len(values))]
-        bulk, reference = _lattice_bytes(
+        one_cpu, two_cpus, reference = _lattice_bytes(
             cdio.write_interactions_csv, coeffs, rows, ("subset_bitmask", "coefficient"), chunk
         )
-        assert bulk == reference
+        assert one_cpu == two_cpus == reference
 
-    def test_each_distinct_value_is_formatted_once_per_chunk(self, tmp_path):
-        # a writer that formats every row calls _fmt 4095 times here, or bypasses it and leaves no mark
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_each_distinct_value_is_formatted_once_per_chunk(self, tmp_path, cpus):
+        # a writer that formats every row calls _fmt 4095 times here, or bypasses it and leaves no mark;
+        # each call appends a line to a file, so calls made in pool workers count too
         values = ([0.0, -0.0, 2.0**-49] * (1 << 12))[: 1 << 12]
-        calls = []
+        calls = tmp_path / "calls"
 
         def marked(value):
-            calls.append(value)
+            with open(calls, "a") as handle:
+                handle.write(f"{float(value)!r}\n")
             return f"<{float(value)!r}>"
 
-        with mock.patch.object(cdio, "_LATTICE_CHUNK", 1 << 10), mock.patch.object(cdio, "_fmt", marked):
+        with mock.patch.object(cdio, "_LATTICE_CHUNK", 1 << 10), mock.patch.object(cdio, "_fmt", marked), _cpus(cpus):
             cdio.write_interactions_csv(tmp_path / "c.csv", InteractionCoeffs(12, values, 0.0))
         rows = (tmp_path / "c.csv").read_text().splitlines()[2:]
         assert rows == [f"{mask},<{values[mask]!r}>" for mask in range(1, 1 << 12)]
-        assert len(calls) <= 3 * 4
+        assert len(calls.read_text().splitlines()) == 3 * 4
+
+    def test_one_chunk_file_starts_no_process(self, tmp_path, k2_model_file):
+        gen_path, config = tmp_path / "gen.json", tmp_path / "run.json"
+        cdio.write_generator_json(gen_path, random_generator(6, seed=2))
+        write_json(config, {"io": {"model_file": str(k2_model_file), "generator_file": str(gen_path)}})
+        refuse = mock.patch("multiprocessing.get_context", side_effect=AssertionError("a process was started"))
+        with refuse, _cpus(2):
+            # a 2048-row trajectory and master residual (32 times of 64 subsets) are one chunk each
+            assert main(["dynamics", "--config", str(config), "--out", str(tmp_path / "dynamics")]) == 0
+            assert main(["model", "--config", str(config), "--out", str(tmp_path / "model")]) == 0
+            cdio.write_distribution_csv(tmp_path / "d.csv", SubsetDist(16, np.full(1 << 16, 2.0**-16)))
+
+    def test_pool_is_joined_after_a_multi_chunk_write(self, tmp_path):
+        dist = SubsetDist(8, np.full(1 << 8, 2.0**-8))
+        with mock.patch.object(cdio, "_LATTICE_CHUNK", 1 << 4), _cpus(2):
+            cdio.write_distribution_csv(tmp_path / "d.csv", dist)
+        assert len((tmp_path / "d.csv").read_text().splitlines()) == 1 + 1 + (1 << 8)
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_raises(self, tmp_path):
+        # a pool that loses a worker must raise, not wait for its job forever
+        parent = os.getpid()
+
+        def dies_in_worker(value):
+            if os.getpid() != parent:
+                os._exit(1)
+            return repr(value)
+
+        dist = SubsetDist(8, np.full(1 << 8, 2.0**-8))
+        with mock.patch.object(cdio, "_LATTICE_CHUNK", 1 << 4), mock.patch.object(cdio, "_fmt", dies_in_worker):
+            with _cpus(2), pytest.raises(BrokenProcessPool):
+                cdio.write_distribution_csv(tmp_path / "d.csv", dist)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_failure_leaves_no_files(self, tmp_path, k2_model_file, capsys):
+        parent, fmt = os.getpid(), cdio._fmt
+
+        def fails_in_worker(value):
+            if os.getpid() != parent:
+                raise ValueError(f"formatting failed in worker {os.getpid()}")
+            return fmt(value)
+
+        out = tmp_path / "out"
+        config = tmp_path / "run.json"
+        write_json(config, {"io": {"model_file": str(k2_model_file), "out_dir": str(out)}})
+        with mock.patch.object(cdio, "_LATTICE_CHUNK", 1), mock.patch.object(cdio, "_fmt", fails_in_worker), _cpus(2):
+            assert main(["model", "--config", str(config)]) == 2
+        assert "formatting failed in worker" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+        assert multiprocessing.active_children() == []
 
 
 def time_slices(draw_floats):
@@ -180,7 +244,7 @@ def _time_rows(t_grid, values):
 
 
 class TestTimeSliceWriters:
-    """The trajectory and master-residual writers emit the bytes write_csv emits for the same rows."""
+    """The trajectory and master-residual writers emit write_csv's bytes for the same rows, in process or pooled."""
 
     @settings(max_examples=40)
     @given(time_slices(st.floats(0.0, 1.0)), st.integers(1, 5))
@@ -188,24 +252,24 @@ class TestTimeSliceWriters:
         t_grid, probs = slices
         solution = ForwardSolution(probs.shape[1].bit_length() - 1, t_grid, probs, np.zeros(len(t_grid), bool))
         rows = _time_rows(t_grid, probs)
-        bulk, reference = _lattice_bytes(
+        one_cpu, two_cpus, reference = _lattice_bytes(
             cdio.write_trajectory_csv, solution, rows, ("t", "subset_bitmask", "probability"), chunk
         )
-        assert bulk == reference
+        assert one_cpu == two_cpus == reference
 
     @settings(max_examples=40)
     @given(time_slices(st.floats(allow_nan=True, allow_infinity=True)), st.integers(1, 5))
     def test_master_residual(self, slices, chunk):
         t_grid, residuals = slices
         rows = _time_rows(t_grid, residuals)
-        bulk, reference = _lattice_bytes(
+        one_cpu, two_cpus, reference = _lattice_bytes(
             lambda path, payload, config: cdio.write_master_residual_csv(path, t_grid, payload, config),
             residuals,
             rows,
             ("t", "subset_bitmask", "residual"),
             chunk,
         )
-        assert bulk == reference
+        assert one_cpu == two_cpus == reference
 
 
 class TestCmdModel:
@@ -415,6 +479,26 @@ class TestCmdDynamics:
         for f in files:
             text = f.read_text().lower()
             assert "nan" not in text and "inf" not in text, f.name
+
+    def test_underflowing_alpha_writes_exact_beta_prime(self, tmp_path):
+        # at the horizon 0.895 every e^{-alpha} is subnormal or 0; beta' in curves.csv was off by up to 1.1e-3 of itself
+        gen = fast_exit_generator()
+        gen_path = tmp_path / "gen.json"
+        cdio.write_generator_json(gen_path, gen)
+        cfg_path = tmp_path / "run.json"
+        write_json(cfg_path, {"io": {"generator_file": str(gen_path)}, "horizon": 0.895})
+        out = tmp_path / "out"
+        assert main(["dynamics", "--config", str(cfg_path), "--out", str(out)]) == 0
+        for f in sorted(out.iterdir()):
+            text = f.read_text().lower()
+            assert "nan" not in text and "inf" not in text, f.name
+        rows = [line.split(",") for line in (out / "curves.csv").read_text().splitlines()[3:]]
+        last = {row[1]: float(row[4]) for row in rows if row[0] == "0.895" and row[2] == "beta"}
+        pairs = curves_from_rates(gen, horizon=0.895).pair_curves
+        assert sorted(last) == sorted(f"e{u}-{v}" for u, v in pairs)
+        for (u, v), (q_u, d_u, q_v, d_v, drive_u, drive_v, c) in pairs.items():
+            exact = beta_pair_mp(q_u, d_u, q_v, d_v, drive_v, drive_u, c, 0.895, order=1)
+            assert last[f"e{u}-{v}"] == pytest.approx(float(exact), rel=1e-13)
 
     def test_forward_law_is_solved_once(self, tmp_path):
         # membership.csv reads the law written to trajectory.csv instead of solving again
@@ -632,6 +716,10 @@ class TestCmdSearch:
             ("search", {"numerics": {"grid_points": 8.7}}, "grid_points must be an integer of at least 2, got 8.7"),
             ("search", {"numerics": {"grid_points": True}}, "grid_points must be an integer of at least 2, got True"),
             ("dynamics", {"numerics": {"grid_points": 8.7}}, "grid_points must be an integer of at least 2, got 8.7"),
+            # the first two ran as N = 4 and M = 3, and true was read as N = 1
+            ("search", {"N": 4.5}, "Model I size N must be an integer, got 4.5"),
+            ("search", {"model": "II", "M": "3", "N": 3}, "Model II size M must be an integer, got '3'"),
+            ("search", {"N": True}, "Model I size N must be an integer, got True"),
         ],
     )
     def test_bad_numerics_exit_2(self, tmp_path, capsys, command, patch, message):

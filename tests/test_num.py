@@ -22,6 +22,7 @@ from corrdefault.consistency import beta_curve, curves_from_rates, master_residu
 from corrdefault.ctmc import MonotoneGenerator, random_generator
 from corrdefault.reduced import reduced_curves_I
 
+from conftest import fast_exit_generator
 from oracles import beta_pair_mp, phi_minus_diff, subset_bit_matrix
 from oracles import exp_beta_pair as exp_beta_pair_oracle
 
@@ -106,6 +107,18 @@ def test_pair_kernel_small_gap_cancellation():
     beta = _pair_profile(grid, 1.0, 0.0, 1.0, 2e-6, 1.0, 1.0, 396.0)[-1][0]
     exact = beta_pair_mp(1.0, 0.0, 1.0, 2e-6, 1.0, 1.0, 396.0, grid)
     np.testing.assert_allclose(beta, exact, rtol=0.0, atol=1e-9)
+
+
+def test_shared_beta_prime_past_alpha_underflow():
+    # the shared form of the pair (0, 1) of random_generator(3, 1) with q(empty, 0) = 800: its
+    # e^{-alpha} is subnormal at t = 0.885 and 0 from t = 0.9 on, and at t = 1 beta' was 0/0 = NaN
+    q, d, _, _, drive, _, c = curves_from_rates(fast_exit_generator()).pair_constants[:, 0]
+    grid = np.array([0.5, 0.88, 0.885, 0.9, 1.0])
+    with np.errstate(over="ignore", divide="ignore"):  # e^alpha overflows, w underflows; a 0/0 still fails
+        ena, beta_prime = _shared_profile(grid, q, d, 2.0 * drive, c)[1::2]
+    assert ena[0, 0, -1] == 0.0 and 0.0 < ena[0, 0, 2] < np.finfo(float).tiny <= ena[0, 0, 1]
+    exact = beta_pair_mp(q, d, q, d, drive, drive, c, grid, order=1)
+    np.testing.assert_allclose(beta_prime[0], exact, rtol=1e-13, atol=0.0)
 
 
 def test_overflowing_curves_are_finite():

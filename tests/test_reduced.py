@@ -523,6 +523,10 @@ class TestFeasibilitySearch:
     def test_input_validation(self):
         with pytest.raises(ValueError, match="N >= 2"):
             feasibility_search(("I", 1), (0.3, 0.0))
+        with pytest.raises(ValueError, match="size N must be an integer, got 4.5"):
+            feasibility_search(("I", 4.5), (0.3, 0.0))
+        with pytest.raises(ValueError, match="size M must be an integer, got '3'"):
+            feasibility_search(("II", "3", 3), (0.3, 0.0))
         with pytest.raises(ValueError, match="distinct"):
             feasibility_search(("III", 4, 3), (0.5, 0.5, 0.1))
         with pytest.raises(ValueError, match="unknown model"):
