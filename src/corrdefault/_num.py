@@ -7,6 +7,8 @@ formulas hit routinely.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Exact enumeration over 2^n states is capped here; forward-equation work
@@ -22,6 +24,32 @@ _LOG_TINY = float(np.log(_TINY))
 def softplus(x):
     """log(1 + e^x), overflow-safe."""
     return np.logaddexp(0.0, x)
+
+
+def logsumexp(a) -> float:
+    """log(sum(exp(a))) of a non-empty array, bit for bit as scipy 1.17's special.logsumexp on real input.
+
+    The m maxima are taken out of the shifted sum s: the result is
+    log1p(s / m) + log(m) + max.  Where that is not finite (an infinite
+    or NaN entry), it is the plain log(sum(exp(a))).
+    """
+    a = np.ravel(np.asarray(a, dtype=float))
+    a_max = a.max()
+    top = a == a_max
+    m = float(np.count_nonzero(top))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        shifted = a - a_max
+        shifted[top] = -np.inf
+        s = np.exp(shifted, out=shifted).sum()
+        out = np.log1p(s if s == 0.0 else s / m) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.exp(a).sum())
+    return float(out)
+
+
+def log_factorial(n_terms):
+    """log k! for k < n_terms (libm's lgamma, within a few ulp)."""
+    return np.array([math.lgamma(k + 1.0) for k in range(n_terms)])
 
 
 def inv_softplus(y):

@@ -10,7 +10,8 @@ Three subcommands, each driven by a single JSON config for reproducibility:
   search    lumped-rate feasibility search and coefficient-system checks for
             the symmetric model families
 
-Exit codes: 0 success, 2 config error, 3 infeasible input, 4 numeric failure.
+Exit codes: 0 success, 2 config error, 3 infeasible input, 4 numeric failure,
+5 I/O error.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import os
 import sys
 import tempfile
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -53,6 +55,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERIC = 4
+EXIT_IO = 5
 
 
 class ConfigError(ValueError):
@@ -292,6 +295,9 @@ def main(argv=None) -> int:
     except (KeyError, TypeError, ValueError, FileNotFoundError, FileExistsError, NotADirectoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (OSError, BrokenProcessPool) as exc:  # a full disk, a path that is a directory, a lost writer process
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

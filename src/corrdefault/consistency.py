@@ -226,7 +226,10 @@ def _residual_block(gen: MonotoneGenerator, curves: ParamCurves, times) -> np.nd
     for u in range(n):
         q = gen.rates[:, u].reshape(-1, 2, 1 << u, 1)[:, 0]
         beta_sum = sums[:, :, u].reshape(-1, 2, 1 << u, n_times)[:, 0]
-        res.reshape(-1, 2, 1 << u, n_times)[:, 1] -= q * np.exp(-alpha[:, u] - beta_sum)
+        # a term beyond the float range is inf, so its residual rounds to -inf; a zero rate adds 0, not 0 * inf
+        with np.errstate(over="ignore"):
+            drain = np.multiply(q, np.exp(-alpha[:, u] - beta_sum), where=q != 0.0, out=np.zeros_like(beta_sum))
+        res.reshape(-1, 2, 1 << u, n_times)[:, 1] -= drain
     return res
 
 

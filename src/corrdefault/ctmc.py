@@ -13,17 +13,24 @@ from functools import cached_property
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
-# forward_solve no longer calls solve_ivp; benchmark/tracing.py still wraps
-# ctmc.solve_ivp as its right-hand-side counter hook, so the name stays bound.
-from scipy.integrate import solve_ivp  # noqa: F401
-from scipy.special import gammaln, xlogy
 
-from ._num import FORWARD_CAP, permuted_masks, softplus
+from ._num import FORWARD_CAP, log_factorial, permuted_masks, softplus
 from .model import SubsetDist, bernoulli_product_distribution
 
 
 # Paths advance together in blocks of this many; the output does not depend on it.
 _PATH_BLOCK = 4096
+
+
+def __getattr__(name):
+    # forward_solve does not call solve_ivp; benchmark/tracing.py still wraps
+    # ctmc.solve_ivp as its right-hand-side counter hook, so the name resolves,
+    # and scipy loads only when something reads it.
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -208,7 +215,9 @@ def forward_solve(gen: MonotoneGenerator, t_grid) -> ForwardSolution:
     last = np.ceil(n + mean + 10.0 * np.sqrt(mean) + 30.0).astype(int)
     n_terms = int(last[-1]) + 1
     k = np.arange(n_terms)
-    weights = np.exp(xlogy(k, mean[:, None]) - mean[:, None] - gammaln(k + 1.0))
+    with np.errstate(divide="ignore"):  # a zero time's log mean; its k log(mean) is 0 at k = 0
+        k_log_mean = np.multiply(k, np.log(mean)[:, None], out=np.zeros((len(mean), n_terms)), where=k > 0)
+    weights = np.exp(k_log_mean - mean[:, None] - log_factorial(n_terms))
     # the grid increases, so the times still summing term k are a suffix of it
     first = np.searchsorted(last, k)
     step = _uniformised_step(gen, rate_bound)

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from ._num import (
     EXACT_ENUM_CAP,
+    logsumexp,
     mobius_from_log,
     permuted_masks,
     popcounts,
@@ -303,13 +303,13 @@ def hamiltonian(params: ModelParams, subset: SubsetLike) -> float:
 
 def log_partition(params: ModelParams) -> float:
     """log of the normalizer sum_B exp(H(B)), computed with max-shift."""
-    return float(logsumexp(hamiltonian_vector(params)))
+    return logsumexp(hamiltonian_vector(params))
 
 
 def full_distribution(params: ModelParams) -> SubsetDist:
     """The exact distribution exp(H(A) - log Z) over all subsets."""
     h = hamiltonian_vector(params)
-    log_z = float(logsumexp(h))
+    log_z = logsumexp(h)
     return SubsetDist(params.graph.n_vertices, np.exp(h - log_z), log_partition=log_z)
 
 

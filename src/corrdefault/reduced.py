@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
-from scipy.optimize import least_squares
 
 from ._num import _pair_profile, _shared_profile, geometric_grid, inv_softplus, is_integer, popcounts, softplus
 from .ctmc import MonotoneGenerator
@@ -767,7 +765,10 @@ class _SearchProblem:
         n_inflow = len(self.layout.inflow_coef)
         self.own_at = np.nonzero(self.layout.gather[n_inflow:, :, None] == self.inner)[1:]
         self.inflow_at = np.nonzero(self.layout.gather[:n_inflow, :, None] == self.inner)
-        # scipy.linalg.lstsq's gelsy driver, with the workspace size it would query on every call
+        # scipy.linalg.lstsq's gelsy driver, with the workspace size it would query on every call;
+        # scipy loads here, and in feasibility_search, so that model and dynamics runs never import it
+        from scipy.linalg import get_lapack_funcs
+
         self.gelsy, gelsy_lwork = get_lapack_funcs(("gelsy", "gelsy_lwork"))
         shape = (len(scored) * len(self.grid), len(self.inner))
         self.gelsy_lwork = int(gelsy_lwork(*shape, 1, np.finfo(float).eps)[0])
@@ -1059,6 +1060,8 @@ def feasibility_search(model, targets, config: SearchConfig = SearchConfig()) ->
     objective, residual and mismatch inf, and SearchFailedError is raised
     only when that happens to every restart.
     """
+    from scipy.optimize import least_squares
+
     kind, sizes = _parse_model(model)
     targets = _normalize_targets(kind, targets)
     problem = _SearchProblem(kind, sizes, targets, config)

@@ -313,6 +313,22 @@ class TestMasterResidual:
             gap = np.abs(bp[:, u, v] - (c - (ap_u + ap_v) + drive))
             np.testing.assert_array_less(gap, 1e-12 * (abs(c) + ap_u + ap_v + drive))
 
+    def test_term_past_the_float_range_rounds_to_minus_inf(self):
+        # at t = 0.9, q e^{-alpha_u - sum beta} for the full set exceeds 1.8e308; numpy used to warn on overflow
+        gen = fast_exit_generator()
+        res = master_residual(gen, curves_from_rates(gen, horizon=0.9), geometric_grid(0.9))
+        assert res[-1, 0b111] == -np.inf
+        assert np.isfinite(res).sum() == res.size - 1
+
+    def test_zero_rate_adds_nothing_past_the_float_range(self):
+        # both overflowing terms into the full set have rate 0, where 0 * inf would be nan
+        rates = fast_exit_generator().rates.copy()
+        rates[0b101, 1] = rates[0b011, 2] = 0.0
+        gen = MonotoneGenerator(3, rates)
+        res = master_residual(gen, curves_from_rates(gen, horizon=0.9), 0.9)
+        assert np.isfinite(res).all()
+        assert res[0b111] < -1e305
+
     def test_rejects_times_outside_the_horizon(self):
         gen = random_generator(3, seed=1)
         curves = curves_from_rates(gen)

@@ -1,3 +1,4 @@
+import errno
 import json
 import multiprocessing
 import os
@@ -222,6 +223,49 @@ class TestLatticeWriters:
         assert "formatting failed in worker" in capsys.readouterr().err
         assert list(out.iterdir()) == []
         assert multiprocessing.active_children() == []
+
+
+class TestIOErrors:
+    """Write failures that are not config errors exit 5 and leave no output files."""
+
+    def test_dead_worker_during_model_exits_5(self, tmp_path, capsys):
+        # n = 17 is two lattice chunks, so with two CPUs the writers use a pool; its worker dies on its first job
+        parent = os.getpid()
+
+        def dies_in_worker(value):
+            if os.getpid() != parent:
+                os._exit(1)
+            return repr(float(value))
+
+        cdio.write_model_json(tmp_path / "model.json", ModelParams(Graph(17, ()), np.linspace(-1.0, 1.0, 17), []))
+        write_json(tmp_path / "run.json", {"io": {"model_file": str(tmp_path / "model.json")}})
+        out = tmp_path / "out"
+        with mock.patch.object(cdio, "_fmt", dies_in_worker), _cpus(2):
+            assert main(["model", "--config", str(tmp_path / "run.json"), "--out", str(out)]) == 5
+        assert capsys.readouterr().err.startswith("I/O error: ")
+        assert list(out.iterdir()) == []
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["model.json", "out", "run.json"]  # no stage left
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "command, writer",
+        [(["model"], "write_distribution_csv"), (["model", "--fit"], "write_model_json"), (["dynamics"], "write_trajectory_csv")],
+    )
+    def test_full_disk_exits_5(self, tmp_path, capsys, k2_model_file, command, writer):
+        write_json(tmp_path / "targets.json", {"vertex_targets": [0.4, 0.6], "pair_targets": [{"edge": [0, 1], "value": 0.24}]})
+        cdio.write_generator_json(tmp_path / "gen.json", random_generator(2, seed=1))
+        io_block = {"model_file": str(k2_model_file), "targets_file": str(tmp_path / "targets.json")}
+        write_json(tmp_path / "run.json", {"io": {**io_block, "generator_file": str(tmp_path / "gen.json")}})
+        out = tmp_path / "out"
+        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        with mock.patch.object(cdio, writer, side_effect=full):
+            assert main([command[0], "--config", str(tmp_path / "run.json"), "--out", str(out), *command[1:]]) == 5
+        assert capsys.readouterr().err == f"I/O error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert list(out.iterdir()) == []
+
+    def test_config_that_is_a_directory_exits_5(self, tmp_path, capsys):
+        assert main(["model", "--config", str(tmp_path)]) == 5
+        assert capsys.readouterr().err.startswith("I/O error: [Errno 21]")
 
 
 def time_slices(draw_floats):
@@ -479,6 +523,19 @@ class TestCmdDynamics:
         for f in files:
             text = f.read_text().lower()
             assert "nan" not in text and "inf" not in text, f.name
+
+    def test_overflowing_residual_is_written_as_minus_inf(self, tmp_path):
+        # q e^{-alpha_u - sum beta} for the full set exceeds the float range at t = 0.9; its residual rounds to -inf
+        gen_path = tmp_path / "gen.json"
+        cdio.write_generator_json(gen_path, fast_exit_generator())
+        cfg_path = tmp_path / "run.json"
+        write_json(cfg_path, {"io": {"generator_file": str(gen_path)}, "horizon": 0.9})
+        out = tmp_path / "out"
+        assert main(["dynamics", "--config", str(cfg_path), "--out", str(out)]) == 0
+        for f in sorted(out.iterdir()):
+            assert "nan" not in f.read_text().lower(), f.name
+        rows = (out / "master_residual.csv").read_text().splitlines()
+        assert [row for row in rows if "inf" in row] == ["0.9,7,-inf"]
 
     def test_underflowing_alpha_writes_exact_beta_prime(self, tmp_path):
         # at the horizon 0.895 every e^{-alpha} is subnormal or 0; beta' in curves.csv was off by up to 1.1e-3 of itself

@@ -1,7 +1,9 @@
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp as scipy_logsumexp
 
 from corrdefault._num import (
     _pair_profile,
@@ -11,6 +13,8 @@ from corrdefault._num import (
     expm1_over,
     geometric_grid,
     inv_softplus,
+    log_factorial,
+    logsumexp,
     mobius_from_log,
     phi_minus,
     popcounts,
@@ -137,6 +141,57 @@ def test_overflowing_curves_are_finite():
     curves = curves_from_rates(gen, t_grid=grid)
     for values in (*curves.beta_matrices(grid), master_residual(gen, curves, grid)):
         assert np.isfinite(values).all()
+
+
+def same_bits(x, y):
+    """Equal as bit patterns, or both NaN."""
+    x, y = np.float64(x), np.float64(y)
+    return (np.isnan(x) and np.isnan(y)) or x.view(np.int64) == y.view(np.int64)
+
+
+@st.composite
+def logsumexp_inputs(draw):
+    """Vectors of 1 to 64 cells, narrow or over the whole float range, with ties at the max, infinities and NaN."""
+    cells = st.one_of(
+        st.floats(-50.0, 50.0),
+        st.floats(-1e308, 1e308),
+        st.sampled_from([np.inf, -np.inf, np.nan, 0.0, -0.0, 709.8, 710.0, -745.2, 1e308, -1e308]),
+    )
+    values = draw(st.lists(cells, min_size=1, max_size=64))
+    top = max(values, key=lambda x: (not np.isnan(x), x))
+    values += [top] * draw(st.integers(0, 3))
+    return np.array(draw(st.permutations(values)))
+
+
+@settings(max_examples=400)
+@given(logsumexp_inputs())
+@example(np.array([1.0]))
+@example(np.array([np.nan]))
+@example(np.array([-np.inf, -np.inf]))
+@example(np.array([np.inf, -np.inf, 3.0]))
+@example(np.array([np.inf, np.nan]))
+@example(np.array([1e308, 1e308, 1e308]))
+@example(np.array([-1e308, 1e308]))
+@example(np.array([0.5, 0.5, -2.0]))
+def test_logsumexp_matches_scipy_bit_for_bit(a):
+    with np.errstate(over="ignore"):  # scipy shifts -1e308 by 1e308 unguarded
+        reference = scipy_logsumexp(a)
+    assert same_bits(logsumexp(a), reference)
+
+
+@pytest.mark.parametrize("n", [1, 10, 17])
+def test_logsumexp_matches_scipy_on_lattice_energies(n):
+    # the model's use: a Hamiltonian vector over all 2^n subsets, whose top cells may tie
+    h = np.random.default_rng(n).normal(0.0, 3.0, 1 << n).round(1)
+    assert same_bits(logsumexp(h), scipy_logsumexp(h))
+
+
+def test_log_factorial_is_within_4_ulp_of_40_digits():
+    values = log_factorial(2000)
+    with mpmath.workdps(40):
+        for k, value in enumerate(values.tolist()):
+            exact = mpmath.loggamma(k + 1)
+            assert abs(mpmath.mpf(value) - exact) <= 4 * np.spacing(float(exact)), k
 
 
 def test_geometric_grid_endpoints():
