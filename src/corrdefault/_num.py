@@ -291,30 +291,32 @@ def permuted_masks(perm, n_vertices):
     return new_masks
 
 
-def mobius_from_log(log_values):
-    """Subset Mobius inversion: c[A] = sum_{B subseteq A} (-1)^{|A \\ B|} f[B]."""
-    c = np.array(log_values, dtype=float)
-    size = c.shape[0]
-    n = size.bit_length() - 1
-    if (1 << n) != size:
+def halves(x, v):
+    """Views of x with axis 0 split as (-1, 2, 2^v): the subsets without vertex v, then the same ones with v added."""
+    split = x.reshape(-1, 2, 1 << v, *x.shape[1:])
+    return split[:, 0], split[:, 1]
+
+
+def _subset_sweep(values, op):
+    """For each vertex v in turn, f[A + v] = op(f[A + v], f[A]) along the first axis, on a fresh C-ordered copy."""
+    x = np.array(values, dtype=float, order="C")
+    n = x.shape[0].bit_length() - 1
+    if (1 << n) != x.shape[0]:
         raise ValueError("length must be a power of two")
     for v in range(n):
-        c = c.reshape(-1, 2, 1 << v)
-        c[:, 1, :] -= c[:, 0, :]
-    return c.reshape(size)
+        without, added = halves(x, v)
+        op(added, without, out=added)
+    return x
+
+
+def mobius_from_log(log_values):
+    """Subset Mobius inversion: c[A] = sum_{B subseteq A} (-1)^{|A \\ B|} f[B], along the first axis."""
+    return _subset_sweep(log_values, np.subtract)
 
 
 def zeta_over_subsets(values):
     """Inverse of mobius_from_log: g[A] = sum_{B subseteq A} c[B], along the first axis."""
-    g = np.array(values, dtype=float)
-    shape = g.shape
-    n = shape[0].bit_length() - 1
-    if (1 << n) != shape[0]:
-        raise ValueError("length must be a power of two")
-    for v in range(n):
-        g = g.reshape(-1, 2, 1 << v, *shape[1:])
-        g[:, 1] += g[:, 0]
-    return g.reshape(shape)
+    return _subset_sweep(values, np.add)
 
 
 def zeta_over_supersets(values):

@@ -171,7 +171,7 @@ def cmd_dynamics(config, args) -> int:
         grid = geometric_grid(horizon, numerics["grid_points"], numerics["t_min_fraction"])
         solution = forward_solve(gen, grid)
         cdio.write_trajectory_csv(out / "trajectory.csv", solution, config)
-        curves = curves_from_rates(gen, horizon=horizon, t_grid=grid)
+        curves = curves_from_rates(gen, horizon=horizon)
         cdio.write_curves_csv(out / "curves.csv", curves, grid, config)
         _, per_t = membership_over_time(gen, grid, solution=solution)
         cdio.write_membership_csv(out / "membership.csv", grid, per_t, config)

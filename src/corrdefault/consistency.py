@@ -15,9 +15,9 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ._num import _pair_profile, alpha_values, geometric_grid, zeta_over_subsets
+from ._num import _pair_profile, alpha_values, geometric_grid, halves, zeta_over_subsets
 from .ctmc import ForwardSolution, MonotoneGenerator, forward_solve
-from .model import Graph, SubsetDist, family_membership_residual
+from .model import Graph, SubsetDist, _out_of_family_residuals
 
 
 def alpha_curve(q_u: float, r_empty: float, r_u: float, t):
@@ -208,9 +208,7 @@ def _residual_block(gen: MonotoneGenerator, curves: ParamCurves, times) -> np.nd
     """master_residual at T times as a (2^n, T) array, evaluating each pair curve once.
 
     One zeta transform acts on a (2^n, T, n+1) array: column u < n holds
-    sum_{v in A} beta_uv at every A and time, column n the left-hand side;
-    in the (-1, 2, 2^u) split view of a lattice vector, [:, 0] holds the
-    subsets B - u and [:, 1] the subsets B.
+    sum_{v in A} beta_uv at every A and time, column n the left-hand side.
     """
     n, n_times = gen.n_vertices, len(times)
     alpha, alpha_prime, _ = curves.alpha(times)
@@ -224,12 +222,13 @@ def _residual_block(gen: MonotoneGenerator, curves: ParamCurves, times) -> np.nd
     sums = zeta_over_subsets(coeffs)
     res = sums[:, :, n] - gen.r_empty + gen.exit_rates[:, None]
     for u in range(n):
-        q = gen.rates[:, u].reshape(-1, 2, 1 << u, 1)[:, 0]
-        beta_sum = sums[:, :, u].reshape(-1, 2, 1 << u, n_times)[:, 0]
+        q = halves(gen.rates, u)[0][..., u, None]  # q(B - u, u) for the subsets B that hold u
+        beta_sum = halves(sums[:, :, u], u)[0]
         # a term beyond the float range is inf, so its residual rounds to -inf; a zero rate adds 0, not 0 * inf
         with np.errstate(over="ignore"):
             drain = np.multiply(q, np.exp(-alpha[:, u] - beta_sum), where=q != 0.0, out=np.zeros_like(beta_sum))
-        res.reshape(-1, 2, 1 << u, n_times)[:, 1] -= drain
+        holding_u = halves(res, u)[1]
+        holding_u -= drain
     return res
 
 
@@ -242,9 +241,9 @@ def membership_over_time(
     """Max out-of-family interaction residual of the transient law over a grid.
 
     Uses the given forward solution on t_grid, or solves the forward equations
-    once, Mobius-extracts interactions at every grid time, and scores them
-    against the graph's family (complete graph by default, so only
-    coefficients of order three and higher count).
+    once, and scores the laws at every grid time against the graph's family
+    (complete graph by default, so only coefficients of order three and
+    higher count) with one Mobius transform of the whole grid.
     Returns (max over the grid, per-time residuals).
     """
     if graph is None:
@@ -254,10 +253,7 @@ def membership_over_time(
         solution = forward_solve(gen, t_grid)
     elif solution.n_vertices != gen.n_vertices or not np.array_equal(solution.t_grid, t_grid):
         raise ValueError("the forward solution is not on this generator's vertices and grid")
-    per_t = np.array(
-        [
-            family_membership_residual(SubsetDist(gen.n_vertices, row), graph)
-            for row in solution.probs
-        ]
-    )
+    for row in solution.probs:
+        SubsetDist(gen.n_vertices, row)  # every law is a distribution: finite, non-negative, summing to 1
+    per_t = _out_of_family_residuals(solution.probs.T, graph)
     return float(per_t.max()), per_t

@@ -14,7 +14,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from ._num import FORWARD_CAP, log_factorial, permuted_masks, softplus
+from ._num import FORWARD_CAP, halves, log_factorial, permuted_masks, softplus
 from .model import SubsetDist, bernoulli_product_distribution
 
 
@@ -58,9 +58,7 @@ class MonotoneGenerator:
             raise ValueError("rates must be finite")
         if np.any(rates < 0.0):
             raise ValueError("rates must be nonnegative")
-        n = self.n_vertices
-        # in the (-1, 2, 2^v) split of the rows, [:, 1] holds the subsets that contain v
-        if any(np.any(rates.reshape(-1, 2, 1 << v, n)[:, 1, :, v]) for v in range(n)):
+        if any(np.any(halves(rates, v)[1][..., v]) for v in range(self.n_vertices)):
             raise ValueError("rate q(A, v) must be zero for v already in A")
         rates.setflags(write=False)
         object.__setattr__(self, "rates", rates)
@@ -123,7 +121,7 @@ def _monotone(rates) -> MonotoneGenerator:
     """Generator from a full (2^n, n) table after zeroing q(A, v) for every v in A, in place."""
     n = rates.shape[1]
     for v in range(n):
-        rates.reshape(-1, 2, 1 << v, n)[:, 1, :, v] = 0.0
+        halves(rates, v)[1][..., v] = 0.0
     return MonotoneGenerator(n, rates)
 
 
@@ -174,14 +172,13 @@ def _uniformised_step(gen: MonotoneGenerator, rate_bound: float):
     """
     n = gen.n_vertices
     stay = 1.0 - gen.exit_rates / rate_bound
-    # In the (-1, 2, 2^v) view of a lattice vector, [:, 0, :] holds the subsets
-    # without v and [:, 1, :] the same subsets with v added, both in mask order.
-    flows = [gen.rates[:, v].reshape(-1, 2, 1 << v)[:, 0, :] / rate_bound for v in range(n)]
+    flows = [halves(gen.rates[:, v], v)[0] / rate_bound for v in range(n)]
 
     def step(p):
         out = stay * p
         for v, q in enumerate(flows):
-            out.reshape(-1, 2, 1 << v)[:, 1, :] += q * p.reshape(-1, 2, 1 << v)[:, 0, :]
+            added = halves(out, v)[1]
+            added += q * halves(p, v)[0]
         return out
 
     return step

@@ -10,6 +10,7 @@ enumerates the 2^n subset lattice exactly, so vertex counts are capped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -140,19 +141,15 @@ class Graph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return _canonical_edge(u, v) in self._edge_index
-
     def edge_position(self, u: int, v: int) -> int:
-        return self._edge_index[_canonical_edge(u, v)]
+        edge = _canonical_edge(u, v)
+        if edge not in self._edge_index:
+            raise ValueError(f"{edge} is not an edge of the graph")
+        return self._edge_index[edge]
 
-    @property
+    @cached_property
     def _edge_index(self) -> Mapping[Tuple[int, int], int]:
-        cached = self.__dict__.get("_edge_index_cache")
-        if cached is None:
-            cached = {e: i for i, e in enumerate(self.edges)}
-            self.__dict__["_edge_index_cache"] = cached
-        return cached
+        return {e: i for i, e in enumerate(self.edges)}
 
     def relabel(self, perm: Iterable[int]) -> "Graph":
         """Graph with vertex v renamed to perm[v]."""
@@ -355,22 +352,21 @@ def spin_distribution(ising: IsingParams) -> SubsetDist:
     return SubsetDist(dist.n_vertices, dist.probs, log_partition=dist.log_partition + shift)
 
 
-def extract_interactions(dist: SubsetDist) -> InteractionCoeffs:
-    """Mobius inversion of log p into canonical interaction coordinates.
-
-    Requires every cell positive; zero cells are rejected rather than
-    smoothed so downstream consistency residuals stay honest.
-    """
-    if np.any(dist.probs <= 0.0):
+def _log_probs(probs) -> np.ndarray:
+    """log p of every cell; zero cells are rejected rather than smoothed, so downstream residuals stay honest."""
+    if np.any(probs <= 0.0):
         raise ZeroProbabilityError(
             "distribution has empty cells; interactions are undefined (smooth first if that is acceptable)"
         )
-    logp = np.log(dist.probs)
+    return np.log(probs)
+
+
+def extract_interactions(dist: SubsetDist) -> InteractionCoeffs:
+    """Mobius inversion of log p into canonical interaction coordinates; every cell must be positive."""
+    logp = _log_probs(dist.probs)
     coeffs = mobius_from_log(logp)
-    log_p_empty = float(logp[0])
-    coeffs = np.array(coeffs)
     coeffs[0] = 0.0
-    return InteractionCoeffs(dist.n_vertices, coeffs, log_p_empty)
+    return InteractionCoeffs(dist.n_vertices, coeffs, float(logp[0]))
 
 
 def reconstruct_log_ratios(coeffs: InteractionCoeffs) -> np.ndarray:
@@ -385,14 +381,21 @@ def family_membership_residual(dist: SubsetDist, graph: Graph) -> float:
     coefficient on a non-edge.  Zero (within tolerance) iff dist is
     exp(H)/Z for some parameters on this graph.
     """
-    if dist.n_vertices != graph.n_vertices:
+    return float(_out_of_family_residuals(dist.probs[:, None], graph)[0])
+
+
+def _out_of_family_residuals(laws, graph: Graph) -> np.ndarray:
+    """family_membership_residual of every column of a (2^n, T) array of laws, by one Mobius transform.
+
+    Every cell must be positive.  The in-family rows (the empty set, the
+    singletons and the edges) are zeroed in place before the column maxima.
+    """
+    if len(laws) != 1 << graph.n_vertices:
         raise ValueError("distribution and graph sizes differ")
-    coeffs = extract_interactions(dist)
-    n = dist.n_vertices
-    out = popcounts(n) >= 3
-    non_edges = [(1 << u) | (1 << v) for u in range(n) for v in range(u + 1, n) if not graph.has_edge(u, v)]
-    out[np.array(non_edges, dtype=np.int64)] = True
-    return float(np.max(np.abs(coeffs.coeffs[out]))) if np.any(out) else 0.0
+    coeffs = mobius_from_log(_log_probs(laws))
+    np.abs(coeffs, out=coeffs)
+    coeffs[np.concatenate(([0], 1 << np.arange(graph.n_vertices), _edge_masks(graph)))] = 0.0
+    return coeffs.max(axis=0)
 
 
 def exact_sample(params: ModelParams, n_draws: int, seed: int) -> np.ndarray:

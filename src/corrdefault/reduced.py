@@ -19,7 +19,8 @@ from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from ._num import _pair_profile, _shared_profile, geometric_grid, inv_softplus, is_integer, popcounts, softplus
+from ._num import _pair_profile, _shared_profile, alpha_values
+from ._num import geometric_grid, inv_softplus, is_integer, popcounts, softplus
 from .ctmc import MonotoneGenerator
 
 
@@ -247,13 +248,14 @@ class CurveProfile:
 
 
 class _Curves:
-    """Evaluation through a curve type's kernel; _kernel(t) returns its rows for one table."""
+    """Evaluation through a curve type's kernel: _kernel(t) gives its rows, _alpha_rates() the alpha rows' q, delta."""
 
     def profile(self, t) -> CurveProfile:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # the kernel redoes beta in log space
-            ea, _, ap, bp, beta = self._kernel(t)
-            alpha = np.log(ea[:, 0])
+            _, _, ap, bp, beta = self._kernel(t)
+            # alpha_values' e^alpha has the kernel row's bits, and its log stays finite where e^alpha overflows
+            alpha = alpha_values(*self._alpha_rates(), t)[0]
         return CurveProfile(t, alpha, ap[:, 0], beta[0], bp[0])
 
     def _alpha(self, t, row):
@@ -285,6 +287,9 @@ class SharedAlphaCurves(_Curves):
 
     def _kernel(self, t):
         return _shared_profile(t, self.q, self.delta, self.b1, self.c)
+
+    def _alpha_rates(self):
+        return np.array([[self.q]]), np.array([[self.delta]])
 
     def alpha(self, t):
         return self._alpha(t, 0)
@@ -433,6 +438,9 @@ class ReducedCurvesIII(_Curves):
         return _pair_profile(
             t, self.q_hat, self.delta_hat, self.q_check, self.delta_check, self.drive_hat, self.drive_check, self.c
         )
+
+    def _alpha_rates(self):
+        return np.array([[self.q_hat], [self.q_check]]), np.array([[self.delta_hat], [self.delta_check]])
 
     def alpha_hat(self, t):
         return self._alpha(t, 0)

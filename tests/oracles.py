@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from corrdefault._num import alpha_values, phi_minus, phi_minus_quotient
+from corrdefault._num import alpha_values, phi_minus, phi_minus_quotient, popcounts
+from corrdefault.model import SubsetDist, extract_interactions
 
 
 def phi_minus_diff(a, b, t):
@@ -180,6 +181,20 @@ def brute_force_interactions(probs):
             sub = (sub - 1) & mask
         coeffs[mask] = total
     return coeffs
+
+
+def membership_per_law(probs, graph):
+    """Out-of-family residual of each row of probs: extract_interactions per law, non-edges by a Python loop."""
+    n = graph.n_vertices
+    edges = set(graph.edges)
+    out = popcounts(n) >= 3
+    non_edges = [(1 << u) | (1 << v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    out[np.array(non_edges, dtype=np.int64)] = True
+    per_law = []
+    for row in probs:
+        coeffs = extract_interactions(SubsetDist(n, row)).coeffs
+        per_law.append(float(np.max(np.abs(coeffs[out]))) if np.any(out) else 0.0)
+    return np.array(per_law)
 
 
 def bit_matrix_moments(probs, edges):

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import mpmath
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corrdefault import consistency
+from corrdefault import consistency, model
 from corrdefault._num import alpha_values, geometric_grid, popcounts
 from corrdefault.consistency import (
     alpha_curve,
@@ -24,7 +25,7 @@ from corrdefault.ctmc import (
     independent_generator,
     random_generator,
 )
-from corrdefault.model import Graph
+from corrdefault.model import Graph, ZeroProbabilityError
 
 from conftest import fast_exit_generator, permutations
 from oracles import (
@@ -33,6 +34,7 @@ from oracles import (
     integrate_scalar_ode,
     log_partition_curve,
     master_residual_bits,
+    membership_per_law,
     two_vertex_exact,
     uniformization_solve,
 )
@@ -359,7 +361,50 @@ class TestPartitionCurveIdentity:
                 assert slope == pytest.approx(gen.r_empty, abs=1e-6)
 
 
+@st.composite
+def generators_and_graphs(draw):
+    """A random generator at n = 2..8 with the empty, the complete or a random graph."""
+    n = draw(st.integers(2, 8))
+    gen = random_generator(n, seed=draw(st.integers(0, 2**32 - 1)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.one_of(st.just(()), st.just(pairs), st.lists(st.sampled_from(pairs), unique=True)))
+    return gen, Graph(n, tuple(edges))
+
+
 class TestMembershipOverTime:
+    @settings(max_examples=40)
+    @given(generators_and_graphs())
+    def test_matches_per_law_reference_bit_for_bit(self, case):
+        gen, graph = case
+        grid = geometric_grid(1.0, 8)
+        peak, per_t = membership_over_time(gen, grid, graph)
+        reference = membership_per_law(forward_solve(gen, grid).probs, graph)
+        np.testing.assert_array_equal(per_t, reference)
+        assert peak == reference.max()
+
+    def test_one_transform_per_call(self):
+        gen = random_generator(5, seed=4)
+        with mock.patch.object(model, "mobius_from_log", wraps=model.mobius_from_log) as transform:
+            _, per_t = membership_over_time(gen, geometric_grid(1.0, 16))
+        assert transform.call_count == 1 and per_t.shape == (16,)
+
+    def test_rejects_bad_laws_and_graphs(self):
+        gen = random_generator(3, seed=1)
+        grid = geometric_grid(1.0, 4)
+        solution = forward_solve(gen, grid)
+        zero = solution.probs.copy()
+        zero[2, 0] += zero[2, 7]
+        zero[2, 7] = 0.0
+        with pytest.raises(ZeroProbabilityError, match="empty cells"):
+            membership_over_time(gen, grid, solution=replace(solution, probs=zero))
+        nan = solution.probs.copy()
+        nan[1, 3] = np.nan
+        with pytest.raises(ValueError, match="finite") as exc:
+            membership_over_time(gen, grid, solution=replace(solution, probs=nan))
+        assert not isinstance(exc.value, ZeroProbabilityError)
+        with pytest.raises(ValueError, match="sizes differ"):
+            membership_over_time(gen, grid, Graph.empty(4), solution)
+
     def test_independent_generator_stays_in_family(self):
         gen = independent_generator([0.3, -0.7, 1.1], horizon=1.0)
         peak, per_t = membership_over_time(gen, geometric_grid(1.0, 16))

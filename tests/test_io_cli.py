@@ -911,6 +911,20 @@ class TestConfigChecks:
         assert capsys.readouterr().err == f"config error: {named}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", ["pair_target", "model_beta"])
+    def test_pair_on_a_non_edge_is_named(self, tmp_path, capsys, case):
+        # both printed only the pair's repr, as config error: (0, 2)
+        model, targets, out = tmp_path / "model.json", tmp_path / "targets.json", tmp_path / "out"
+        beta = [{"edge": [1, 2], "value": 0.5}] if case == "model_beta" else []
+        write_json(model, {"n_vertices": 3, "edges": [[0, 1]], "alpha": [0.1, 0.2, 0.3], "beta": beta})
+        write_json(targets, {"vertex_targets": [0.3, 0.3, 0.3], "pair_targets": [{"edge": [0, 2], "value": 0.1}]})
+        cfg_path = tmp_path / "run.json"
+        write_json(cfg_path, {"io": {"model_file": str(model), "targets_file": str(targets)}})
+        assert main(["model", "--fit", "--config", str(cfg_path), "--out", str(out)]) == 2
+        pair = {"pair_target": "(0, 2)", "model_beta": "(1, 2)"}[case]
+        assert capsys.readouterr().err == f"config error: {pair} is not an edge of the graph\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", ["model_file", "generator_file", "targets_file", "alpha_file", "out_is_a_file"])
     def test_bad_paths_exit_2(self, tmp_path, capsys, k2_model_file, case):
         # each exited 1 with a FileNotFoundError or FileExistsError traceback

@@ -207,6 +207,12 @@ def test_mobius_zeta_round_trip(rng):
     values = rng.normal(size=32)
     np.testing.assert_allclose(zeta_over_subsets(mobius_from_log(values)), values, atol=1e-12)
     np.testing.assert_allclose(mobius_from_log(zeta_over_subsets(values)), values, atol=1e-12)
+    # trailing axes: a (2^n, k) block, C- or F-ordered, transforms column by column with the same bits
+    block = rng.normal(size=(32, 5))
+    for transform in (mobius_from_log, zeta_over_subsets):
+        columns = np.column_stack([transform(column) for column in block.T])
+        np.testing.assert_array_equal(transform(block), columns)
+        np.testing.assert_array_equal(transform(np.asfortranarray(block)), columns)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from scipy.linalg import expm
 from scipy.optimize import minimize, rosen
 
 from corrdefault._num import geometric_grid, popcounts, softplus
+from corrdefault.consistency import alpha_curve
 from corrdefault.ctmc import MonotoneGenerator, forward_solve, independent_generator, random_generator
 from corrdefault.model import SubsetDist, extract_interactions
 from corrdefault.reduced import (
@@ -173,7 +175,21 @@ class TestLumping:
             lump_generator(gen, ("bipartite", 2, 2))
 
 
+def alpha_mp(q, delta, t):
+    """alpha = log((q / delta) expm1(delta t)) in 50-digit mpmath."""
+    with mpmath.workdps(50):
+        return float(mpmath.log(mpmath.mpf(q) / delta * mpmath.expm1(mpmath.mpf(delta) * t)))
+
+
 class TestReducedCurvesI:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_alpha_is_finite_past_the_overflow_of_e_alpha(self):
+        # e^alpha overflows once delta t passes about 709.78; alpha at t = 1 was inf
+        t = np.array([0.5, 1.0])
+        alpha, _ = reduced_curves_I(1000.0, 1.0, 2.0, 4).alpha(t)
+        np.testing.assert_array_equal(alpha, alpha_curve(250.0, 999.0, 0.0, t)[0])
+        np.testing.assert_allclose(alpha, [alpha_mp(250.0, 999.0, s) for s in t], rtol=1e-14)
+
     def test_independent_case_is_uncoupled(self):
         c, n = 0.4, 5
         lumped = independent_lumped_I(n, c)
@@ -376,6 +392,14 @@ class TestCoeffCheckII:
 
 
 class TestReducedCurvesIII:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_alpha_is_finite_past_the_overflow_of_e_alpha(self):
+        # alpha_hat(1.0) was inf
+        curves = ReducedCurvesIII((2, 2), 500, 900, 1, 0.5, 1, 1, 0.3)
+        for (alpha, _), q, delta in ((curves.alpha_hat(1.0), 500.0, 900.0), (curves.alpha_check(1.0), 1.0, 0.5)):
+            np.testing.assert_array_equal(alpha, alpha_curve(q, delta, 0.0, 1.0)[0])
+            assert alpha[0] == pytest.approx(alpha_mp(q, delta, 1.0), rel=1e-14)
+
     def test_alpha_hat_matches_ode_oracle(self, rng):
         lumped = compatible_bipartite_rates(rng, 4, 3)
         curves = reduced_curves_III(lumped)
