@@ -11,7 +11,7 @@ Three subcommands, each driven by a single JSON config for reproducibility:
             the symmetric model families
 
 Exit codes: 0 success, 2 config error, 3 infeasible input, 4 numeric failure,
-5 I/O error.
+5 I/O error or a worker process that died (a lattice writer's or a search's).
 """
 
 from __future__ import annotations
@@ -295,8 +295,11 @@ def main(argv=None) -> int:
     except (KeyError, TypeError, ValueError, FileNotFoundError, FileExistsError, NotADirectoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, BrokenProcessPool) as exc:  # a full disk, a path that is a directory, a lost writer process
+    except OSError as exc:  # a full disk, a path that is a directory
         print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except BrokenProcessPool as exc:  # a lattice writer's or a search's worker process was lost
+        print(f"worker process died: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

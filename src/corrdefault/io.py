@@ -9,13 +9,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from ._pool import cpu_map
 from .ctmc import ForwardSolution, MonotoneGenerator
 from .model import Graph, ModelParams, IsingParams, InteractionCoeffs, SubsetDist
 
@@ -178,29 +176,20 @@ def _write_lattice_csv(path, columns, slices, config, first_mask: int = 0):
 
     Each slice is cut into jobs of at most _LATTICE_CHUNK rows.  A file of
     more than _LATTICE_CHUNK rows is formatted on every CPU the process may
-    use, because repr holds the GIL.  The workers are forked, so they start
-    without an import, and before the file opens, so none holds a copy of
-    its buffer.  The texts are written in job order as they arrive.  A
-    worker's exception, or its death, raises here.
+    use (_pool.cpu_map), because repr holds the GIL.  The workers fork
+    before the file opens, so none holds a copy of its buffer.  The texts
+    are written in job order as they arrive.  A worker's exception, or its
+    death, raises here.
     """
     jobs = [
         (lead, values[start : start + _LATTICE_CHUNK], start)
         for lead, values in slices
         for start in range(first_mask, len(values), _LATTICE_CHUNK)
     ]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(cpus, len(jobs))
     rows = sum(len(values) for _, values, _ in jobs)
-    pooled = workers > 1 and rows > _LATTICE_CHUNK and "fork" in multiprocessing.get_all_start_methods()
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) if pooled else None
-    try:
-        texts = pool.map(_lattice_text, jobs) if pool else map(_lattice_text, jobs)  # forks the workers
-        with open(path, "w") as handle:
-            handle.write(_csv_head(columns, config))
-            handle.writelines(texts)
-    finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)  # joins the workers; after a failure, no waiting job starts
+    with cpu_map(_lattice_text, jobs, fork=rows > _LATTICE_CHUNK) as texts, open(path, "w") as handle:
+        handle.write(_csv_head(columns, config))
+        handle.writelines(texts)
 
 
 def write_distribution_csv(path, dist: SubsetDist, config=None):

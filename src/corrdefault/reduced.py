@@ -13,6 +13,7 @@ admissible rate choice exists for the requested terminal parameters.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Dict, NamedTuple, Optional, Tuple, Union
@@ -21,6 +22,7 @@ import numpy as np
 
 from ._num import _pair_profile, _shared_profile, alpha_values
 from ._num import geometric_grid, inv_softplus, is_integer, popcounts, softplus
+from ._pool import cpu_map, usable_cpus
 from .ctmc import MonotoneGenerator
 
 
@@ -616,7 +618,8 @@ _PENALTY_WEIGHT = 1e4
 class RestartRecord:
     """Outcome of one restart: objective and its residual/mismatch parts.
 
-    wall_s is its own warm start plus an equal share of each lockstep step it took part in.
+    wall_s is its own warm start plus an equal share of each lockstep step it took part in, timed in
+    the worker that ran it; the restarts of other workers run meanwhile.
     """
 
     index: int
@@ -1020,8 +1023,9 @@ def _polish(x0, budget, max_rounds, adaptive):
 def _lockstep(objective, polishers, wall):
     """Run ask/tell generators together and return their results: each step scores every pending point at once.
 
-    Each generator sees exactly the values it would see alone.  The list wall gains, for each generator,
-    an equal share of every step it took part in: its send, and the batched call that scores its point.
+    A search runs one lockstep per worker, over the restarts dealt to it.  Each generator sees exactly the
+    values it would see alone.  The list wall gains, for each generator, an equal share of every step it
+    took part in: its send, and the batched call that scores its point.
     """
     results, points = [None] * len(polishers), {}
     active, values = list(range(len(polishers))), [None] * len(polishers)  # the first send starts each one
@@ -1043,6 +1047,47 @@ def _lockstep(objective, polishers, wall):
     return results
 
 
+def _warm_start(problem, config, full_budget, index):
+    """Restart index's warm start: its Nelder-Mead polisher (not yet started) and its evaluation count."""
+    from scipy.optimize import least_squares
+
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, index)))
+    x_outer = rng.normal(0.5, 1.0, problem.outer_dim)
+    tol = 1e-13
+    warm = least_squares(problem.ls_residual, x_outer, method="trf", xtol=tol, ftol=tol, gtol=tol, max_nfev=150)
+    n_warm = int(warm.nfev) * (problem.outer_dim + 1)  # include jacobian columns
+    if problem.kind == "I":
+        x_full = warm.x
+    else:
+        try:
+            x_full = problem.pack(problem.assemble(warm.x))
+        except ValueError:  # a warm table with a rate of 0 or a non-finite one is reported, not polished
+            x_full = None
+    # a warm start that already solved the system only needs a short
+    # confirmation round; otherwise Nelder-Mead does the minimax shaping
+    if x_full is not None and problem.objective(x_full) < 1e-7:
+        budget, max_rounds = min(600, full_budget), 1
+    else:
+        budget, max_rounds = full_budget, 1 + _POLISH_ROUNDS
+    return _polish(x_full, budget, max_rounds, adaptive=problem.dim > 6), n_warm
+
+
+def _restarts(problem, config, full_budget, indices):
+    """Warm starts of the restarts indices, one after the other, then their lockstep polish.
+
+    Returns (x, objective, n_warm, n_polish, rounds, wall_s) per restart;
+    wall_s is measured in the process that runs this group.
+    """
+    starts, wall = [], []
+    for index in indices:
+        clock = time.perf_counter()
+        starts.append(_warm_start(problem, config, full_budget, index))
+        wall.append(time.perf_counter() - clock)
+    polishers, n_warm = zip(*starts)
+    finals = _lockstep(problem.objective, polishers, wall)  # (x, objective, n_polish, rounds) per restart
+    return [(x, value, count, *rest, w) for (x, value, *rest), count, w in zip(finals, n_warm, wall)]
+
+
 def feasibility_search(model, targets, config: SearchConfig = SearchConfig()) -> SearchResult:
     """Multi-start Nelder-Mead search for admissible lumped rates.
 
@@ -1058,50 +1103,37 @@ def feasibility_search(model, targets, config: SearchConfig = SearchConfig()) ->
     start runs over the constructor rates only, with the linearly-entering
     remainder of the table solved by least squares.  Nelder-Mead over the
     full rate space then minimizes the stated max-norm objective, re-seeding
-    its simplex at the optimum while the value keeps dropping.  Every
-    restart's Nelder-Mead runs in lockstep with the others, one batched
-    objective call per step; a restart's result depends only on (seed,
-    index), not on how many restarts run beside it.  Reported floors are
-    always max-residuals of explicit positive full rate tables.
+    its simplex at the optimum while the value keeps dropping.
+
+    The restarts are dealt round-robin (index w::workers) to one forked
+    worker per usable CPU, at most one per restart (_pool.cpu_map; none for
+    one restart or one CPU).  A worker warm-starts its restarts one after
+    the other, then runs their Nelder-Mead in lockstep, one batched
+    objective call per step.  A restart's result depends only on (seed,
+    index), not on how many restarts run beside it or on which worker runs
+    it.  Reported floors are always max-residuals of explicit positive full
+    rate tables, evaluated here.
     Non-convergence is reported, never raised: a restart whose warm start
     gives no valid table (a rate of 0, or a non-finite one) is recorded with
     objective, residual and mismatch inf, and SearchFailedError is raised
     only when that happens to every restart.
     """
-    from scipy.optimize import least_squares
+    import scipy.optimize  # noqa: F401 -- loaded here, so that no worker imports it again
 
     kind, sizes = _parse_model(model)
     targets = _normalize_targets(kind, targets)
     problem = _SearchProblem(kind, sizes, targets, config)
     search_start = time.perf_counter()
     full_budget = config.max_iter if config.max_iter is not None else max(800, 80 * problem.dim)
-    polishers, n_warm, wall = [], [], [0.0] * config.restarts
-    for index in range(config.restarts):
-        restart_start = time.perf_counter()
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, index)))
-        x_outer = rng.normal(0.5, 1.0, problem.outer_dim)
-        tol = 1e-13
-        warm = least_squares(problem.ls_residual, x_outer, method="trf", xtol=tol, ftol=tol, gtol=tol, max_nfev=150)
-        n_warm.append(int(warm.nfev) * (problem.outer_dim + 1))  # include jacobian columns
-        if kind == "I":
-            x_full = warm.x
-        else:
-            try:
-                x_full = problem.pack(problem.assemble(warm.x))
-            except ValueError:  # a warm table with a rate of 0 or a non-finite one is reported, not polished
-                x_full = None
-        # a warm start that already solved the system only needs a short
-        # confirmation round; otherwise Nelder-Mead does the minimax shaping
-        if x_full is not None and problem.objective(x_full) < 1e-7:
-            budget, max_rounds = min(600, full_budget), 1
-        else:
-            budget, max_rounds = full_budget, 1 + _POLISH_ROUNDS
-        polishers.append(_polish(x_full, budget, max_rounds, adaptive=problem.dim > 6))
-        wall[index] = time.perf_counter() - restart_start
-    finals = _lockstep(problem.objective, polishers, wall)  # (x, objective, n_polish, rounds) per restart
+    workers = min(usable_cpus(), config.restarts)
+    groups = [range(w, config.restarts, workers) for w in range(workers)]
+    finals = [None] * config.restarts
+    with cpu_map(functools.partial(_restarts, problem, config, full_budget), groups) as parts:
+        for w, part in enumerate(parts):
+            finals[w::workers] = part
     trace = tuple(
-        RestartRecord(index, value, *problem.evaluate(x), n_warm[index], n_polish, rounds, wall[index])
-        for index, (x, value, n_polish, rounds) in enumerate(finals)
+        RestartRecord(index, value, *problem.evaluate(x), n_warm, n_polish, rounds, wall)
+        for index, (x, value, n_warm, n_polish, rounds, wall) in enumerate(finals)
     )
     best_index = min(range(config.restarts), key=lambda index: trace[index].objective)  # the first, on ties
     if finals[best_index][0] is None:

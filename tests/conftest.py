@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from corrdefault.ctmc import MonotoneGenerator, random_generator
 from corrdefault.model import Graph, ModelParams
-from corrdefault.reduced import _SearchProblem
+from corrdefault import reduced
 
 # Every run replays the same examples, and no example is failed for its
 # wall-clock time, which varies run to run on a loaded machine.
@@ -36,17 +38,23 @@ def fast_exit_generator():
     return MonotoneGenerator(3, rates)
 
 
+def n_cpus(count):
+    """Make the process see `count` usable CPUs; with 2, a multi-chunk lattice file or a search of 2+ restarts forks."""
+    return mock.patch("os.sched_getaffinity", return_value=set(range(count)), create=True)
+
+
 def reject_restart_1(patcher):
-    """Make _SearchProblem.assemble reject the second table it assembles: restart 1's, in a fresh search."""
-    assemble, calls = _SearchProblem.assemble, []
+    """Make _SearchProblem.assemble reject restart 1's warm table, in whichever process warm-starts restart 1."""
+    warm_start = reduced._warm_start
 
-    def patched(problem, outer_x):
-        calls.append(outer_x)
-        if len(calls) == 2:
-            raise ValueError("interior lumped rates must be positive and finite")
-        return assemble(problem, outer_x)
+    def patched(problem, config, full_budget, index):
+        if index != 1:
+            return warm_start(problem, config, full_budget, index)
+        rejected = ValueError("interior lumped rates must be positive and finite")
+        with mock.patch.object(problem, "assemble", side_effect=rejected):
+            return warm_start(problem, config, full_budget, index)
 
-    patcher.setattr(_SearchProblem, "assemble", patched)
+    patcher.setattr(reduced, "_warm_start", patched)
 
 
 def random_graph(rng, n_vertices, edge_prob=0.6):

@@ -27,7 +27,7 @@ from corrdefault.model import (
     full_distribution,
 )
 
-from conftest import fast_exit_generator, random_model, reject_restart_1, unreachable_triple_generator
+from conftest import fast_exit_generator, n_cpus, random_model, reject_restart_1, unreachable_triple_generator
 from oracles import beta_pair_mp
 
 
@@ -114,18 +114,13 @@ def lattice_floats(draw, elements):
     return np.array(draw(st.lists(elements, min_size=1 << n, max_size=1 << n)))
 
 
-def _cpus(count):
-    """Make the lattice writers see `count` usable CPUs; with 2, a file of more than one chunk goes to a pool."""
-    return mock.patch("os.sched_getaffinity", return_value=set(range(count)), create=True)
-
-
 def _lattice_bytes(write, payload, reference_rows, columns, chunk):
     """Bytes of a bulk lattice writer (chunked every `chunk` rows) on one CPU and on two, and of write_csv's rows."""
     config = {"seed": 1}
     with tempfile.TemporaryDirectory() as folder:
         paths = [Path(folder) / name for name in ("one_cpu.csv", "two_cpus.csv", "rows.csv")]
         for path, cpus in zip(paths, (1, 2)):
-            with mock.patch.object(cdio, "_LATTICE_CHUNK", chunk), _cpus(cpus):
+            with mock.patch.object(cdio, "_LATTICE_CHUNK", chunk), n_cpus(cpus):
                 write(path, payload, config)
         cdio.write_csv(paths[2], columns, reference_rows, config)
         return [path.read_bytes() for path in paths]
@@ -168,7 +163,7 @@ class TestLatticeWriters:
                 handle.write(f"{float(value)!r}\n")
             return f"<{float(value)!r}>"
 
-        with mock.patch.object(cdio, "_LATTICE_CHUNK", 1 << 10), mock.patch.object(cdio, "_fmt", marked), _cpus(cpus):
+        with mock.patch.object(cdio, "_LATTICE_CHUNK", 1 << 10), mock.patch.object(cdio, "_fmt", marked), n_cpus(cpus):
             cdio.write_interactions_csv(tmp_path / "c.csv", InteractionCoeffs(12, values, 0.0))
         rows = (tmp_path / "c.csv").read_text().splitlines()[2:]
         assert rows == [f"{mask},<{values[mask]!r}>" for mask in range(1, 1 << 12)]
@@ -179,7 +174,7 @@ class TestLatticeWriters:
         cdio.write_generator_json(gen_path, random_generator(6, seed=2))
         write_json(config, {"io": {"model_file": str(k2_model_file), "generator_file": str(gen_path)}})
         refuse = mock.patch("multiprocessing.get_context", side_effect=AssertionError("a process was started"))
-        with refuse, _cpus(2):
+        with refuse, n_cpus(2):
             # a 2048-row trajectory and master residual (32 times of 64 subsets) are one chunk each
             assert main(["dynamics", "--config", str(config), "--out", str(tmp_path / "dynamics")]) == 0
             assert main(["model", "--config", str(config), "--out", str(tmp_path / "model")]) == 0
@@ -187,7 +182,7 @@ class TestLatticeWriters:
 
     def test_pool_is_joined_after_a_multi_chunk_write(self, tmp_path):
         dist = SubsetDist(8, np.full(1 << 8, 2.0**-8))
-        with mock.patch.object(cdio, "_LATTICE_CHUNK", 1 << 4), _cpus(2):
+        with mock.patch.object(cdio, "_LATTICE_CHUNK", 1 << 4), n_cpus(2):
             cdio.write_distribution_csv(tmp_path / "d.csv", dist)
         assert len((tmp_path / "d.csv").read_text().splitlines()) == 1 + 1 + (1 << 8)
         assert multiprocessing.active_children() == []
@@ -203,7 +198,7 @@ class TestLatticeWriters:
 
         dist = SubsetDist(8, np.full(1 << 8, 2.0**-8))
         with mock.patch.object(cdio, "_LATTICE_CHUNK", 1 << 4), mock.patch.object(cdio, "_fmt", dies_in_worker):
-            with _cpus(2), pytest.raises(BrokenProcessPool):
+            with n_cpus(2), pytest.raises(BrokenProcessPool):
                 cdio.write_distribution_csv(tmp_path / "d.csv", dist)
         assert multiprocessing.active_children() == []
 
@@ -218,7 +213,7 @@ class TestLatticeWriters:
         out = tmp_path / "out"
         config = tmp_path / "run.json"
         write_json(config, {"io": {"model_file": str(k2_model_file), "out_dir": str(out)}})
-        with mock.patch.object(cdio, "_LATTICE_CHUNK", 1), mock.patch.object(cdio, "_fmt", fails_in_worker), _cpus(2):
+        with mock.patch.object(cdio, "_LATTICE_CHUNK", 1), mock.patch.object(cdio, "_fmt", fails_in_worker), n_cpus(2):
             assert main(["model", "--config", str(config)]) == 2
         assert "formatting failed in worker" in capsys.readouterr().err
         assert list(out.iterdir()) == []
@@ -226,7 +221,7 @@ class TestLatticeWriters:
 
 
 class TestIOErrors:
-    """Write failures that are not config errors exit 5 and leave no output files."""
+    """Write failures that are not config errors, and lost worker processes, exit 5 and leave no output files."""
 
     def test_dead_worker_during_model_exits_5(self, tmp_path, capsys):
         # n = 17 is two lattice chunks, so with two CPUs the writers use a pool; its worker dies on its first job
@@ -240,11 +235,30 @@ class TestIOErrors:
         cdio.write_model_json(tmp_path / "model.json", ModelParams(Graph(17, ()), np.linspace(-1.0, 1.0, 17), []))
         write_json(tmp_path / "run.json", {"io": {"model_file": str(tmp_path / "model.json")}})
         out = tmp_path / "out"
-        with mock.patch.object(cdio, "_fmt", dies_in_worker), _cpus(2):
+        with mock.patch.object(cdio, "_fmt", dies_in_worker), n_cpus(2):
             assert main(["model", "--config", str(tmp_path / "run.json"), "--out", str(out)]) == 5
-        assert capsys.readouterr().err.startswith("I/O error: ")
+        assert capsys.readouterr().err.startswith("worker process died: ")
         assert list(out.iterdir()) == []
         assert sorted(path.name for path in tmp_path.iterdir()) == ["model.json", "out", "run.json"]  # no stage left
+        assert multiprocessing.active_children() == []
+
+    def test_dead_search_worker_exits_5(self, tmp_path, capsys):
+        # two restarts on two CPUs run in two forked workers; each dies on its first objective call
+        parent, objective = os.getpid(), _SearchProblem.objective
+
+        def dies_in_worker(problem, x):
+            if os.getpid() != parent:
+                os._exit(1)
+            return objective(problem, x)
+
+        config = {"model": "I", "N": 3, "targets": {"alpha": 0.3, "beta": 0.5}, "search": {"restarts": 2}}
+        write_json(tmp_path / "run.json", config)
+        out = tmp_path / "out"
+        with mock.patch.object(_SearchProblem, "objective", dies_in_worker), n_cpus(2):
+            assert main(["search", "--config", str(tmp_path / "run.json"), "--out", str(out)]) == 5
+        assert capsys.readouterr().err.startswith("worker process died: ")
+        assert list(out.iterdir()) == []
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["out", "run.json"]  # no stage left
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize(
@@ -830,13 +844,35 @@ class TestCmdSearch:
     def test_rejected_warm_table_exits_0(self, tmp_path, monkeypatch):
         # a warm table with a zero rate exited 2 with "interior lumped rates must be positive"
         reject_restart_1(monkeypatch)
-        out = tmp_path / "out"
-        config = {"model": "II", "M": 3, "N": 3, "targets": {"alpha": 0.3, "beta": 0.25}}
-        config.update(search={"restarts": 4, "seed": 975633704}, io={"out_dir": str(out)})
-        assert self._run(tmp_path, config) == 0
-        rows = (out / "restarts.csv").read_text().splitlines()[3:]
-        assert rows[1] == "1,420,inf,inf,inf"
-        assert json.loads((out / "result.json").read_text())["best_index"] != 1
+        for cpus in (1, 2):
+            out = tmp_path / f"out{cpus}"
+            config = {"model": "II", "M": 3, "N": 3, "targets": {"alpha": 0.3, "beta": 0.25}}
+            config.update(search={"restarts": 4, "seed": 975633704}, io={"out_dir": str(out)})
+            with n_cpus(cpus):
+                assert self._run(tmp_path, config) == 0
+            rows = (out / "restarts.csv").read_text().splitlines()[3:]
+            assert rows[1] == "1,420,inf,inf,inf"
+            assert json.loads((out / "result.json").read_text())["best_index"] != 1
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"model": "I", "N": 4, "targets": {"alpha": 0.3, "beta": 0.5}},
+            {"model": "II", "M": 3, "N": 3, "targets": {"alpha": 0.3, "beta": 0.0}},
+            {"model": "III", "M": 4, "N": 3, "targets": {"alpha_hat": 0.5, "alpha_check": -0.5, "beta": 0.1}},
+        ],
+    )
+    def test_outputs_are_the_same_on_one_and_two_cpus(self, tmp_path, model):
+        write_json(tmp_path / "run.json", {**model, "search": {"restarts": 3, "seed": 11, "max_iter": 200}})
+        outputs = []
+        for cpus in (1, 2):
+            out = tmp_path / f"out{cpus}"
+            with n_cpus(cpus):
+                assert main(["search", "--config", str(tmp_path / "run.json"), "--out", str(out)]) == 0
+            outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+        assert sorted(outputs[0]) == ["coeff_check.json", "restarts.csv", "result.json"]
+        assert outputs[0] == outputs[1]
+        assert multiprocessing.active_children() == []
 
     def test_no_warm_table_exits_4(self, tmp_path, capsys):
         def reject(problem, outer_x):

@@ -1,4 +1,8 @@
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import minimize, rosen
 
+from corrdefault import _pool
 from corrdefault._num import geometric_grid, popcounts, softplus
 from corrdefault.consistency import alpha_curve
 from corrdefault.ctmc import MonotoneGenerator, forward_solve, independent_generator, random_generator
@@ -40,7 +45,7 @@ from corrdefault.reduced import (
 )
 
 import oracles
-from conftest import reject_restart_1
+from conftest import n_cpus, reject_restart_1
 from oracles import integrate_scalar_ode
 
 
@@ -582,14 +587,16 @@ class TestFeasibilitySearch:
         # assemble is made to reject restart 1's table instead
         reject_restart_1(monkeypatch)
         targets = {"alpha": 0.3, "beta": 0.25}
-        result = feasibility_search(("II", 3, 3), targets, SearchConfig(restarts=4, seed=975633704))
-        rejected = result.trace[1]
-        assert (rejected.objective, rejected.residual_max, rejected.terminal_mismatch) == (np.inf, np.inf, np.inf)
-        assert (rejected.n_polish_evaluations, rejected.rounds) == (0, 0)
-        assert result.best_index != 1 and np.isfinite(result.residual_floor)
-        # the other restarts keep their records
         alone = feasibility_search(("II", 3, 3), targets, SearchConfig(restarts=1, seed=975633704))
-        assert alone.trace[0] == result.trace[0]
+        for cpus in (1, 2):
+            with n_cpus(cpus):
+                result = feasibility_search(("II", 3, 3), targets, SearchConfig(restarts=4, seed=975633704))
+            rejected = result.trace[1]
+            assert (rejected.objective, rejected.residual_max, rejected.terminal_mismatch) == (np.inf, np.inf, np.inf)
+            assert (rejected.n_polish_evaluations, rejected.rounds) == (0, 0)
+            assert result.best_index != 1 and np.isfinite(result.residual_floor)
+            # the other restarts keep their records
+            assert alone.trace[0] == result.trace[0]
 
     def test_no_warm_table_raises(self, monkeypatch):
         def reject(problem, outer_x):
@@ -603,6 +610,71 @@ class TestFeasibilitySearch:
         # the pair curve needs lam2 > 0, and at N = 2 it is the absorbing rate lam[N] = 0
         with pytest.raises(ValueError, match="N >= 3"):
             feasibility_search(("I", 2), (0.3, 0.0), SearchConfig(restarts=1))
+
+
+SIZES = {"I": ("I", 4), "II": ("II", 3, 3), "III": ("III", 4, 3)}
+
+
+def _on_cpus(cpus, model, targets, restarts, seed=3):
+    with n_cpus(cpus):
+        return feasibility_search(SIZES[model], targets, SearchConfig(restarts=restarts, seed=seed, max_iter=200))
+
+
+def _assert_same_result(a, b):
+    """Every field of two search results but wall_s, the records' included; the best rates bit for bit."""
+    fields = ("model", "sizes", "targets", "best_index", "residual_floor", "terminal_mismatch", "restarts_used")
+    assert [getattr(a, name) for name in fields] == [getattr(b, name) for name in fields]
+    assert a.trace == b.trace  # every compare=True field of every record
+    for name in ("lam",) if a.model == "I" else ("hat_rates", "check_rates"):
+        assert np.array_equal(getattr(a.best_rates, name), getattr(b.best_rates, name))
+
+
+class TestSearchPool:
+    """Restarts dealt to one forked worker per CPU give the records of one process, and leave no process behind."""
+
+    @pytest.mark.parametrize("restarts", [2, 3, 5])
+    @pytest.mark.parametrize(
+        "model, targets",
+        [("I", (0.3, 0.0)), ("I", (0.3, 0.5)), ("II", (0.3, 0.0)), ("II", (0.3, 0.25)),
+         ("III", (0.5, -0.5, 0.0)), ("III", (0.5, -0.5, 0.1))],
+    )
+    def test_one_cpu_equals_two(self, model, targets, restarts):
+        _assert_same_result(_on_cpus(1, model, targets, restarts), _on_cpus(2, model, targets, restarts))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("restarts", [2, 5])
+    @pytest.mark.parametrize("model, targets", [("II", (0.3, 0.25)), ("III", (0.5, -0.5, 0.1))])
+    def test_one_cpu_equals_two_with_restart_1_rejected(self, monkeypatch, model, targets, restarts):
+        reject_restart_1(monkeypatch)
+        one, two = (_on_cpus(cpus, model, targets, restarts) for cpus in (1, 2))
+        _assert_same_result(one, two)
+        assert two.trace[1].objective == np.inf and two.best_index != 1
+        assert multiprocessing.active_children() == []
+
+    def test_no_process_for_one_restart_or_one_cpu(self):
+        refuse = mock.patch("multiprocessing.get_context", side_effect=AssertionError("a process was started"))
+        with refuse:
+            _on_cpus(2, "I", (0.3, 0.0), restarts=1)
+            _on_cpus(1, "I", (0.3, 0.0), restarts=3)
+
+    def test_no_more_workers_than_cpus(self):
+        with mock.patch.object(_pool, "ProcessPoolExecutor", wraps=ProcessPoolExecutor) as pool:
+            _on_cpus(2, "I", (0.3, 0.0), restarts=5)
+        assert [call.args[0] for call in pool.call_args_list] == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exception_propagates(self):
+        parent, objective = os.getpid(), _SearchProblem.objective
+
+        def fails_in_worker(problem, x):
+            if os.getpid() != parent:
+                raise FloatingPointError(f"objective failed in worker {os.getpid()}")
+            return objective(problem, x)
+
+        with mock.patch.object(_SearchProblem, "objective", fails_in_worker):
+            with pytest.raises(FloatingPointError, match="objective failed in worker"):
+                _on_cpus(2, "I", (0.3, 0.5), restarts=2)
+        assert multiprocessing.active_children() == []
 
 
 TARGETS = {"I": (0.3, 0.5), "II": (0.3, 0.25), "III": (0.5, -0.5, 0.1)}
