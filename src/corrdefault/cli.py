@@ -131,7 +131,7 @@ def cmd_model(config, args) -> int:
         vertex_targets = np.asarray(targets["vertex_targets"], dtype=float)
         pair_targets = np.zeros(params.graph.n_edges)
         for entry in targets.get("pair_targets", []):
-            u, v = (int(x) for x in entry["edge"])
+            u, v = (cdio.integer_field(x, "pair target edge end") for x in entry["edge"])
             pair_targets[params.graph.edge_position(u, v)] = float(entry["value"])
     with _staged(_out_dir(config, args)) as out:
         dist = full_distribution(params)

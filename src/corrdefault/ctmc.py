@@ -33,6 +33,15 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def _table_shape(n_vertices: int) -> Tuple[int, int]:
+    """(2^n, n), a rate table's shape, for n from 1 to the cap; checked before the table exists, which may not fit."""
+    if n_vertices < 1:
+        raise ValueError("need at least one vertex")
+    if n_vertices > FORWARD_CAP:
+        raise ValueError(f"{n_vertices} vertices exceeds the generator cap of {FORWARD_CAP}")
+    return 1 << n_vertices, n_vertices
+
+
 @dataclass(frozen=True)
 class MonotoneGenerator:
     """Jump rates q(A, v) for single-vertex additions A -> A + {v}.
@@ -45,14 +54,9 @@ class MonotoneGenerator:
     rates: np.ndarray
 
     def __post_init__(self):
-        if self.n_vertices < 1:
-            raise ValueError("need at least one vertex")
-        if self.n_vertices > FORWARD_CAP:
-            raise ValueError(
-                f"{self.n_vertices} vertices exceeds the generator cap of {FORWARD_CAP}"
-            )
+        shape = _table_shape(self.n_vertices)
         rates = np.array(self.rates, dtype=float)
-        if rates.shape != (1 << self.n_vertices, self.n_vertices):
+        if rates.shape != shape:
             raise ValueError("rate table must have shape (2^n, n)")
         if not np.all(np.isfinite(rates)):
             raise ValueError("rates must be finite")
@@ -91,7 +95,7 @@ class MonotoneGenerator:
     @classmethod
     def from_function(cls, n_vertices: int, rate_fn) -> "MonotoneGenerator":
         """Build the dense table from rate_fn(subset_mask, vertex) for v not in A."""
-        rates = np.zeros((1 << n_vertices, n_vertices))
+        rates = np.zeros(_table_shape(n_vertices))
         for mask in range(1 << n_vertices):
             for v in range(n_vertices):
                 if not (mask >> v) & 1:
@@ -101,9 +105,13 @@ class MonotoneGenerator:
     @classmethod
     def from_entries(cls, n_vertices: int, entries: Iterable[Tuple[int, int, float]]) -> "MonotoneGenerator":
         """Build from sparse (subset_bitmask, vertex, rate) triples; missing rates are zero."""
-        rates = np.zeros((1 << n_vertices, n_vertices))
+        rates = np.zeros(_table_shape(n_vertices))
         for mask, vertex, rate in entries:
             mask, vertex = int(mask), int(vertex)
+            for name, value, size in (("subset_bitmask", mask, len(rates)), ("vertex", vertex, n_vertices)):
+                if not 0 <= value < size:
+                    entry = f"subset_bitmask {mask}, vertex {vertex}, rate {rate}"
+                    raise ValueError(f"generator entry ({entry}): {name} {value} lies outside 0..{size - 1}")
             if (mask >> vertex) & 1:
                 raise ValueError(f"vertex {vertex} already in subset {mask}")
             rates[mask, vertex] = rate
@@ -135,7 +143,7 @@ def independent_generator(alpha, horizon: float = 1.0) -> MonotoneGenerator:
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
     lam = softplus(np.asarray(alpha, dtype=float)) / horizon
-    return _monotone(np.tile(lam, (1 << lam.shape[0], 1)))
+    return _monotone(np.tile(lam, (_table_shape(lam.shape[0])[0], 1)))
 
 
 def independent_alpha_curve(alpha_horizon: float, horizon: float, t):
@@ -322,7 +330,7 @@ def sample_paths(
 def random_generator(n_vertices: int, seed: int) -> MonotoneGenerator:
     """Generator with i.i.d. uniform rates on [0.2, 2) on every allowed transition."""
     rng = np.random.default_rng(seed)
-    return _monotone(rng.uniform(0.2, 2.0, size=(1 << n_vertices, n_vertices)))
+    return _monotone(rng.uniform(0.2, 2.0, size=_table_shape(n_vertices)))
 
 
 def independent_terminal_law(alpha) -> SubsetDist:

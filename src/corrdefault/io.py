@@ -13,6 +13,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from ._num import is_integer
 from ._pool import cpu_map
 from .ctmc import ForwardSolution, MonotoneGenerator
 from .model import Graph, ModelParams, IsingParams, InteractionCoeffs, SubsetDist
@@ -82,6 +83,13 @@ def read_json(path):
         return json.load(handle, object_pairs_hook=JsonObject)
 
 
+def integer_field(value, name: str) -> int:
+    """A JSON field that must be an integer; a float, a bool (JSON true) or a string raises a ValueError naming it."""
+    if not is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def model_to_dict(params: ModelParams) -> dict:
     graph = params.graph
     payload = {
@@ -99,17 +107,17 @@ def model_to_dict(params: ModelParams) -> dict:
 
 
 def model_from_dict(payload: Mapping) -> ModelParams:
-    n_vertices = int(payload["n_vertices"])
-    edges = tuple(tuple(int(v) for v in edge) for edge in payload.get("edges", []))
+    n_vertices = integer_field(payload["n_vertices"], "n_vertices")
+    edges = tuple(tuple(integer_field(v, "edge end") for v in edge) for edge in payload.get("edges", []))
     bipartition = None
     if payload.get("bipartition") is not None:
         bip = payload["bipartition"]
-        bipartition = (tuple(int(v) for v in bip["hat"]), tuple(int(v) for v in bip["check"]))
+        bipartition = tuple(tuple(integer_field(v, f"{side} vertex") for v in bip[side]) for side in ("hat", "check"))
     graph = Graph(n_vertices, edges, bipartition)
     alpha = np.asarray(payload["alpha"], dtype=float)
     beta = np.zeros(graph.n_edges)
     for entry in payload.get("beta", []):
-        u, v = (int(x) for x in entry["edge"])
+        u, v = (integer_field(x, "beta edge end") for x in entry["edge"])
         beta[graph.edge_position(u, v)] = float(entry["value"])
     return ModelParams(graph, alpha, beta)
 
@@ -146,9 +154,9 @@ def generator_to_dict(gen: MonotoneGenerator) -> dict:
 
 
 def generator_from_dict(payload: Mapping) -> MonotoneGenerator:
-    n_vertices = int(payload["n_vertices"])
+    n_vertices = integer_field(payload["n_vertices"], "n_vertices")
     entries = [
-        (int(e["subset_bitmask"]), int(e["vertex"]), float(e["rate"]))
+        (integer_field(e["subset_bitmask"], "subset_bitmask"), integer_field(e["vertex"], "vertex"), float(e["rate"]))
         for e in payload.get("entries", [])
     ]
     return MonotoneGenerator.from_entries(n_vertices, entries)

@@ -13,7 +13,6 @@ admissible rate choice exists for the requested terminal parameters.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass, field
 from typing import Dict, NamedTuple, Optional, Tuple, Union
@@ -618,8 +617,9 @@ _PENALTY_WEIGHT = 1e4
 class RestartRecord:
     """Outcome of one restart: objective and its residual/mismatch parts.
 
-    wall_s is its own warm start plus an equal share of each lockstep step it took part in, timed in
-    the worker that ran it; the restarts of other workers run meanwhile.
+    wall_s is the time of its own sends in its worker's lockstep (the first one runs its warm start)
+    plus an equal share of each batched objective call that scored one of its points; the restarts of
+    other workers run meanwhile.
     """
 
     index: int
@@ -1000,92 +1000,65 @@ def _nelder_mead(x0, maxfev, xatol, fatol, adaptive):
     return sim, fsim, nfev, iterations
 
 
-def _polish(x0, budget, max_rounds, adaptive):
-    """Ask/tell Nelder-Mead re-seeding its simplex while the value keeps dropping; returns (x, value, nfev, rounds).
+def _restart(problem, config, full_budget, index):
+    """Restart index as an ask/tell generator of Nelder-Mead points; returns (x, objective, n_warm, n_polish, rounds).
 
-    Without a starting point it asks for none and returns (None, inf, 0, 0).
+    The first send runs its warm start.  A warm table with a rate of 0 or a
+    non-finite one is reported, not polished: (None, inf, n_warm, 0, 0) before
+    the first point.  A warm start that already solved the system only needs
+    a short confirmation round; otherwise Nelder-Mead does the minimax shaping.
     """
-    if x0 is None:
-        return None, np.inf, 0, 0
-    x, value, n_evals, rounds = np.asarray(x0, dtype=float), np.inf, 0, 0
-    for _ in range(max_rounds):
-        sim, fsim, nfev, _ = yield from _nelder_mead(x, budget, 1e-10, 1e-14, adaptive)
-        x, fun = sim[0], np.min(fsim)
-        n_evals += nfev
-        rounds += 1
-        improved_enough = fun < _POLISH_GAIN * value
-        value = float(fun)
-        if value < 1e-14 or not improved_enough:
-            break
-    return x, value, n_evals, rounds
-
-
-def _lockstep(objective, polishers, wall):
-    """Run ask/tell generators together and return their results: each step scores every pending point at once.
-
-    A search runs one lockstep per worker, over the restarts dealt to it.  Each generator sees exactly the
-    values it would see alone.  The list wall gains, for each generator, an equal share of every step it
-    took part in: its send, and the batched call that scores its point.
-    """
-    results, points = [None] * len(polishers), {}
-    active, values = list(range(len(polishers))), [None] * len(polishers)  # the first send starts each one
-    clock = time.perf_counter()
-    while active:
-        for i, value in zip(active, values):
-            try:
-                points[i] = polishers[i].send(value)
-            except StopIteration as stop:
-                results[i] = stop.value
-                points.pop(i, None)
-        stepped, active = active, list(points)
-        if active:
-            values = objective(np.array([points[i] for i in active])).tolist()
-        now = time.perf_counter()
-        for i in stepped:
-            wall[i] += (now - clock) / len(stepped)
-        clock = now
-    return results
-
-
-def _warm_start(problem, config, full_budget, index):
-    """Restart index's warm start: its Nelder-Mead polisher (not yet started) and its evaluation count."""
     from scipy.optimize import least_squares
 
-    rng = np.random.default_rng(np.random.SeedSequence((config.seed, index)))
-    x_outer = rng.normal(0.5, 1.0, problem.outer_dim)
-    tol = 1e-13
-    warm = least_squares(problem.ls_residual, x_outer, method="trf", xtol=tol, ftol=tol, gtol=tol, max_nfev=150)
+    x0 = np.random.default_rng(np.random.SeedSequence((config.seed, index))).normal(0.5, 1.0, problem.outer_dim)
+    tol = dict.fromkeys(("xtol", "ftol", "gtol"), 1e-13)
+    warm = least_squares(problem.ls_residual, x0, method="trf", max_nfev=150, **tol)
     n_warm = int(warm.nfev) * (problem.outer_dim + 1)  # include jacobian columns
-    if problem.kind == "I":
-        x_full = warm.x
-    else:
+    x = warm.x
+    if problem.kind != "I":
         try:
-            x_full = problem.pack(problem.assemble(warm.x))
-        except ValueError:  # a warm table with a rate of 0 or a non-finite one is reported, not polished
-            x_full = None
-    # a warm start that already solved the system only needs a short
-    # confirmation round; otherwise Nelder-Mead does the minimax shaping
-    if x_full is not None and problem.objective(x_full) < 1e-7:
-        budget, max_rounds = min(600, full_budget), 1
-    else:
-        budget, max_rounds = full_budget, 1 + _POLISH_ROUNDS
-    return _polish(x_full, budget, max_rounds, adaptive=problem.dim > 6), n_warm
+            x = problem.pack(problem.assemble(warm.x))
+        except ValueError:
+            return None, np.inf, n_warm, 0, 0
+    confirm = problem.objective(x) < 1e-7
+    budget, max_rounds = (min(600, full_budget), 1) if confirm else (full_budget, 1 + _POLISH_ROUNDS)
+    value, n_polish = np.inf, 0
+    for rounds in range(1, max_rounds + 1):
+        sim, fsim, nfev, _ = yield from _nelder_mead(x, budget, 1e-10, 1e-14, problem.dim > 6)
+        x, fun, n_polish = sim[0], np.min(fsim), n_polish + nfev
+        improved_enough, value = fun < _POLISH_GAIN * value, float(fun)
+        if value < 1e-14 or not improved_enough:
+            break
+    return x, value, n_warm, n_polish, rounds
 
 
-def _restarts(problem, config, full_budget, indices):
-    """Warm starts of the restarts indices, one after the other, then their lockstep polish.
+def _lockstep(objective, restarts):
+    """Run ask/tell generators together: each step sends each one its value, then scores all their points in one call.
 
-    Returns (x, objective, n_warm, n_polish, rounds, wall_s) per restart;
-    wall_s is measured in the process that runs this group.
+    A search runs one lockstep per worker, over the restarts dealt to it, and
+    each generator sees exactly the values it would see alone.  Returns
+    (result, wall_s) per generator: wall_s is the time of its own sends plus
+    an equal share of each batched call that scored one of its points.
     """
-    starts, wall = [], []
-    for index in indices:
-        clock = time.perf_counter()
-        starts.append(_warm_start(problem, config, full_budget, index))
-        wall.append(time.perf_counter() - clock)
-    polishers, n_warm = zip(*starts)
-    finals = _lockstep(problem.objective, polishers, wall)  # (x, objective, n_polish, rounds) per restart
-    return [(x, value, count, *rest, w) for (x, value, *rest), count, w in zip(finals, n_warm, wall)]
+    results, wall = [None] * len(restarts), [0.0] * len(restarts)
+    active, values = range(len(restarts)), [None] * len(restarts)  # the first send starts each one
+    while active:
+        points = {}
+        for i, value in zip(active, values):
+            clock = time.perf_counter()
+            try:
+                points[i] = restarts[i].send(value)
+            except StopIteration as stop:
+                results[i] = stop.value
+            wall[i] += time.perf_counter() - clock
+        active = list(points)
+        if active:
+            clock = time.perf_counter()
+            values = objective(np.array(list(points.values()))).tolist()
+            share = (time.perf_counter() - clock) / len(active)
+            for i in active:
+                wall[i] += share
+    return list(zip(results, wall))
 
 
 def feasibility_search(model, targets, config: SearchConfig = SearchConfig()) -> SearchResult:
@@ -1107,12 +1080,16 @@ def feasibility_search(model, targets, config: SearchConfig = SearchConfig()) ->
 
     The restarts are dealt round-robin (index w::workers) to one forked
     worker per usable CPU, at most one per restart (_pool.cpu_map; none for
-    one restart or one CPU).  A worker warm-starts its restarts one after
-    the other, then runs their Nelder-Mead in lockstep, one batched
-    objective call per step.  A restart's result depends only on (seed,
-    index), not on how many restarts run beside it or on which worker runs
-    it.  Reported floors are always max-residuals of explicit positive full
-    rate tables, evaluated here.
+    one restart or one CPU).  Each restart is one ask/tell generator
+    (_restart), and a worker runs its restarts in lockstep: each step sends
+    every restart still running its value, then scores all their points in
+    one batched objective call.  The first send runs a restart's warm
+    start.  A record's wall_s is the time of its restart's own sends plus
+    an equal share of each batched call that scored one of its points.  A
+    restart's result depends only on (seed, index), not on how many
+    restarts run beside it or on which worker runs it.  Reported floors are
+    always max-residuals of explicit positive full rate tables, evaluated
+    in the worker.
     Non-convergence is reported, never raised: a restart whose warm start
     gives no valid table (a rate of 0, or a non-finite one) is recorded with
     objective, residual and mismatch inf, and SearchFailedError is raised
@@ -1126,23 +1103,24 @@ def feasibility_search(model, targets, config: SearchConfig = SearchConfig()) ->
     search_start = time.perf_counter()
     full_budget = config.max_iter if config.max_iter is not None else max(800, 80 * problem.dim)
     workers = min(usable_cpus(), config.restarts)
-    groups = [range(w, config.restarts, workers) for w in range(workers)]
-    finals = [None] * config.restarts
-    with cpu_map(functools.partial(_restarts, problem, config, full_budget), groups) as parts:
-        for w, part in enumerate(parts):
-            finals[w::workers] = part
-    trace = tuple(
-        RestartRecord(index, value, *problem.evaluate(x), n_warm, n_polish, rounds, wall)
-        for index, (x, value, n_warm, n_polish, rounds, wall) in enumerate(finals)
-    )
+
+    def run(indices):  # one lockstep over the restarts dealt to a worker, and their records
+        finals = _lockstep(problem.objective, [_restart(problem, config, full_budget, index) for index in indices])
+        return [
+            (x, RestartRecord(index, value, *problem.evaluate(x), n_warm, n_polish, rounds, wall))
+            for index, ((x, value, n_warm, n_polish, rounds), wall) in zip(indices, finals)
+        ]
+
+    with cpu_map(run, [range(w, config.restarts, workers) for w in range(workers)]) as parts:
+        xs, trace = zip(*sorted((pair for part in parts for pair in part), key=lambda pair: pair[1].index))
     best_index = min(range(config.restarts), key=lambda index: trace[index].objective)  # the first, on ties
-    if finals[best_index][0] is None:
+    if xs[best_index] is None:
         raise SearchFailedError(f"no warm start of the {config.restarts} restart(s) gave a valid rate table")
     return SearchResult(
         model=kind,
         sizes=sizes,
         targets=targets,
-        best_rates=problem.unpack(finals[best_index][0]),
+        best_rates=problem.unpack(xs[best_index]),
         best_index=best_index,
         residual_floor=float(min(record.residual_max for record in trace)),
         terminal_mismatch=trace[best_index].terminal_mismatch,

@@ -44,17 +44,20 @@ def n_cpus(count):
 
 
 def reject_restart_1(patcher):
-    """Make _SearchProblem.assemble reject restart 1's warm table, in whichever process warm-starts restart 1."""
-    warm_start = reduced._warm_start
+    """Make _SearchProblem.assemble reject restart 1's warm table, in whichever process runs restart 1.
+
+    Restart 1 then ends within its first send, so assemble is patched only while it runs.
+    """
+    restart = reduced._restart
 
     def patched(problem, config, full_budget, index):
         if index != 1:
-            return warm_start(problem, config, full_budget, index)
+            return (yield from restart(problem, config, full_budget, index))
         rejected = ValueError("interior lumped rates must be positive and finite")
         with mock.patch.object(problem, "assemble", side_effect=rejected):
-            return warm_start(problem, config, full_budget, index)
+            return (yield from restart(problem, config, full_budget, index))
 
-    patcher.setattr(reduced, "_warm_start", patched)
+    patcher.setattr(reduced, "_restart", patched)
 
 
 def random_graph(rng, n_vertices, edge_prob=0.6):

@@ -76,9 +76,21 @@ class TestGeneratorValidation:
         gen = random_generator(3, seed=1)
         assert gen.exit_rates[7] == 0.0
 
-    def test_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            MonotoneGenerator(15, np.zeros((1 << 15, 15)))
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n: MonotoneGenerator(n, np.zeros((1 << 15, 15))),
+            lambda n: MonotoneGenerator.from_entries(n, []),
+            lambda n: MonotoneGenerator.from_function(n, lambda mask, v: 1.0),
+            lambda n: independent_generator(np.full(n, 0.1)),
+            lambda n: random_generator(n, seed=1),
+        ],
+        ids=["constructor", "from_entries", "from_function", "independent_generator", "random_generator"],
+    )
+    def test_cap(self, build):
+        # the four builders allocated their (2^n, n) table before the check: 320 TiB at n = 40, a MemoryError
+        with pytest.raises(ValueError, match="40 vertices exceeds the generator cap of 14"):
+            build(40)
 
     def test_low_order_accessors(self):
         gen = random_generator(3, seed=2)

@@ -674,6 +674,42 @@ class TestCmdDynamics:
             assert repr(key) in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (
+                {"generator": {"n_vertices": 2, "entries": [{"subset_bitmask": 0, "vertex": 5, "rate": 1.0}]}},
+                "generator entry (subset_bitmask 0, vertex 5, rate 1.0): vertex 5 lies outside 0..1",
+            ),
+            (
+                {"generator": {"n_vertices": 2, "entries": [{"subset_bitmask": 4, "vertex": 0, "rate": 1.0}]}},
+                "generator entry (subset_bitmask 4, vertex 0, rate 1.0): subset_bitmask 4 lies outside 0..3",
+            ),
+            (
+                {"generator": {"n_vertices": 2, "entries": [{"subset_bitmask": 0, "vertex": -1, "rate": 1.0}]}},
+                "generator entry (subset_bitmask 0, vertex -1, rate 1.0): vertex -1 lies outside 0..1",
+            ),
+            (
+                {"generator": {"n_vertices": 2, "entries": [{"subset_bitmask": -2, "vertex": 0, "rate": 1.0}]}},
+                "generator entry (subset_bitmask -2, vertex 0, rate 1.0): subset_bitmask -2 lies outside 0..3",
+            ),
+            ({"generator": {"n_vertices": 40, "entries": []}}, "40 vertices exceeds the generator cap of 14"),
+            ({"independent": {"alpha": [0.1] * 40}}, "40 vertices exceeds the generator cap of 14"),
+        ],
+    )
+    def test_bad_generator_exits_2(self, tmp_path, capsys, config, message):
+        # the first two exited 1 with an IndexError traceback, vertex -1 exited 2 as "negative shift count",
+        # subset_bitmask -2 set the rate of subset 2, and 40 vertices exited 1 with an _ArrayMemoryError
+        # for a 320 TiB table
+        gen_path, out = tmp_path / "gen.json", tmp_path / "out"
+        if "generator" in config:
+            write_json(gen_path, config.pop("generator"))
+            config["io"] = {"generator_file": str(gen_path)}
+        write_json(tmp_path / "run.json", config)
+        assert main(["dynamics", "--config", str(tmp_path / "run.json"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     def test_missing_generator_exits_2(self, tmp_path):
         cfg_path = tmp_path / "run.json"
         write_json(cfg_path, {"io": {"out_dir": str(tmp_path / "out")}})
@@ -959,6 +995,62 @@ class TestConfigChecks:
         assert main(["model", "--fit", "--config", str(cfg_path), "--out", str(out)]) == 2
         pair = {"pair_target": "(0, 2)", "model_beta": "(1, 2)"}[case]
         assert capsys.readouterr().err == f"config error: {pair} is not an edge of the graph\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            ({"n_vertices": 2.7, "edges": [[0, 1]]}, "n_vertices must be an integer, got 2.7"),
+            ({"n_vertices": True, "edges": []}, "n_vertices must be an integer, got True"),
+            ({"n_vertices": 2, "edges": [[0, 1.9]]}, "edge end must be an integer, got 1.9"),
+            ({"n_vertices": 2, "edges": [[0, 1]], "bipartition": {"hat": [0], "check": [1.0]}},
+             "check vertex must be an integer, got 1.0"),
+            ({"n_vertices": 2, "edges": [[0, 1]], "beta": [{"edge": [0, "1"], "value": 0.5}]},
+             "beta edge end must be an integer, got '1'"),
+        ],
+    )
+    def test_model_file_integer_fields(self, tmp_path, capsys, model, message):
+        # each was truncated by int(): n_vertices 2.7 and edge (0, 1.9) ran as a 2-vertex model on edge (0, 1)
+        model_path, out = tmp_path / "model.json", tmp_path / "out"
+        write_json(model_path, {"alpha": [0.1] * int(model["n_vertices"]), **model})
+        write_json(tmp_path / "run.json", {"io": {"model_file": str(model_path)}})
+        assert main(["model", "--config", str(tmp_path / "run.json"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "generator, message",
+        [
+            ({"n_vertices": True, "entries": [{"subset_bitmask": 0.5, "vertex": 0, "rate": 1.0}]},
+             "n_vertices must be an integer, got True"),
+            ({"n_vertices": 2.0, "entries": []}, "n_vertices must be an integer, got 2.0"),
+            ({"n_vertices": 2, "entries": [{"subset_bitmask": 0.5, "vertex": 0, "rate": 1.0}]},
+             "subset_bitmask must be an integer, got 0.5"),
+            ({"n_vertices": 2, "entries": [{"subset_bitmask": 0, "vertex": 1.0, "rate": 1.0}]},
+             "vertex must be an integer, got 1.0"),
+        ],
+    )
+    def test_generator_file_integer_fields(self, tmp_path, capsys, generator, message):
+        # each was truncated by int(): n_vertices true and subset_bitmask 0.5 ran as one vertex at mask 0
+        gen_path, out = tmp_path / "gen.json", tmp_path / "out"
+        write_json(gen_path, generator)
+        write_json(tmp_path / "run.json", {"io": {"generator_file": str(gen_path)}})
+        assert main(["dynamics", "--config", str(tmp_path / "run.json"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edge, message",
+        [([0, 1.0], "got 1.0"), ([0.9, 1], "got 0.9"), ([0, True], "got True")],
+    )
+    def test_targets_file_integer_fields(self, tmp_path, capsys, k2_model_file, edge, message):
+        # each was truncated by int(): edge (0.9, 1) fitted the pair target of edge (0, 1)
+        targets, out = tmp_path / "targets.json", tmp_path / "out"
+        write_json(targets, {"vertex_targets": [0.3, 0.3], "pair_targets": [{"edge": edge, "value": 0.1}]})
+        cfg_path = tmp_path / "run.json"
+        write_json(cfg_path, {"io": {"model_file": str(k2_model_file), "targets_file": str(targets)}})
+        assert main(["model", "--fit", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: pair target edge end must be an integer, {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("case", ["model_file", "generator_file", "targets_file", "alpha_file", "out_is_a_file"])

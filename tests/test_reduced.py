@@ -651,6 +651,17 @@ class TestSearchPool:
         assert two.trace[1].objective == np.inf and two.best_index != 1
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("rejected", [False, True])
+    def test_wall_s_of_the_records(self, monkeypatch, rejected):
+        # one process runs every restart in turn, so their times add up within the search's; on two CPUs
+        # each record is timed in its worker, within the search
+        if rejected:
+            reject_restart_1(monkeypatch)
+        one, two = (_on_cpus(cpus, "II", (0.3, 0.25), restarts=3) for cpus in (1, 2))
+        assert all(record.wall_s > 0.0 for record in one.trace)
+        assert sum(record.wall_s for record in one.trace) <= one.wall_s
+        assert all(0.0 < record.wall_s <= two.wall_s for record in two.trace)
+
     def test_no_process_for_one_restart_or_one_cpu(self):
         refuse = mock.patch("multiprocessing.get_context", side_effect=AssertionError("a process was started"))
         with refuse:
