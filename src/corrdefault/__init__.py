@@ -20,7 +20,6 @@ from .model import (
     log_partition,
     moments,
     spin_distribution,
-    subset_probability,
     to_ising,
 )
 from .ctmc import (
@@ -33,10 +32,8 @@ from .ctmc import (
     sample_paths,
 )
 from .consistency import (
-    BetaCurve,
     ParamCurves,
     alpha_curve,
-    beta_curve,
     curves_from_rates,
     master_residual,
     membership_over_time,
@@ -59,8 +56,6 @@ from .reduced import (
     reduced_curves_II,
     reduced_curves_III,
     residual_I,
-    residual_II,
-    residual_III,
     residual_bipartite,
 )
 

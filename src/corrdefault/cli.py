@@ -44,6 +44,7 @@ from .model import (
 from .reduced import (
     SearchConfig,
     SearchFailedError,
+    _normalize_targets,
     _parse_model,
     coeff_check_I,
     coeff_check_II,
@@ -92,12 +93,13 @@ def _load_config(path) -> dict:
     return config
 
 
-def _numerics(config) -> dict:
+def _numerics(config) -> tuple:
     numerics = {"t_min_fraction": 1e-3, "grid_points": 32}
     numerics.update(config.get("numerics", {}))
     # a bad horizon or grid raises ValueError, which exits 2 before any output directory is made
-    geometric_grid(float(config.get("horizon", 1.0)), numerics["grid_points"], numerics["t_min_fraction"])
-    return numerics
+    horizon = cdio.float_field(config.get("horizon", 1.0), "horizon")
+    geometric_grid(horizon, numerics["grid_points"], numerics["t_min_fraction"])
+    return numerics, horizon
 
 
 def _out_dir(config, args) -> Path:
@@ -128,11 +130,11 @@ def cmd_model(config, args) -> int:
         if targets_file is None:
             raise ConfigError("--fit needs io.targets_file")
         targets = cdio.read_json(targets_file)
-        vertex_targets = np.asarray(targets["vertex_targets"], dtype=float)
+        vertex_targets = np.array(cdio.float_fields(targets["vertex_targets"], "vertex_targets"))
         pair_targets = np.zeros(params.graph.n_edges)
         for entry in targets.get("pair_targets", []):
             u, v = (cdio.integer_field(x, "pair target edge end") for x in entry["edge"])
-            pair_targets[params.graph.edge_position(u, v)] = float(entry["value"])
+            pair_targets[params.graph.edge_position(u, v)] = cdio.float_field(entry["value"], "pair target value")
     with _staged(_out_dir(config, args)) as out:
         dist = full_distribution(params)
         cdio.write_distribution_csv(out / "distribution.csv", dist, config)
@@ -150,7 +152,7 @@ def cmd_model(config, args) -> int:
 
 def _dynamics_generator(config, horizon):
     if "independent" in config:
-        return independent_generator(np.asarray(config["independent"]["alpha"], dtype=float), horizon)
+        return independent_generator(np.array(cdio.float_fields(config["independent"]["alpha"], "alpha")), horizon)
     generator_file = config.get("io", {}).get("generator_file")
     if generator_file is None:
         raise ConfigError("dynamics needs io.generator_file, an independent block, or --independent")
@@ -163,9 +165,8 @@ def cmd_dynamics(config, args) -> int:
         payload = cdio.read_json(alpha_file)
         alpha = payload["alpha"] if isinstance(payload, dict) else payload
         # every writer hashes the config actually run
-        config = {**config, "independent": {"alpha": [float(a) for a in alpha]}, "horizon": float(horizon_text)}
-    numerics = _numerics(config)
-    horizon = float(config.get("horizon", 1.0))
+        config = {**config, "independent": {"alpha": cdio.float_fields(alpha, "alpha")}, "horizon": float(horizon_text)}
+    numerics, horizon = _numerics(config)
     gen = _dynamics_generator(config, horizon)
     with _staged(_out_dir(config, args)) as out:
         grid = geometric_grid(horizon, numerics["grid_points"], numerics["t_min_fraction"])
@@ -180,21 +181,21 @@ def cmd_dynamics(config, args) -> int:
     return EXIT_OK
 
 
-def _search_model(config):
+def _search_inputs(config):
     kind = config.get("model")
     if kind not in ("I", "II", "III"):
         raise ConfigError(f"unknown search model {kind!r}")
     model = (kind, config["N"]) if kind == "I" else (kind, config["M"], config["N"])
-    _parse_model(model)  # a bad size exits 2 before any output directory is made
-    return model
-
-
-def cmd_search(config, args) -> int:
-    model = _search_model(config)
+    _parse_model(model)  # a bad size or target exits 2 before any output directory is made
     targets = config.get("targets")
     if not isinstance(targets, dict):
         raise ConfigError("search needs a targets object")
-    numerics = _numerics(config)
+    return model, _normalize_targets(kind, targets)
+
+
+def cmd_search(config, args) -> int:
+    model, targets = _search_inputs(config)
+    numerics, horizon = _numerics(config)
     search_block = dict(config.get("search", {}))
     if args.seed is not None:
         search_block["seed"] = args.seed
@@ -205,11 +206,11 @@ def cmd_search(config, args) -> int:
         seed=search_block.get("seed", 0),
         grid_points=numerics["grid_points"],
         t_min_fraction=float(numerics["t_min_fraction"]),
-        horizon=float(config.get("horizon", 1.0)),
+        horizon=horizon,
     )
     out = _out_dir(config, args)
     result = feasibility_search(model, targets, search_config)  # a ValueError is a config error
-    beta_star = float(targets["beta"])
+    beta_star = targets["beta"]
     if model[0] == "I":
         report = coeff_check_I(result.best_rates, beta_star)
         payload = {

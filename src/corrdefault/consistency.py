@@ -51,50 +51,12 @@ def _pair_values(t, constants):
 
 
 @dataclass(frozen=True)
-class BetaCurve:
-    """Pair interaction curve beta_uv: values on a grid, and (beta, beta') at any t > 0.
-
-    constants are the pair's (q_u, d_u, q_v, d_v, q({v}, u), q({u}, v), c)
-    with d_w = R_empty - R_w and c = R_empty - R_uv.
-    """
-
-    t_grid: np.ndarray
-    beta: np.ndarray
-    beta_prime: np.ndarray
-    constants: Tuple[float, ...]
-
-
-def beta_curve(
-    q_u: float, q_v: float, q_uv: float, q_vu: float, r_empty: float, r_u: float, r_v: float, r_uv: float, t_grid
-) -> BetaCurve:
-    """Pair curve: the bounded solution of the consistency ODE for the two-vertex subset.
-
-    beta' = (R_empty - R_uv - alpha_u' - alpha_v')
-            + (q_vu e^{-alpha_u} + q_uv e^{-alpha_v}) e^{-beta}
-    is linear in e^beta; its unique solution bounded as t -> 0, with
-    beta(0+) = log((q_u q_uv + q_v q_vu) / (2 q_u q_v)), is evaluated in closed
-    form by _num._pair_profile, and beta' from the equation itself.
-    """
-    if q_u <= 0.0 or q_v <= 0.0:
-        raise ValueError("q_u and q_v must be positive")
-    if q_uv < 0.0 or q_vu < 0.0:
-        raise ValueError("pair rates must be nonnegative")
-    if q_u * q_uv + q_v * q_vu <= 0.0:
-        raise ValueError("the pair state is unreachable; beta diverges to -inf")
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if np.any(t_grid <= 0.0) or np.any(np.diff(t_grid) <= 0.0):
-        raise ValueError("t_grid must be positive and strictly increasing")
-    constants = (q_u, r_empty - r_u, q_v, r_empty - r_v, q_vu, q_uv, r_empty - r_uv)
-    return BetaCurve(t_grid, *_pair_values(t_grid, constants), constants)
-
-
-@dataclass(frozen=True)
 class ParamCurves:
     """Time-dependent parameters (alpha_u, beta_uv) with derivative evaluators.
 
-    Vertex curves are closed-form.  Row p of pairs, (u, v) with u < v, has
-    column p of pair_constants as its BetaCurve constants, and all pairs are
-    evaluated in one kernel call.  Other pairs are the constant zero curve.
+    Vertex curves are closed-form.  Row p of pairs, (u, v) with u < v, has column p of pair_constants as
+    its (q_u, d_u, q_v, d_v, q({v}, u), q({u}, v), c), with d_w = R_empty - R_w and c = R_empty - R_uv.
+    All pairs are evaluated in one kernel call.  Other pairs are the constant zero curve.
     """
 
     n_vertices: int
@@ -160,18 +122,11 @@ def curves_from_rates(gen: MonotoneGenerator, horizon: float = 1.0, t_grid=None)
     drive_u, drive_v = gen.rates[single[v], u], gen.rates[single[u], v]  # q({v}, u) and q({u}, v)
     unreachable = q[u] * drive_v + q[v] * drive_u <= 0.0
     if unreachable.any():
-        raise ValueError(f"the pair state {tuple(pairs[unreachable.argmax()])} is unreachable; beta diverges to -inf")
+        k = unreachable.argmax()
+        raise ValueError(f"the pair state ({u[k]}, {v[k]}) is unreachable; beta diverges to -inf")
     c = r_empty - gen.exit_rates[single[u] | single[v]]
     constants = np.array([q[u], delta[u], q[v], delta[v], drive_u, drive_v, c])
     return ParamCurves(n, q, delta, pairs, constants, horizon=float(t_grid[-1]))
-
-
-def independent_curves(alpha, horizon: float = 1.0) -> ParamCurves:
-    """Curves of the independent construction: closed-form alphas, no pair terms."""
-    alpha = np.asarray(alpha, dtype=float)
-    lam = np.logaddexp(0.0, alpha) / horizon
-    no_pairs = np.zeros((0, 2), dtype=int), np.zeros((7, 0))
-    return ParamCurves(alpha.shape[0], lam, lam, *no_pairs, horizon=float(horizon))
 
 
 # master_residual transforms at most this many cells at once (8 MB of floats).

@@ -90,6 +90,18 @@ def integer_field(value, name: str) -> int:
     return int(value)
 
 
+def float_field(value, name: str) -> float:
+    """A JSON field that must be a number; a bool (JSON true) or a string raises a ValueError naming it."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def float_fields(values, name: str) -> list:
+    """float_field of every entry of a JSON list, named name[i]."""
+    return [float_field(value, f"{name}[{i}]") for i, value in enumerate(values)]
+
+
 def model_to_dict(params: ModelParams) -> dict:
     graph = params.graph
     payload = {
@@ -114,11 +126,11 @@ def model_from_dict(payload: Mapping) -> ModelParams:
         bip = payload["bipartition"]
         bipartition = tuple(tuple(integer_field(v, f"{side} vertex") for v in bip[side]) for side in ("hat", "check"))
     graph = Graph(n_vertices, edges, bipartition)
-    alpha = np.asarray(payload["alpha"], dtype=float)
+    alpha = np.array(float_fields(payload["alpha"], "alpha"))
     beta = np.zeros(graph.n_edges)
     for entry in payload.get("beta", []):
         u, v = (integer_field(x, "beta edge end") for x in entry["edge"])
-        beta[graph.edge_position(u, v)] = float(entry["value"])
+        beta[graph.edge_position(u, v)] = float_field(entry["value"], "beta value")
     return ModelParams(graph, alpha, beta)
 
 
@@ -156,7 +168,8 @@ def generator_to_dict(gen: MonotoneGenerator) -> dict:
 def generator_from_dict(payload: Mapping) -> MonotoneGenerator:
     n_vertices = integer_field(payload["n_vertices"], "n_vertices")
     entries = [
-        (integer_field(e["subset_bitmask"], "subset_bitmask"), integer_field(e["vertex"], "vertex"), float(e["rate"]))
+        (integer_field(e["subset_bitmask"], "subset_bitmask"), integer_field(e["vertex"], "vertex"),
+         float_field(e["rate"], "rate"))
         for e in payload.get("entries", [])
     ]
     return MonotoneGenerator.from_entries(n_vertices, entries)

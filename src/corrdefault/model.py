@@ -310,12 +310,6 @@ def full_distribution(params: ModelParams) -> SubsetDist:
     return SubsetDist(params.graph.n_vertices, np.exp(h - log_z), log_partition=log_z)
 
 
-def subset_probability(params: ModelParams, subset: SubsetLike) -> float:
-    mask = subset_mask(subset, params.graph.n_vertices)
-    h = hamiltonian_vector(params)
-    return float(np.exp(h[mask] - logsumexp(h)))
-
-
 def to_ising(params: ModelParams) -> IsingParams:
     """Equivalent spin-model parameters under sigma_v = 2*1[v in A] - 1.
 
@@ -367,11 +361,6 @@ def extract_interactions(dist: SubsetDist) -> InteractionCoeffs:
     coeffs = mobius_from_log(logp)
     coeffs[0] = 0.0
     return InteractionCoeffs(dist.n_vertices, coeffs, float(logp[0]))
-
-
-def reconstruct_log_ratios(coeffs: InteractionCoeffs) -> np.ndarray:
-    """log(p(A)/p(empty)) for every A from the interaction coordinates."""
-    return zeta_over_subsets(coeffs.coeffs)
 
 
 def family_membership_residual(dist: SubsetDist, graph: Graph) -> float:

@@ -23,6 +23,7 @@ from ._num import _pair_profile, _shared_profile, alpha_values
 from ._num import geometric_grid, inv_softplus, is_integer, popcounts, softplus
 from ._pool import cpu_map, usable_cpus
 from .ctmc import MonotoneGenerator
+from .io import float_field
 
 
 @dataclass(frozen=True)
@@ -482,9 +483,6 @@ def residual_bipartite(
     return res.reshape(m_hat + 1, n_check + 1, -1)
 
 
-residual_II = residual_III = residual_bipartite
-
-
 @dataclass(frozen=True)
 class CoeffCheckIII:
     """Report on the constant-beta coefficient system for Model III.
@@ -689,19 +687,16 @@ def _normalize_targets(kind, targets):
         t = {"alpha_hat": targets[0], "alpha_check": targets[1], "beta": targets[2]}
     else:
         t = {"alpha": targets[0], "beta": targets[1]}
-    if kind == "III":
-        needed = {"alpha_hat", "alpha_check", "beta"}
-        if set(t) != needed:
-            raise ValueError(f"Model III targets need keys {sorted(needed)}")
-        if t["alpha_hat"] == t["alpha_check"]:
-            raise ValueError("Model III requires distinct alpha_hat and alpha_check targets")
-    else:
-        if set(t) != {"alpha", "beta"}:
-            raise ValueError("targets need keys {'alpha', 'beta'}")
+    if kind == "III" and set(t) != {"alpha_hat", "alpha_check", "beta"}:
+        raise ValueError("Model III targets need keys ['alpha_check', 'alpha_hat', 'beta']")
+    if kind != "III" and set(t) != {"alpha", "beta"}:
+        raise ValueError("targets need keys {'alpha', 'beta'}")
     for key, value in t.items():
-        if not np.isfinite(value):
+        t[key] = float_field(value, f"target {key}")
+        if not np.isfinite(t[key]):
             raise ValueError(f"target {key} must be finite")
-        t[key] = float(value)
+    if kind == "III" and t["alpha_hat"] == t["alpha_check"]:
+        raise ValueError("Model III requires distinct alpha_hat and alpha_check targets")
     return t
 
 

@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 from corrdefault import consistency, model
 from corrdefault._num import alpha_values, geometric_grid, popcounts
 from corrdefault.consistency import (
+    ParamCurves,
     alpha_curve,
-    beta_curve,
     curves_from_rates,
-    independent_curves,
     master_residual,
     membership_over_time,
 )
@@ -119,36 +118,41 @@ class TestAlphaCurve:
             np.testing.assert_allclose(beta[:, u, v], exact, rtol=0.0, atol=1e-12)
 
 
-class TestBetaCurve:
-    def test_independent_rates_stay_uncoupled(self):
-        lam_u, lam_v, lam_w = 0.9, 0.5, 1.3
-        r_empty = lam_u + lam_v + lam_w
-        curve = beta_curve(
-            lam_u,
-            lam_v,
-            lam_v,  # q({u}, v) equals v's constant rate
-            lam_u,
-            r_empty,
-            r_empty - lam_u,
-            r_empty - lam_v,
-            r_empty - lam_u - lam_v,
-            geometric_grid(1.0, 16),
-        )
-        np.testing.assert_allclose(curve.beta, 0.0, atol=1e-8)
+def two_vertex_generator(q_u, q_v, q_uv, q_vu):
+    """The 2-vertex chain with q(empty, 0) = q_u, q(empty, 1) = q_v, q({0}, 1) = q_uv and q({1}, 0) = q_vu."""
+    rates = np.zeros((4, 2))
+    rates[0] = q_u, q_v
+    rates[0b01, 1], rates[0b10, 0] = q_uv, q_vu
+    return MonotoneGenerator(2, rates)
 
+
+class TestPairCurve:
     def test_symmetric_unit_rates_start_at_zero(self):
-        curve = beta_curve(1.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 0.0, np.array([1e-6, 1e-3, 1.0]))
-        assert curve.beta[0] == pytest.approx(0.0, abs=1e-5)
+        grid = np.array([1e-6, 1e-3, 1.0])
+        beta, _ = curves_from_rates(two_vertex_generator(1.0, 1.0, 1.0, 1.0), t_grid=grid).beta(0, 1, grid)
+        assert beta[0] == pytest.approx(0.0, abs=1e-5)
 
     def test_two_vertex_extraction_oracle(self, rng):
         grid = geometric_grid(1.0, 24)
         for _ in range(5):
             q_u, q_v, q_uv, q_vu = rng.uniform(0.2, 2.0, 4)
-            r_empty = q_u + q_v
-            curve = beta_curve(q_u, q_v, q_uv, q_vu, r_empty, q_uv, q_vu, 0.0, grid)
+            curves = curves_from_rates(two_vertex_generator(q_u, q_v, q_uv, q_vu), t_grid=grid)
             p0, pu, pv, puv = two_vertex_exact(q_u, q_v, q_uv, q_vu, grid)
             beta_hat = np.log(puv * p0 / (pu * pv))
-            np.testing.assert_allclose(curve.beta, beta_hat, atol=1e-6)
+            np.testing.assert_allclose(curves.beta(0, 1, grid)[0], beta_hat, atol=1e-6)
+
+    @settings(max_examples=30)
+    @given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), t=st.floats(0.01, 1.0), on_grid=st.booleans())
+    def test_pair_and_matrix_evaluators_agree(self, n, seed, t, on_grid):
+        curves = curves_from_rates(random_generator(n, seed=seed))
+        t = geometric_grid(1.0, 8) * t if on_grid else t
+        b, bp = curves.beta_matrices(t)
+        diagonal = np.arange(n)
+        assert not b[..., diagonal, diagonal].any() and not bp[..., diagonal, diagonal].any()
+        for u, v in PAIRS_OF[n]:
+            for pair in (curves.beta(u, v, t), curves.beta(v, u, t)):
+                np.testing.assert_array_equal(pair[0], b[..., u, v])
+                np.testing.assert_array_equal(pair[1], bp[..., u, v])
 
     @settings(max_examples=25)
     @given(st.integers(0, 2**32 - 1), st.floats(0.01, 1.0))
@@ -175,9 +179,11 @@ class TestBetaCurve:
             down, _ = curves.beta(u, v, t - h)
             assert float(slope) == pytest.approx((up - down) / (2.0 * h), rel=1e-5, abs=1e-5)
 
-    def test_unreachable_pair_rejected(self):
-        with pytest.raises(ValueError, match="unreachable"):
-            beta_curve(1.0, 1.0, 0.0, 0.0, 2.0, 1.0, 1.0, 0.0, np.array([0.5]))
+    def test_unreachable_pair_is_named(self):
+        # the pair was formatted from a numpy array, as (np.int64(0), np.int64(1))
+        with pytest.raises(ValueError) as exc:
+            curves_from_rates(two_vertex_generator(1.0, 1.0, 0.0, 0.0))
+        assert str(exc.value) == "the pair state (0, 1) is unreachable; beta diverges to -inf"
 
 
 class TestCurvesFromRates:
@@ -220,7 +226,8 @@ class TestCurvesFromRates:
         scalar, _ = curves.beta(0, 2, 0.5)
         assert scalar.shape == () and scalar == beta[1]
         # a valid pair with no stored curve is the zero curve
-        empty = independent_curves([0.1, 0.6, -0.2], horizon=1.0)
+        lam = np.logaddexp(0.0, [0.1, 0.6, -0.2])
+        empty = ParamCurves(3, lam, lam, np.zeros((0, 2), int), np.zeros((7, 0)), horizon=1.0)
         assert empty.beta(0, 2, 0.5) == (0.0, 0.0)
         with pytest.raises(ValueError, match="distinct vertices"):
             empty.beta(0, 3, 0.5)
@@ -264,9 +271,10 @@ class TestMasterResidual:
         res = master_residual(gen, curves, 0.5)
         assert abs(res[0b111]) > 1e-2
 
-    def test_independent_curves_without_pair_entries(self):
+    def test_curves_without_pair_entries(self):
         gen = independent_generator([0.1, 0.6], horizon=1.0)
-        curves = independent_curves([0.1, 0.6], horizon=1.0)
+        lam = np.logaddexp(0.0, [0.1, 0.6])
+        curves = ParamCurves(2, lam, lam, np.zeros((0, 2), int), np.zeros((7, 0)), horizon=1.0)
         res = master_residual(gen, curves, 0.5)
         assert np.max(np.abs(res)) < 1e-10
 

@@ -710,6 +710,17 @@ class TestCmdDynamics:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
+    def test_unreachable_pair_exits_2(self, tmp_path, capsys):
+        # the pair was printed from a numpy array, as (np.int64(0), np.int64(1))
+        gen_path, out = tmp_path / "gen.json", tmp_path / "out"
+        entries = [{"subset_bitmask": 0, "vertex": v, "rate": 1.0} for v in (0, 1)]
+        write_json(gen_path, {"n_vertices": 2, "entries": entries})
+        write_json(tmp_path / "run.json", {"io": {"generator_file": str(gen_path)}})
+        assert main(["dynamics", "--config", str(tmp_path / "run.json"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: the pair state (0, 1) is unreachable; beta diverges to -inf\n"
+        assert list(out.iterdir()) == []
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["gen.json", "out", "run.json"]
+
     def test_missing_generator_exits_2(self, tmp_path):
         cfg_path = tmp_path / "run.json"
         write_json(cfg_path, {"io": {"out_dir": str(tmp_path / "out")}})
@@ -1052,6 +1063,116 @@ class TestConfigChecks:
         assert main(["model", "--fit", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: pair target edge end must be an integer, {message}\n"
         assert not out.exists()
+
+    def run_exits_2(self, tmp_path, capsys, argv, config, message):
+        """argv run on config exits 2 with exactly message and makes no output directory."""
+        write_json(tmp_path / "run.json", config)
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(tmp_path / "run.json"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            ({"alpha": ["0.1", 0.2]}, "alpha[0] must be a number, got '0.1'"),
+            ({"alpha": [0.1, True]}, "alpha[1] must be a number, got True"),
+            ({"beta": [{"edge": [0, 1], "value": "0.5"}]}, "beta value must be a number, got '0.5'"),
+            ({"beta": [{"edge": [0, 1], "value": True}]}, "beta value must be a number, got True"),
+        ],
+    )
+    def test_model_file_number_fields(self, tmp_path, capsys, model, message):
+        # each ran to exit 0, reading "0.1" as 0.1 and true as 1.0
+        model_path = tmp_path / "model.json"
+        write_json(model_path, {"n_vertices": 2, "edges": [[0, 1]], "alpha": [0.1, 0.2], **model})
+        self.run_exits_2(tmp_path, capsys, ["model"], {"io": {"model_file": str(model_path)}}, message)
+
+    @pytest.mark.parametrize(
+        "rate, message", [(True, "rate must be a number, got True"), ("1.0", "rate must be a number, got '1.0'")]
+    )
+    def test_generator_file_number_fields(self, tmp_path, capsys, rate, message):
+        # each ran to exit 0 with q(empty, 0) = 1.0
+        gen_path = tmp_path / "gen.json"
+        entries = [(0, 0, rate), (0, 1, 1.0), (0b01, 1, 1.0), (0b10, 0, 1.0)]
+        entries = [{"subset_bitmask": mask, "vertex": v, "rate": r} for mask, v, r in entries]
+        write_json(gen_path, {"n_vertices": 2, "entries": entries})
+        self.run_exits_2(tmp_path, capsys, ["dynamics"], {"io": {"generator_file": str(gen_path)}}, message)
+
+    @pytest.mark.parametrize("source", ["block", "flag"])
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [(["0.3", True], "alpha[0] must be a number, got '0.3'"), ([0.3, True], "alpha[1] must be a number, got True")],
+    )
+    def test_independent_alpha_number_fields(self, tmp_path, capsys, source, alpha, message):
+        # each ran the independent construction to exit 0, reading "0.3" as 0.3 and true as 1.0
+        alpha_path = tmp_path / "alpha.json"
+        write_json(alpha_path, {"alpha": alpha})
+        if source == "block":
+            self.run_exits_2(tmp_path, capsys, ["dynamics"], {"independent": {"alpha": alpha}}, message)
+        else:
+            self.run_exits_2(tmp_path, capsys, ["dynamics", "--independent", str(alpha_path), "1.0"], {}, message)
+
+    @pytest.mark.parametrize("command", ["dynamics", "search"])
+    @pytest.mark.parametrize("horizon, shown", [("0.5", "'0.5'"), (True, "True")])
+    def test_horizon_is_a_number(self, tmp_path, capsys, command, horizon, shown):
+        # each ran to exit 0 at horizon 0.5 or 1.0
+        config = {
+            "independent": {"alpha": [0.3, -0.7]},
+            "model": "I",
+            "N": 3,
+            "targets": {"alpha": 0.3, "beta": 0.0},
+            "search": {"restarts": 1, "max_iter": 5},
+            "horizon": horizon,
+        }
+        self.run_exits_2(tmp_path, capsys, [command], config, f"horizon must be a number, got {shown}")
+
+    @pytest.mark.parametrize(
+        "model, targets, message",
+        [
+            ({"model": "I", "N": 3}, {"alpha": True, "beta": 0.0}, "target alpha must be a number, got True"),
+            ({"model": "I", "N": 3}, {"alpha": 0.3, "beta": "0.0"}, "target beta must be a number, got '0.0'"),
+            (
+                {"model": "III", "M": 3, "N": 3},
+                {"alpha_hat": True, "alpha_check": 1.0, "beta": 0.0},
+                "target alpha_hat must be a number, got True",
+            ),
+        ],
+    )
+    def test_search_targets_are_numbers(self, tmp_path, capsys, model, targets, message):
+        # the first ran to exit 0 and recorded alpha 1.0 in result.json; the last was reported as two equal alphas
+        config = {**model, "targets": targets, "search": {"restarts": 1, "max_iter": 5}}
+        self.run_exits_2(tmp_path, capsys, ["search"], config, message)
+
+    @pytest.mark.parametrize(
+        "targets, message",
+        [
+            ({"vertex_targets": ["0.4", 0.5]}, "vertex_targets[0] must be a number, got '0.4'"),
+            ({"vertex_targets": [0.4, True]}, "vertex_targets[1] must be a number, got True"),
+            (
+                {"vertex_targets": [0.4, 0.5], "pair_targets": [{"edge": [0, 1], "value": "0.25"}]},
+                "pair target value must be a number, got '0.25'",
+            ),
+        ],
+    )
+    def test_fit_targets_are_numbers(self, tmp_path, capsys, k2_model_file, targets, message):
+        # each fitted to exit 0, reading "0.4" as 0.4 and true as 1.0
+        targets_path = tmp_path / "targets.json"
+        write_json(targets_path, targets)
+        config = {"io": {"model_file": str(k2_model_file), "targets_file": str(targets_path)}}
+        self.run_exits_2(tmp_path, capsys, ["model", "--fit"], config, message)
+
+    def test_json_integers_are_numbers(self, tmp_path):
+        # alpha [0, 1] and a beta value 1 run as 0.0, 1.0 and 1.0
+        model_path, cfg_path = tmp_path / "model.json", tmp_path / "run.json"
+        write_json(cfg_path, {"io": {"model_file": str(model_path)}})
+        outputs = []
+        for alpha, value in (([0, 1], 1), ([0.0, 1.0], 1.0)):
+            beta = [{"edge": [0, 1], "value": value}]
+            write_json(model_path, {"n_vertices": 2, "edges": [[0, 1]], "alpha": alpha, "beta": beta})
+            out = tmp_path / f"out{len(outputs)}"
+            assert main(["model", "--config", str(cfg_path), "--out", str(out)]) == 0
+            outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert outputs[0] == outputs[1] and len(outputs[0]) == 3
 
     @pytest.mark.parametrize("case", ["model_file", "generator_file", "targets_file", "alpha_file", "out_is_a_file"])
     def test_bad_paths_exit_2(self, tmp_path, capsys, k2_model_file, case):

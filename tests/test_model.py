@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 from scipy.stats import chisquare
 
+from corrdefault._num import zeta_over_subsets
 from corrdefault.model import (
     EnumerationCapError,
     Graph,
@@ -24,9 +25,7 @@ from corrdefault.model import (
     hamiltonian_vector,
     log_partition,
     moments,
-    reconstruct_log_ratios,
     spin_distribution,
-    subset_probability,
     to_ising,
 )
 
@@ -102,8 +101,9 @@ class TestLogPartition:
 class TestSubsetProbability:
     def test_k2_cells(self):
         params = ModelParams(Graph.complete(2), [0.0, 0.0], [np.log(2.0)])
-        assert subset_probability(params, {0, 1}) == pytest.approx(0.4, abs=1e-14)
-        assert subset_probability(params, 0) == pytest.approx(0.2, abs=1e-14)
+        dist = full_distribution(params)
+        assert dist.probability({0, 1}) == pytest.approx(0.4, abs=1e-14)
+        assert dist.probability(0) == pytest.approx(0.2, abs=1e-14)
 
     def test_edge_free_factorization(self, rng):
         alpha = rng.uniform(-1.0, 1.0, 4)
@@ -198,7 +198,7 @@ class TestInteractionExtraction:
         dist = full_distribution(params)
         coeffs = extract_interactions(dist)
         log_ratios = np.log(dist.probs) - np.log(dist.probs[0])
-        np.testing.assert_allclose(reconstruct_log_ratios(coeffs), log_ratios, atol=1e-10)
+        np.testing.assert_allclose(zeta_over_subsets(coeffs.coeffs), log_ratios, atol=1e-10)
 
     def test_zero_cells_rejected(self):
         probs = np.zeros(4)

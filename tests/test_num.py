@@ -22,7 +22,8 @@ from corrdefault._num import (
     zeta_over_subsets,
     zeta_over_supersets,
 )
-from corrdefault.consistency import beta_curve, curves_from_rates, master_residual
+from corrdefault import consistency
+from corrdefault.consistency import curves_from_rates, master_residual
 from corrdefault.ctmc import MonotoneGenerator, random_generator
 from corrdefault.reduced import reduced_curves_I
 
@@ -131,9 +132,9 @@ def test_overflowing_curves_are_finite():
     assert np.isfinite(beta).all() and np.isfinite(beta_prime).all()
     grid = geometric_grid(1.0)
     for r_uv in (709.0, 720.0, 1000.0):
-        curve = beta_curve(1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, r_uv, grid)
-        assert np.isfinite(curve.beta).all() and np.isfinite(curve.beta_prime).all()
-        np.testing.assert_allclose(curve.beta, beta_pair_mp(1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 2.0 - r_uv, grid), atol=1e-9)
+        beta, beta_prime = consistency._pair_values(grid, (1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 2.0 - r_uv))
+        assert np.isfinite(beta).all() and np.isfinite(beta_prime).all()
+        np.testing.assert_allclose(beta, beta_pair_mp(1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 2.0 - r_uv, grid), atol=1e-9)
     gen = random_generator(3, seed=1)
     rates = gen.rates.copy()
     rates[0b011, 2] = 900.0

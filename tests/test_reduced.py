@@ -39,8 +39,6 @@ from corrdefault.reduced import (
     reduced_curves_II,
     reduced_curves_III,
     residual_I,
-    residual_II,
-    residual_III,
     residual_bipartite,
 )
 
@@ -296,20 +294,20 @@ class TestResidualII:
     def test_constructing_cells_vanish_for_compatible_rates(self, rng):
         lumped = compatible_bipartite_rates(rng, 3, 3)
         curves = reduced_curves_II(lumped)
-        res = residual_II(lumped, curves, geometric_grid(1.0, 16))
+        res = residual_bipartite(lumped, curves, geometric_grid(1.0, 16))
         for cell in ((1, 0), (0, 1), (1, 1)):
             assert np.max(np.abs(res[cell])) < 1e-9
 
     def test_independent_rates_solve_every_cell(self):
         lumped = independent_lumped_bi(3, 3, 0.4, 0.4)
         curves = reduced_curves_II(lumped)
-        res = residual_II(lumped, curves, geometric_grid(1.0, 16))
+        res = residual_bipartite(lumped, curves, geometric_grid(1.0, 16))
         assert np.max(np.abs(res)) < 1e-9
 
     def test_generic_cell_2_1_fails(self, rng):
         lumped = compatible_bipartite_rates(rng, 3, 3)
         curves = reduced_curves_II(lumped)
-        res = residual_II(lumped, curves, np.array([0.5]))
+        res = residual_bipartite(lumped, curves, np.array([0.5]))
         assert abs(res[2, 1, 0]) > 1e-3
 
 
@@ -451,20 +449,20 @@ class TestResidualIII:
     def test_constructing_cells_vanish(self, rng):
         lumped = compatible_bipartite_rates(rng, 4, 3)
         curves = reduced_curves_III(lumped)
-        res = residual_III(lumped, curves, geometric_grid(1.0, 16))
+        res = residual_bipartite(lumped, curves, geometric_grid(1.0, 16))
         for cell in ((1, 0), (0, 1), (1, 1)):
             assert np.max(np.abs(res[cell])) < 1e-9
 
     def test_independent_rates_solve_every_cell(self):
         lumped = independent_lumped_bi(4, 3, 0.5, -0.5)
         curves = reduced_curves_III(lumped)
-        res = residual_III(lumped, curves, geometric_grid(1.0, 16))
+        res = residual_bipartite(lumped, curves, geometric_grid(1.0, 16))
         assert np.max(np.abs(res)) < 1e-9
 
     def test_generic_cell_2_2_fails(self, rng):
         lumped = compatible_bipartite_rates(rng, 4, 3)
         curves = reduced_curves_III(lumped)
-        res = residual_III(lumped, curves, np.array([0.5]))
+        res = residual_bipartite(lumped, curves, np.array([0.5]))
         assert abs(res[2, 2, 0]) > 1e-3
 
 
@@ -528,6 +526,20 @@ class TestFeasibilitySearch:
         config = SearchConfig(restarts=4, seed=0)
         result = feasibility_search(("I", 4), (0.3, 0.5), config)
         assert result.residual_floor > 1e-2
+
+    @pytest.mark.parametrize(
+        "model, targets, message",
+        [
+            (("I", 3), {"alpha": True, "beta": 0.0}, "target alpha must be a number, got True"),
+            (("I", 3), ("0.3", 0.0), "target alpha must be a number, got '0.3'"),
+            (("III", 3, 3), (0.5, True, 1.0), "target alpha_check must be a number, got True"),
+        ],
+    )
+    def test_targets_must_be_numbers(self, model, targets, message):
+        # true was searched as 1.0, and a string failed in np.isfinite with a TypeError
+        with pytest.raises(ValueError) as exc:
+            feasibility_search(model, targets, SearchConfig(restarts=1, max_iter=5))
+        assert str(exc.value) == message
 
     def test_floor_non_increasing_in_restarts(self):
         # restarts run in lockstep, and restart k's record must not depend on how many run beside it
@@ -792,13 +804,13 @@ def _check_public_path(problem, x, data):
         prof, ref = curves.profile(t), oracles.lumped_profile(curves, t)
         if problem.kind == "III":
             alphas = [ref.alpha_hat, ref.alpha_check], [ref.alpha_hat_prime, ref.alpha_check_prime]
-            res, expected = residual_III(lumped, curves, t), oracles.residual_bipartite(lumped, curves, t)
+            res, expected = residual_bipartite(lumped, curves, t), oracles.residual_bipartite(lumped, curves, t)
         else:
             alphas = [ref.alpha], [ref.alpha_prime]
             if problem.kind == "I":
                 res, expected = residual_I(lumped, curves, t), oracles.residual_I(lumped, curves, t)
             else:
-                res, expected = residual_II(lumped, curves, t), oracles.residual_bipartite(lumped, curves, t)
+                res, expected = residual_bipartite(lumped, curves, t), oracles.residual_bipartite(lumped, curves, t)
         empty = (residual_I if problem.kind == "I" else residual_bipartite)(lumped, curves, [])
     assert empty.shape == expected.shape[:-1] + (0,)
     np.testing.assert_array_equal(prof.alpha, alphas[0])
