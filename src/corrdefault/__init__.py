@@ -41,20 +41,18 @@ from .consistency import (
 from .reduced import (
     CoeffCheckI,
     CoeffCheckIII,
+    LumpedCurves,
     LumpedRatesBi,
     LumpedRatesI,
     SearchConfig,
     SearchFailedError,
     SearchResult,
-    SharedAlphaCurves,
     coeff_check_I,
     coeff_check_II,
     coeff_check_III,
     feasibility_search,
     lump_generator,
-    reduced_curves_I,
-    reduced_curves_II,
-    reduced_curves_III,
+    reduced_curves,
     residual_I,
     residual_bipartite,
 )

@@ -257,15 +257,15 @@ def is_integer(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def geometric_grid(horizon, n_points=32, t_min_fraction=1e-3):
+def geometric_grid(horizon, grid_points=32, t_min_fraction=1e-3):
     """Geometric time grid on [t_min_fraction * horizon, horizon]."""
     if not (np.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
     if not 0.0 < t_min_fraction < 1.0:
         raise ValueError(f"t_min_fraction must lie in (0, 1), got {t_min_fraction}")
-    if not (is_integer(n_points) and n_points >= 2):
-        raise ValueError(f"grid_points must be an integer of at least 2, got {n_points!r}")
-    return np.geomspace(t_min_fraction * horizon, horizon, n_points)
+    if not (is_integer(grid_points) and grid_points >= 2):
+        raise ValueError(f"grid_points must be an integer of at least 2, got {grid_points!r}")
+    return np.geomspace(t_min_fraction * horizon, horizon, grid_points)
 
 
 def popcounts(n_vertices):

@@ -94,11 +94,13 @@ def _load_config(path) -> dict:
 
 
 def _numerics(config) -> tuple:
-    numerics = {"t_min_fraction": 1e-3, "grid_points": 32}
-    numerics.update(config.get("numerics", {}))
+    """The numerics block's keys, as geometric_grid takes them (its defaults fill the others), and the horizon."""
+    numerics = dict(config.get("numerics", {}))
+    if "t_min_fraction" in numerics:
+        numerics["t_min_fraction"] = cdio.float_field(numerics["t_min_fraction"], "t_min_fraction")
     # a bad horizon or grid raises ValueError, which exits 2 before any output directory is made
     horizon = cdio.float_field(config.get("horizon", 1.0), "horizon")
-    geometric_grid(horizon, numerics["grid_points"], numerics["t_min_fraction"])
+    geometric_grid(horizon, **numerics)
     return numerics, horizon
 
 
@@ -169,7 +171,7 @@ def cmd_dynamics(config, args) -> int:
     numerics, horizon = _numerics(config)
     gen = _dynamics_generator(config, horizon)
     with _staged(_out_dir(config, args)) as out:
-        grid = geometric_grid(horizon, numerics["grid_points"], numerics["t_min_fraction"])
+        grid = geometric_grid(horizon, **numerics)
         solution = forward_solve(gen, grid)
         cdio.write_trajectory_csv(out / "trajectory.csv", solution, config)
         curves = curves_from_rates(gen, horizon=horizon)
@@ -200,14 +202,7 @@ def cmd_search(config, args) -> int:
     if args.seed is not None:
         search_block["seed"] = args.seed
         config = {**config, "search": search_block}  # every writer hashes the config actually run
-    search_config = SearchConfig(
-        restarts=search_block.get("restarts", 16),
-        max_iter=search_block.get("max_iter"),
-        seed=search_block.get("seed", 0),
-        grid_points=numerics["grid_points"],
-        t_min_fraction=float(numerics["t_min_fraction"]),
-        horizon=horizon,
-    )
+    search_config = SearchConfig(horizon=horizon, **numerics, **search_block)
     out = _out_dir(config, args)
     result = feasibility_search(model, targets, search_config)  # a ValueError is a config error
     beta_star = targets["beta"]

@@ -120,7 +120,7 @@ def curves_from_rates(gen: MonotoneGenerator, horizon: float = 1.0, t_grid=None)
     pairs = np.transpose(np.triu_indices(n, 1))
     u, v = pairs.T
     drive_u, drive_v = gen.rates[single[v], u], gen.rates[single[u], v]  # q({v}, u) and q({u}, v)
-    unreachable = q[u] * drive_v + q[v] * drive_u <= 0.0
+    unreachable = (drive_u == 0.0) & (drive_v == 0.0)  # q > 0, so q[u] drive_v + q[v] drive_u vanishes only here
     if unreachable.any():
         k = unreachable.argmax()
         raise ValueError(f"the pair state ({u[k]}, {v[k]}) is unreachable; beta diverges to -inf")

@@ -211,17 +211,23 @@ def _block(layout, tab, ena, ap, bp, exp_nb):
     return lhs + layout.lhs_coef[-1] * bp - own[..., None] - inflow
 
 
-def _constants_I(lam0, lam1, lam2, n):
-    """(q, delta, b1, c) of the Model I curves from the first three level rates."""
-    return lam0 / n, lam0 - lam1, 2.0 * lam1 / (n - 1), lam0 - lam2
-
+# The curve kernel of each model, and its terminal targets: the alpha rows' names, then beta.
+_KERNEL = {"I": _shared_profile, "II": _shared_profile, "III": _pair_profile}
+_TARGETS = {"I": ("alpha", "beta"), "II": ("alpha", "beta"), "III": ("alpha_hat", "alpha_check", "beta")}
 
 # the cells whose rates the bipartite curves are built from
 _CTOR_CELLS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
-def _constants_bi(kind, m, n, h00, h10, h01, h11, c00, c10, c01, c11):
-    """Curve constants from the hat and check rates of _CTOR_CELLS: SharedAlphaCurves' (II) or ReducedCurvesIII's."""
+def _curve_constants(kind, sizes, rates):
+    """The constants _KERNEL[kind] takes, from the rates the curves are built from (floats, or (B, 1) columns).
+
+    Those rates are lam_0..lam_2 (Model I), or the hat, then the check rates of _CTOR_CELLS.
+    """
+    if kind == "I":
+        (n,), (lam0, lam1, lam2) = sizes, rates
+        return lam0 / n, lam0 - lam1, 2.0 * lam1 / (n - 1), lam0 - lam2
+    (m, n), (h00, h10, h01, h11, c00, c10, c01, c11) = sizes, rates
     r = h00 + c00
     if kind == "II":
         return h00 / m, r - (h10 + c10), h01 / m + c10 / n, r - (h11 + c11)
@@ -249,66 +255,58 @@ class CurveProfile:
     beta_prime: np.ndarray
 
 
-class _Curves:
-    """Evaluation through a curve type's kernel: _kernel(t) gives its rows, _alpha_rates() the alpha rows' q, delta."""
-
-    def profile(self, t) -> CurveProfile:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # the kernel redoes beta in log space
-            _, _, ap, bp, beta = self._kernel(t)
-            # alpha_values' e^alpha has the kernel row's bits, and its log stays finite where e^alpha overflows
-            alpha = alpha_values(*self._alpha_rates(), t)[0]
-        return CurveProfile(t, alpha, ap[:, 0], beta[0], bp[0])
-
-    def _alpha(self, t, row):
-        prof = self.profile(t)
-        return prof.alpha[row], prof.alpha_prime[row]
-
-    def beta(self, t):
-        prof = self.profile(t)
-        return prof.beta, prof.beta_prime
-
-
 @dataclass(frozen=True)
-class SharedAlphaCurves(_Curves):
-    """Curves with one alpha for every vertex: Model I (sizes (N,)) and II (sizes (M, N)).
+class LumpedCurves:
+    """The curves of Model kind on sizes (N,) or (M, N), evaluated by profile(t); reduced_curves builds them.
 
-    alpha solves alpha' = delta + q e^{-alpha} in closed form; beta is the
-    bounded solution of beta' = c - 2 alpha' + b1 e^{-alpha - beta}.
+    Each alpha row solves alpha' = delta + q e^{-alpha} in closed form: one
+    row for every vertex (Models I and II, constants (q, delta, b1, c)), or a
+    hat, then a check row (Model III, constants (q_hat, delta_hat, q_check,
+    delta_check, drive_hat, drive_check, c)).  beta is the bounded solution of
+    beta' = c - 2 alpha' + b1 e^{-alpha - beta}, or of beta' = c - alpha_hat'
+    - alpha_check' + (drive_hat e^{-alpha_hat} + drive_check e^{-alpha_check}) e^{-beta}.
     identity_violation records Model II's |hat00/M - check00/N|; admissible
     dynamics force it to zero (the (0,1) equation then pins the same alpha
     curve).
     """
 
+    kind: str
     sizes: Tuple[int, ...]
-    q: float
-    delta: float
-    b1: float
-    c: float
+    constants: Tuple[float, ...]
     identity_violation: float = 0.0
 
-    def _kernel(self, t):
-        return _shared_profile(t, self.q, self.delta, self.b1, self.c)
+    def profile(self, t) -> CurveProfile:
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        rows = len(_TARGETS[self.kind]) - 1
+        q, delta = np.reshape(self.constants[: 2 * rows], (rows, 2)).T[:, :, None]  # each alpha row's q, delta
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # the kernel redoes beta in log space
+            _, _, ap, bp, beta = _KERNEL[self.kind](t, *self.constants)
+            # alpha_values' e^alpha has the kernel row's bits, and its log stays finite where e^alpha overflows
+            alpha = alpha_values(q, delta, t)[0]
+        return CurveProfile(t, alpha, ap[:, 0], beta[0], bp[0])
 
-    def _alpha_rates(self):
-        return np.array([[self.q]]), np.array([[self.delta]])
 
-    def alpha(self, t):
-        return self._alpha(t, 0)
+def reduced_curves(kind: str, lumped: Union[LumpedRatesI, LumpedRatesBi]) -> LumpedCurves:
+    """Curves of Model kind ("I", "II" or "III") forced by its lowest lumped equations.
 
-
-def reduced_curves_I(lam0: float, lam1: float, lam2: float, n_vertices: int) -> SharedAlphaCurves:
-    """Curves forced by the k = 1, 2 lumped equations on the complete graph.
-
-    alpha solves alpha' = (lam0 - lam1) + (lam0/N) e^{-alpha} in closed form;
-    beta is the bounded solution of the k = 2 equation, whose small-t limit
-    is log(lam1 N / ((N-1) lam0)).
+    Model I's are forced by the k = 1, 2 levels (beta's small-t limit is
+    log(lam1 N / ((N-1) lam0))), Model II's by the (1,0) and (1,1) occupancy
+    equations, and Model III's by the (1,0), (0,1) and (1,1) ones (beta's
+    small-t limit is log((hat00 check10 + check00 hat01) / (2 hat00 check00))).
     """
-    if n_vertices < 2:
-        raise ValueError("need at least two vertices")
-    if min(lam0, lam1, lam2) <= 0.0:
-        raise ValueError("lumped rates entering the curves must be positive")
-    return SharedAlphaCurves((n_vertices,), *_constants_I(float(lam0), float(lam1), float(lam2), n_vertices))
+    if kind not in _KERNEL:
+        raise ValueError(f"unknown model kind {kind!r}")
+    rates_type = LumpedRatesI if kind == "I" else LumpedRatesBi
+    if not isinstance(lumped, rates_type):
+        raise ValueError(f"Model {kind} curves need {rates_type.__name__}, got {type(lumped).__name__}")
+    if kind == "I":
+        if lumped.n_vertices == 2:
+            raise ValueError("Model I curves need N >= 3: at N = 2 the pair rate lam2 is the absorbing lam[N] = 0")
+        sizes, rates = (lumped.n_vertices,), lumped.lam[:3].tolist()
+    else:
+        sizes, rates = (lumped.n_hat, lumped.n_check), _ctor_rates(lumped)
+    violation = abs(rates[0] / sizes[0] - rates[4] / sizes[1]) if kind == "II" else 0.0
+    return LumpedCurves(kind, sizes, _curve_constants(kind, sizes, rates), violation)
 
 
 def _positive_times(t):
@@ -321,11 +319,11 @@ def _positive_times(t):
 def _residual_rows(layout, tab, curves, t):
     """Residual (cells, T) of every layout cell, for the raw table tab under curves."""
     with np.errstate(over="ignore", invalid="ignore"):
-        _, ena, ap, bp, beta = curves._kernel(t)
+        _, ena, ap, bp, beta = _KERNEL[curves.kind](t, *curves.constants)
     return _block(layout, tab[:, None], ena, ap, bp, np.exp(layout.neg_j * beta))[:, 0]
 
 
-def residual_I(lumped: LumpedRatesI, curves: SharedAlphaCurves, t) -> np.ndarray:
+def residual_I(lumped: LumpedRatesI, curves: LumpedCurves, t) -> np.ndarray:
     """Lumped master-equation residuals, one row per occupancy k = 1..N.
 
     Row k-1 holds  k alpha' + C(k,2) beta' - (lam0 - lam_k)
@@ -372,14 +370,6 @@ def coeff_check_I(lumped: LumpedRatesI, beta_star: float) -> CoeffCheckI:
     return CoeffCheckI(float(beta_star), linear, exponential)
 
 
-def reduced_curves_II(lumped: LumpedRatesBi) -> SharedAlphaCurves:
-    """Curves forced by the (1,0) and (1,1) occupancy equations."""
-    m, n = lumped.n_hat, lumped.n_check
-    rates = _ctor_rates(lumped)
-    identity_violation = abs(rates[0] / m - rates[4] / n)
-    return SharedAlphaCurves((m, n), *_constants_bi("II", m, n, *rates), identity_violation)
-
-
 def _shift_hat(table):
     """table[m-1, n] with a zero row at m = 0."""
     out = np.zeros_like(table)
@@ -423,48 +413,7 @@ def coeff_check_II(n_hat: int, n_check: int, beta_star: float) -> float:
     return closed_form
 
 
-@dataclass(frozen=True)
-class ReducedCurvesIII(_Curves):
-    """Class-dependent bipartite curves from the (1,0), (0,1), (1,1) equations."""
-
-    sizes: Tuple[int, int]
-    q_hat: float
-    delta_hat: float
-    q_check: float
-    delta_check: float
-    drive_hat: float
-    drive_check: float
-    c: float
-
-    def _kernel(self, t):
-        return _pair_profile(
-            t, self.q_hat, self.delta_hat, self.q_check, self.delta_check, self.drive_hat, self.drive_check, self.c
-        )
-
-    def _alpha_rates(self):
-        return np.array([[self.q_hat], [self.q_check]]), np.array([[self.delta_hat], [self.delta_check]])
-
-    def alpha_hat(self, t):
-        return self._alpha(t, 0)
-
-    def alpha_check(self, t):
-        return self._alpha(t, 1)
-
-
-def reduced_curves_III(lumped: LumpedRatesBi) -> ReducedCurvesIII:
-    """Curves forced by the three lowest bipartite occupancy equations.
-
-    alpha_hat and alpha_check have separate closed forms; beta is the
-    bounded solution of the (1,1) equation with small-t limit
-    log((hat00 check10 + check00 hat01) / (2 hat00 check00)).
-    """
-    m, n = lumped.n_hat, lumped.n_check
-    return ReducedCurvesIII((m, n), *_constants_bi("III", m, n, *_ctor_rates(lumped)))
-
-
-def residual_bipartite(
-    lumped: LumpedRatesBi, curves: Union[SharedAlphaCurves, ReducedCurvesIII], t
-) -> np.ndarray:
+def residual_bipartite(lumped: LumpedRatesBi, curves: LumpedCurves, t) -> np.ndarray:
     """Occupancy-equation residuals, shape (M+1, N+1, len(t)); entry (0,0) is zero.
 
     Entry (m, n) holds m alpha_hat' + n alpha_check' + m n beta' - r
@@ -477,7 +426,7 @@ def residual_bipartite(
     if curves.sizes != (m_hat, n_check):
         raise ValueError("lumped rates and curves disagree on (M, N)")
     cells = [(m, n) for m in range(m_hat + 1) for n in range(n_check + 1)]
-    layout = _layout_bi(m_hat, n_check, cells, isinstance(curves, SharedAlphaCurves))
+    layout = _layout_bi(m_hat, n_check, cells, curves.kind == "II")
     res = _residual_rows(layout, _raw_bi(lumped), curves, _positive_times(t))
     res[0] = 0.0
     return res.reshape(m_hat + 1, n_check + 1, -1)
@@ -681,16 +630,10 @@ def _parse_model(model):
 
 
 def _normalize_targets(kind, targets):
-    if isinstance(targets, dict):
-        t = dict(targets)
-    elif kind == "III":
-        t = {"alpha_hat": targets[0], "alpha_check": targets[1], "beta": targets[2]}
-    else:
-        t = {"alpha": targets[0], "beta": targets[1]}
-    if kind == "III" and set(t) != {"alpha_hat", "alpha_check", "beta"}:
-        raise ValueError("Model III targets need keys ['alpha_check', 'alpha_hat', 'beta']")
-    if kind != "III" and set(t) != {"alpha", "beta"}:
-        raise ValueError("targets need keys {'alpha', 'beta'}")
+    names = _TARGETS[kind]
+    t = dict(targets) if isinstance(targets, dict) else dict(zip(names, targets))
+    if set(t) != set(names):
+        raise ValueError(f"Model {kind} targets need keys {sorted(names)}")
     for key, value in t.items():
         t[key] = float_field(value, f"target {key}")
         if not np.isfinite(t[key]):
@@ -721,8 +664,7 @@ class _SearchProblem:
         self.kind = kind
         self.sizes = sizes
         self.grid = geometric_grid(config.horizon, config.grid_points, config.t_min_fraction)
-        names = ("alpha_hat", "alpha_check", "beta") if kind == "III" else ("alpha", "beta")
-        self.targets = np.array([targets[name] for name in names])
+        self.targets = np.array([targets[name] for name in _TARGETS[kind]])
         self.sqrt_penalty = np.sqrt(_PENALTY_WEIGHT)
         if kind == "I":
             (n,) = sizes
@@ -730,6 +672,7 @@ class _SearchProblem:
             self.table_size = n + 1
             self.scatter = self.outer_pos = np.arange(n)
             self.inner = np.zeros(0, dtype=int)  # no rate is solved for
+            self.ctor = [0, 1, 2]
             # lam2 enters the curves, and is lam[N] = 0 when N = 2; q = lam0 / N
             positive, q_at, q_div = np.arange(max(n, 3)), [0], [n]
             self.layout = _layout_I(n, np.arange(3, n + 1))  # rows k = 1, 2 hold by construction
@@ -821,18 +764,14 @@ class _SearchProblem:
         return np.asarray(inv_softplus(values), dtype=float)
 
     def _profile(self, tab):
-        """Profile of raw tables, one per column, under the curves reduced_curves_X builds.
+        """Profile of raw tables, one per column, under the curves reduced_curves builds.
 
         The e^{-alpha} and alpha' rows, beta', the e^{-j beta} table, then the
         terminal deltas: the grid ends exactly at the horizon, so terminal
         values are the last profile entries.
         """
-        if self.kind == "I":
-            kernel, constants = _shared_profile, _constants_I(*self._columns(tab[:3]), self.sizes[0])
-        else:
-            kernel = _shared_profile if self.kind == "II" else _pair_profile
-            constants = _constants_bi(self.kind, *self.sizes, *self._columns(tab[self.ctor]))
-        ea, ena, ap, bp, beta = kernel(self.grid, *constants)
+        constants = _curve_constants(self.kind, self.sizes, self._columns(tab[self.ctor]))
+        ea, ena, ap, bp, beta = _KERNEL[self.kind](self.grid, *constants)
         deltas = np.concatenate([np.log(ea[:, :, -1]), beta[None, :, -1]]) - self.targets[:, None]
         return ena, ap, bp, np.exp(self.layout.neg_j * beta), deltas
 

@@ -347,15 +347,15 @@ class SharedAlphaProfile:
 
 
 def shared_alpha_profile(curves, t) -> SharedAlphaProfile:
-    """reduced.SharedAlphaCurves.profile by the separate closed forms of alpha and e^beta."""
+    """reduced.LumpedCurves.profile of Models I and II by the separate closed forms of alpha and e^beta."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    alpha, alpha_prime, exp_alpha = alpha_values(curves.q, curves.delta, t)
+    q, d, b1, c = curves.constants
+    alpha, alpha_prime, exp_alpha = alpha_values(q, d, t)
     ena = 1.0 / exp_alpha
-    q, d, b1, c = curves.q, curves.delta, curves.b1, curves.c
     beta, w, repaired = beta_in_range(
         exp_beta_single(q, d, b1, c, t), (c - 2.0 * d) * t, lambda at: beta_pair_mp(q, d, q, d, b1 / 2, b1 / 2, c, t[at])
     )
-    beta_prime = curves.c - 2.0 * alpha_prime + curves.b1 * ena / w
+    beta_prime = c - 2.0 * alpha_prime + b1 * ena / w
     return SharedAlphaProfile(t, alpha, alpha_prime, ena, beta, beta_prime, repaired)
 
 
@@ -381,35 +381,24 @@ class TwoAlphaProfile:
 
 
 def two_alpha_profile(curves, t) -> TwoAlphaProfile:
-    """reduced.ReducedCurvesIII.profile by the separate closed forms of both alphas and e^beta."""
+    """reduced.LumpedCurves.profile of Model III by the separate closed forms of both alphas and e^beta."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    a_hat, ap_hat, ea_hat = alpha_values(curves.q_hat, curves.delta_hat, t)
-    a_check, ap_check, ea_check = alpha_values(curves.q_check, curves.delta_check, t)
+    q_hat, d_hat, q_check, d_check, drive_hat, drive_check, c = curves.constants
+    a_hat, ap_hat, ea_hat = alpha_values(q_hat, d_hat, t)
+    a_check, ap_check, ea_check = alpha_values(q_check, d_check, t)
     ena_hat, ena_check = 1.0 / ea_hat, 1.0 / ea_check
-    w = exp_beta_pair(
-        curves.q_hat,
-        curves.delta_hat,
-        curves.q_check,
-        curves.delta_check,
-        curves.drive_check,
-        curves.drive_hat,
-        curves.c,
-        t,
-    )
-    constants = curves.q_hat, curves.delta_hat, curves.q_check, curves.delta_check, curves.drive_check, curves.drive_hat
+    constants = q_hat, d_hat, q_check, d_check, drive_check, drive_hat
     beta, w, repaired = beta_in_range(
-        w,
-        (curves.c - curves.delta_hat - curves.delta_check) * t,
-        lambda at: beta_pair_mp(*constants, curves.c, t[at]),
+        exp_beta_pair(*constants, c, t), (c - d_hat - d_check) * t, lambda at: beta_pair_mp(*constants, c, t[at])
     )
-    drive = curves.drive_hat * ena_hat + curves.drive_check * ena_check
-    beta_prime = curves.c - ap_hat - ap_check + drive / w
+    drive = drive_hat * ena_hat + drive_check * ena_check
+    beta_prime = c - ap_hat - ap_check + drive / w
     return TwoAlphaProfile(t, a_hat, ap_hat, ena_hat, a_check, ap_check, ena_check, beta, beta_prime, repaired)
 
 
 def lumped_profile(curves, t):
     """The oracle profile of either curve type."""
-    return shared_alpha_profile(curves, t) if hasattr(curves, "b1") else two_alpha_profile(curves, t)
+    return two_alpha_profile(curves, t) if curves.kind == "III" else shared_alpha_profile(curves, t)
 
 
 def residual_I(lumped, curves, t):

@@ -721,6 +721,20 @@ class TestCmdDynamics:
         assert list(out.iterdir()) == []
         assert sorted(path.name for path in tmp_path.iterdir()) == ["gen.json", "out", "run.json"]
 
+    def test_tiny_horizon_reachability_does_not_overflow(self, tmp_path):
+        # the reachability test multiplied rates of about 1e300 and overflowed, an error under the suite's filter
+        cfg_path, out = tmp_path / "run.json", tmp_path / "out"
+        write_json(cfg_path, {"independent": {"alpha": [0.3, -0.7]}, "horizon": 1e-300})
+        assert main(["dynamics", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == [
+            "curves.csv",
+            "master_residual.csv",
+            "membership.csv",
+            "trajectory.csv",
+        ]
+        for path in out.iterdir():
+            assert "nan" not in path.read_text().lower()
+
     def test_missing_generator_exits_2(self, tmp_path):
         cfg_path = tmp_path / "run.json"
         write_json(cfg_path, {"io": {"out_dir": str(tmp_path / "out")}})
@@ -1136,12 +1150,37 @@ class TestConfigChecks:
                 {"alpha_hat": True, "alpha_check": 1.0, "beta": 0.0},
                 "target alpha_hat must be a number, got True",
             ),
+            ({"model": "I", "N": 3}, {"alpha": 0.3, "gamma": 0.0}, "Model I targets need keys ['alpha', 'beta']"),
+            (
+                {"model": "II", "M": 3, "N": 3},
+                {"alpha_hat": 0.3, "alpha_check": 0.2, "beta": 0.0},
+                "Model II targets need keys ['alpha', 'beta']",
+            ),
+            (
+                {"model": "III", "M": 3, "N": 3},
+                {"alpha": 0.3, "beta": 0.0},
+                "Model III targets need keys ['alpha_check', 'alpha_hat', 'beta']",
+            ),
         ],
     )
-    def test_search_targets_are_numbers(self, tmp_path, capsys, model, targets, message):
-        # the first ran to exit 0 and recorded alpha 1.0 in result.json; the last was reported as two equal alphas
+    def test_search_targets_are_checked(self, tmp_path, capsys, model, targets, message):
+        # the first ran to exit 0 and recorded alpha 1.0 in result.json; the third was reported as two equal
+        # alphas; Models I and II's key sets read "targets need keys {'alpha', 'beta'}", which named no model
         config = {**model, "targets": targets, "search": {"restarts": 1, "max_iter": 5}}
         self.run_exits_2(tmp_path, capsys, ["search"], config, message)
+
+    @pytest.mark.parametrize("command", ["dynamics", "search"])
+    def test_t_min_fraction_is_a_number(self, tmp_path, capsys, command):
+        # each exited 2 with "'<' not supported between instances of 'float' and 'str'", naming neither key nor value
+        config = {
+            "independent": {"alpha": [0.3, -0.7]},
+            "model": "I",
+            "N": 3,
+            "targets": {"alpha": 0.3, "beta": 0.0},
+            "search": {"restarts": 1, "max_iter": 5},
+            "numerics": {"t_min_fraction": "0.001"},
+        }
+        self.run_exits_2(tmp_path, capsys, [command], config, "t_min_fraction must be a number, got '0.001'")
 
     @pytest.mark.parametrize(
         "targets, message",

@@ -25,7 +25,7 @@ from corrdefault._num import (
 from corrdefault import consistency
 from corrdefault.consistency import curves_from_rates, master_residual
 from corrdefault.ctmc import MonotoneGenerator, random_generator
-from corrdefault.reduced import reduced_curves_I
+from corrdefault.reduced import LumpedRatesI, reduced_curves
 
 from conftest import fast_exit_generator
 from oracles import beta_pair_mp, phi_minus_diff, subset_bit_matrix
@@ -128,8 +128,8 @@ def test_shared_beta_prime_past_alpha_underflow():
 
 def test_overflowing_curves_are_finite():
     # products of a factor beyond e^709 and one below e^-745 used to give inf or NaN
-    beta, beta_prime = reduced_curves_I(3.14, 2.14, 720.0, 4).beta(1.0)
-    assert np.isfinite(beta).all() and np.isfinite(beta_prime).all()
+    prof = reduced_curves("I", LumpedRatesI(4, [3.14, 2.14, 720.0, 1.0, 0.0])).profile(1.0)
+    assert np.isfinite(prof.beta).all() and np.isfinite(prof.beta_prime).all()
     grid = geometric_grid(1.0)
     for r_uv in (709.0, 720.0, 1000.0):
         beta, beta_prime = consistency._pair_values(grid, (1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 2.0 - r_uv))

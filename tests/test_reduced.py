@@ -18,12 +18,13 @@ from corrdefault.consistency import alpha_curve
 from corrdefault.ctmc import MonotoneGenerator, forward_solve, independent_generator, random_generator
 from corrdefault.model import SubsetDist, extract_interactions
 from corrdefault.reduced import (
+    LumpedCurves,
     LumpedRatesBi,
     LumpedRatesI,
-    ReducedCurvesIII,
     SearchConfig,
     SearchFailedError,
     _PENALTY_WEIGHT,
+    _TARGETS,
     _block,
     _nelder_mead,
     _normalize_targets,
@@ -35,9 +36,7 @@ from corrdefault.reduced import (
     independent_lumped_I,
     independent_lumped_bi,
     lump_generator,
-    reduced_curves_I,
-    reduced_curves_II,
-    reduced_curves_III,
+    reduced_curves,
     residual_I,
     residual_bipartite,
 )
@@ -184,36 +183,56 @@ def alpha_mp(q, delta, t):
         return float(mpmath.log(mpmath.mpf(q) / delta * mpmath.expm1(mpmath.mpf(delta) * t)))
 
 
-class TestReducedCurvesI:
+class TestReducedCurves:
+    @pytest.mark.parametrize(
+        "kind, lumped, message",
+        [
+            ("IV", independent_lumped_I(4, 0.3), "unknown model kind 'IV'"),
+            ("I", independent_lumped_bi(3, 3, 0.4, 0.4), "Model I curves need LumpedRatesI, got LumpedRatesBi"),
+            ("II", independent_lumped_I(4, 0.3), "Model II curves need LumpedRatesBi, got LumpedRatesI"),
+            ("III", independent_lumped_I(4, 0.3), "Model III curves need LumpedRatesBi, got LumpedRatesI"),
+            (
+                "I",
+                independent_lumped_I(2, 0.3),
+                "Model I curves need N >= 3: at N = 2 the pair rate lam2 is the absorbing lam[N] = 0",
+            ),
+        ],
+    )
+    def test_bad_input_is_named(self, kind, lumped, message):
+        with pytest.raises(ValueError) as exc:
+            reduced_curves(kind, lumped)
+        assert str(exc.value) == message
+
+
+class TestLumpedCurvesI:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_alpha_is_finite_past_the_overflow_of_e_alpha(self):
         # e^alpha overflows once delta t passes about 709.78; alpha at t = 1 was inf
         t = np.array([0.5, 1.0])
-        alpha, _ = reduced_curves_I(1000.0, 1.0, 2.0, 4).alpha(t)
+        alpha = reduced_curves("I", LumpedRatesI(4, [1000, 1, 2, 1, 0])).profile(t).alpha[0]
         np.testing.assert_array_equal(alpha, alpha_curve(250.0, 999.0, 0.0, t)[0])
         np.testing.assert_allclose(alpha, [alpha_mp(250.0, 999.0, s) for s in t], rtol=1e-14)
 
     def test_independent_case_is_uncoupled(self):
         c, n = 0.4, 5
         lumped = independent_lumped_I(n, c)
-        curves = reduced_curves_I(lumped.lam[0], lumped.lam[1], lumped.lam[2], n)
+        curves = reduced_curves("I", lumped)
         grid = geometric_grid(1.0, 16)
-        beta, _ = curves.beta(grid)
-        np.testing.assert_allclose(beta, 0.0, atol=1e-8)
-        alpha, _ = curves.alpha(np.array([1.0]))
+        np.testing.assert_allclose(curves.profile(grid).beta, 0.0, atol=1e-8)
+        alpha = curves.profile(np.array([1.0])).alpha[0]
         assert alpha[0] == pytest.approx(c, abs=1e-9)
 
     def test_generic_rates_match_full_lattice_extraction(self):
         lam = np.array([1.3, 0.9, 0.7, 0.45, 0.0])
         gen = symmetric_generator(lam)
-        curves = reduced_curves_I(lam[0], lam[1], lam[2], 4)
+        curves = reduced_curves("I", LumpedRatesI(4, lam))
         t = 0.5
         sol = forward_solve(gen, np.array([t]))
         coeffs = extract_interactions(SubsetDist(4, sol.probs[0]))
         singles = [coeffs.single(u) for u in range(4)]
         pairs = [coeffs.pair(u, v) for u, v in combinations(range(4), 2)]
-        alpha, _ = curves.alpha(np.array([t]))
-        beta, _ = curves.beta(np.array([t]))
+        prof = curves.profile(np.array([t]))
+        alpha, beta = prof.alpha[0], prof.beta
         assert alpha[0] == pytest.approx(np.mean(singles), abs=1e-5)
         assert beta[0] == pytest.approx(np.mean(pairs), abs=1e-5)
 
@@ -221,19 +240,19 @@ class TestReducedCurvesI:
 class TestResidualI:
     def test_constructing_levels_vanish(self):
         lumped = LumpedRatesI(4, np.array([1.3, 0.9, 0.7, 0.45, 0.0]))
-        curves = reduced_curves_I(1.3, 0.9, 0.7, 4)
+        curves = reduced_curves("I", lumped)
         res = residual_I(lumped, curves, geometric_grid(1.0, 16))
         assert np.max(np.abs(res[:2])) < 1e-10
 
     def test_independent_rates_solve_every_level(self):
         lumped = independent_lumped_I(5, 0.4)
-        curves = reduced_curves_I(lumped.lam[0], lumped.lam[1], lumped.lam[2], 5)
+        curves = reduced_curves("I", lumped)
         res = residual_I(lumped, curves, geometric_grid(1.0, 16))
         assert np.max(np.abs(res)) < 1e-10
 
     def test_generic_rates_fail_above_pairs(self):
         lumped = LumpedRatesI(4, np.array([1.3, 0.9, 0.7, 0.45, 0.0]))
-        curves = reduced_curves_I(1.3, 0.9, 0.7, 4)
+        curves = reduced_curves("I", lumped)
         res = residual_I(lumped, curves, np.array([0.5]))
         assert abs(res[2, 0]) > 1e-3
 
@@ -259,13 +278,12 @@ class TestCoeffCheckI:
         assert report.mismatch[0] == pytest.approx(0.0, abs=1e-14)
 
 
-class TestReducedCurvesII:
+class TestLumpedCurvesII:
     def test_independent_case(self):
         lumped = independent_lumped_bi(3, 3, 0.4, 0.4)
-        curves = reduced_curves_II(lumped)
+        curves = reduced_curves("II", lumped)
         assert curves.identity_violation == pytest.approx(0.0, abs=1e-14)
-        beta, _ = curves.beta(geometric_grid(1.0, 16))
-        np.testing.assert_allclose(beta, 0.0, atol=1e-8)
+        np.testing.assert_allclose(curves.profile(geometric_grid(1.0, 16)).beta, 0.0, atol=1e-8)
 
     def test_identity_violation_reported(self):
         hat = np.ones((3, 3))
@@ -273,18 +291,18 @@ class TestReducedCurvesII:
         hat[0, 0], check[0, 0] = 2.0, 1.0  # 2/2 != 1/2
         hat[-1, :] = 0.0
         check[:, -1] = 0.0
-        curves = reduced_curves_II(LumpedRatesBi(2, 2, hat, check))
+        curves = reduced_curves("II", LumpedRatesBi(2, 2, hat, check))
         assert curves.identity_violation == pytest.approx(0.5, abs=1e-14)
 
     def test_generic_compatible_rates_match_full_lattice(self, rng):
         lumped = compatible_bipartite_rates(rng, 3, 3)
         gen = bipartite_generator(lumped)
-        curves = reduced_curves_II(lumped)
+        curves = reduced_curves("II", lumped)
         t = 0.5
         sol = forward_solve(gen, np.array([t]))
         coeffs = extract_interactions(SubsetDist(6, sol.probs[0]))
-        alpha, _ = curves.alpha(np.array([t]))
-        beta, _ = curves.beta(np.array([t]))
+        prof = curves.profile(np.array([t]))
+        alpha, beta = prof.alpha[0], prof.beta
         assert alpha[0] == pytest.approx(coeffs.single(0), abs=1e-5)
         assert alpha[0] == pytest.approx(coeffs.single(3), abs=1e-5)
         assert beta[0] == pytest.approx(coeffs.pair(0, 3), abs=1e-5)
@@ -293,20 +311,20 @@ class TestReducedCurvesII:
 class TestResidualII:
     def test_constructing_cells_vanish_for_compatible_rates(self, rng):
         lumped = compatible_bipartite_rates(rng, 3, 3)
-        curves = reduced_curves_II(lumped)
+        curves = reduced_curves("II", lumped)
         res = residual_bipartite(lumped, curves, geometric_grid(1.0, 16))
         for cell in ((1, 0), (0, 1), (1, 1)):
             assert np.max(np.abs(res[cell])) < 1e-9
 
     def test_independent_rates_solve_every_cell(self):
         lumped = independent_lumped_bi(3, 3, 0.4, 0.4)
-        curves = reduced_curves_II(lumped)
+        curves = reduced_curves("II", lumped)
         res = residual_bipartite(lumped, curves, geometric_grid(1.0, 16))
         assert np.max(np.abs(res)) < 1e-9
 
     def test_generic_cell_2_1_fails(self, rng):
         lumped = compatible_bipartite_rates(rng, 3, 3)
-        curves = reduced_curves_II(lumped)
+        curves = reduced_curves("II", lumped)
         res = residual_bipartite(lumped, curves, np.array([0.5]))
         assert abs(res[2, 1, 0]) > 1e-3
 
@@ -394,20 +412,20 @@ class TestCoeffCheckII:
                 assert lhs == pytest.approx(expected, abs=1e-12)
 
 
-class TestReducedCurvesIII:
+class TestLumpedCurvesIII:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_alpha_is_finite_past_the_overflow_of_e_alpha(self):
-        # alpha_hat(1.0) was inf
-        curves = ReducedCurvesIII((2, 2), 500, 900, 1, 0.5, 1, 1, 0.3)
-        for (alpha, _), q, delta in ((curves.alpha_hat(1.0), 500.0, 900.0), (curves.alpha_check(1.0), 1.0, 0.5)):
+        # alpha_hat at t = 1 was inf
+        prof = LumpedCurves("III", (2, 2), (500, 900, 1, 0.5, 1, 1, 0.3)).profile(1.0)
+        for alpha, q, delta in ((prof.alpha[0], 500.0, 900.0), (prof.alpha[1], 1.0, 0.5)):
             np.testing.assert_array_equal(alpha, alpha_curve(q, delta, 0.0, 1.0)[0])
             assert alpha[0] == pytest.approx(alpha_mp(q, delta, 1.0), rel=1e-14)
 
     def test_alpha_hat_matches_ode_oracle(self, rng):
         lumped = compatible_bipartite_rates(rng, 4, 3)
-        curves = reduced_curves_III(lumped)
+        curves = reduced_curves("III", lumped)
         grid = np.geomspace(1e-3, 1.0, 16)
-        alpha_hat, _ = curves.alpha_hat(grid)
+        alpha_hat = curves.profile(grid).alpha[0]
         r = lumped.r
         drift = r - lumped.hat_rates[1, 0] - lumped.check_rates[1, 0]
         q = lumped.hat_rates[0, 0] / 4.0
@@ -418,28 +436,24 @@ class TestReducedCurvesIII:
 
     def test_symmetric_rates_give_equal_alphas(self):
         lumped = independent_lumped_bi(3, 3, 0.4, 0.4)
-        curves = reduced_curves_III(lumped)
-        grid = geometric_grid(1.0, 16)
-        a_hat, _ = curves.alpha_hat(grid)
-        a_check, _ = curves.alpha_check(grid)
+        curves = reduced_curves("III", lumped)
+        a_hat, a_check = curves.profile(geometric_grid(1.0, 16)).alpha
         np.testing.assert_allclose(a_hat, a_check, atol=1e-12)
 
     def test_independent_case_is_uncoupled(self):
         lumped = independent_lumped_bi(4, 3, 0.5, -0.5)
-        curves = reduced_curves_III(lumped)
-        beta, _ = curves.beta(geometric_grid(1.0, 16))
-        np.testing.assert_allclose(beta, 0.0, atol=1e-8)
+        curves = reduced_curves("III", lumped)
+        np.testing.assert_allclose(curves.profile(geometric_grid(1.0, 16)).beta, 0.0, atol=1e-8)
 
     def test_class_coefficients_match_full_lattice(self, rng):
         lumped = compatible_bipartite_rates(rng, 4, 3)
         gen = bipartite_generator(lumped)
-        curves = reduced_curves_III(lumped)
+        curves = reduced_curves("III", lumped)
         t = 0.5
         sol = forward_solve(gen, np.array([t]))
         coeffs = extract_interactions(SubsetDist(7, sol.probs[0]))
-        a_hat, _ = curves.alpha_hat(np.array([t]))
-        a_check, _ = curves.alpha_check(np.array([t]))
-        beta, _ = curves.beta(np.array([t]))
+        prof = curves.profile(np.array([t]))
+        (a_hat, a_check), beta = prof.alpha, prof.beta
         assert a_hat[0] == pytest.approx(coeffs.single(0), abs=1e-5)
         assert a_check[0] == pytest.approx(coeffs.single(5), abs=1e-5)
         assert beta[0] == pytest.approx(coeffs.pair(0, 5), abs=1e-5)
@@ -448,20 +462,20 @@ class TestReducedCurvesIII:
 class TestResidualIII:
     def test_constructing_cells_vanish(self, rng):
         lumped = compatible_bipartite_rates(rng, 4, 3)
-        curves = reduced_curves_III(lumped)
+        curves = reduced_curves("III", lumped)
         res = residual_bipartite(lumped, curves, geometric_grid(1.0, 16))
         for cell in ((1, 0), (0, 1), (1, 1)):
             assert np.max(np.abs(res[cell])) < 1e-9
 
     def test_independent_rates_solve_every_cell(self):
         lumped = independent_lumped_bi(4, 3, 0.5, -0.5)
-        curves = reduced_curves_III(lumped)
+        curves = reduced_curves("III", lumped)
         res = residual_bipartite(lumped, curves, geometric_grid(1.0, 16))
         assert np.max(np.abs(res)) < 1e-9
 
     def test_generic_cell_2_2_fails(self, rng):
         lumped = compatible_bipartite_rates(rng, 4, 3)
-        curves = reduced_curves_III(lumped)
+        curves = reduced_curves("III", lumped)
         res = residual_bipartite(lumped, curves, np.array([0.5]))
         assert abs(res[2, 2, 0]) > 1e-3
 
@@ -471,22 +485,21 @@ class TestBipartiteKernel:
     @given(m=st.integers(2, 4), n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
     def test_model_II_is_model_III_with_equal_classes(self, m, n, seed):
         lumped = compatible_bipartite_rates(np.random.default_rng(seed), m, n)
-        shared = reduced_curves_II(lumped)
+        shared = reduced_curves("II", lumped)
+        q, delta, _, c = shared.constants
         drive_hat, drive_check = lumped.hat_rates[0, 1] / m, lumped.check_rates[1, 0] / n
-        equal = ReducedCurvesIII(
-            (m, n), shared.q, shared.delta, shared.q, shared.delta, drive_hat, drive_check, shared.c
-        )
+        equal = LumpedCurves("III", (m, n), (q, delta, q, delta, drive_hat, drive_check, c))
         grid = geometric_grid(1.0, 16)
         expected = residual_bipartite(lumped, shared, grid)
         scale = np.max(np.abs(expected))
         np.testing.assert_allclose(residual_bipartite(lumped, equal, grid), expected, rtol=0, atol=1e-12 * scale)
         # the shared-alpha e^beta is the pair e^beta with equal classes
-        np.testing.assert_allclose(np.exp(shared.beta(grid)[0]), np.exp(equal.beta(grid)[0]), rtol=1e-10)
+        np.testing.assert_allclose(np.exp(shared.profile(grid).beta), np.exp(equal.profile(grid).beta), rtol=1e-10)
 
     def test_sizes_must_match(self):
         lumped = independent_lumped_bi(3, 3, 0.4, 0.4)
         with pytest.raises(ValueError, match="disagree"):
-            residual_bipartite(independent_lumped_bi(3, 2, 0.4, 0.4), reduced_curves_II(lumped), [0.5])
+            residual_bipartite(independent_lumped_bi(3, 2, 0.4, 0.4), reduced_curves("II", lumped), [0.5])
 
 
 class TestCoeffCheckIII:
@@ -533,13 +546,40 @@ class TestFeasibilitySearch:
             (("I", 3), {"alpha": True, "beta": 0.0}, "target alpha must be a number, got True"),
             (("I", 3), ("0.3", 0.0), "target alpha must be a number, got '0.3'"),
             (("III", 3, 3), (0.5, True, 1.0), "target alpha_check must be a number, got True"),
+            (("I", 3), {"alpha": 0.3, "gamma": 0.0}, "Model I targets need keys ['alpha', 'beta']"),
+            (
+                ("II", 3, 3),
+                {"alpha_hat": 0.3, "alpha_check": 0.2, "beta": 0.0},
+                "Model II targets need keys ['alpha', 'beta']",
+            ),
+            (
+                ("III", 3, 3),
+                {"alpha": 0.3, "beta": 0.0},
+                "Model III targets need keys ['alpha_check', 'alpha_hat', 'beta']",
+            ),
+            (("III", 3, 3), (0.5, -0.5), "Model III targets need keys ['alpha_check', 'alpha_hat', 'beta']"),
         ],
     )
-    def test_targets_must_be_numbers(self, model, targets, message):
-        # true was searched as 1.0, and a string failed in np.isfinite with a TypeError
+    def test_targets_are_checked(self, model, targets, message):
+        # true was searched as 1.0, and a string failed in np.isfinite with a TypeError; Models I and II's key
+        # sets read "targets need keys {'alpha', 'beta'}", naming no model, and a short tuple raised IndexError
         with pytest.raises(ValueError) as exc:
             feasibility_search(model, targets, SearchConfig(restarts=1, max_iter=5))
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "kind, targets, expected",
+        [
+            ("I", (0.3, 0.5), {"alpha": 0.3, "beta": 0.5}),
+            ("II", (0.3, 0.25), {"alpha": 0.3, "beta": 0.25}),
+            ("III", (0.5, -0.5, 0.1), {"alpha_hat": 0.5, "alpha_check": -0.5, "beta": 0.1}),
+        ],
+    )
+    def test_tuple_targets_map_in_table_order(self, kind, targets, expected):
+        normalized = _normalize_targets(kind, targets)
+        assert normalized == expected and tuple(normalized) == _TARGETS[kind]
+        problem = _SearchProblem(kind, (3,) if kind == "I" else (3, 3), normalized, SearchConfig())
+        np.testing.assert_array_equal(problem.targets, targets)
 
     def test_floor_non_increasing_in_restarts(self):
         # restarts run in lockstep, and restart k's record must not depend on how many run beside it
@@ -741,19 +781,12 @@ def _scored(problem, lumped, curves):
     return oracles.residual_bipartite(lumped, curves, grid)[keep], deltas, repaired
 
 
-def _public_curves(problem, lumped):
-    """The curves the public constructor builds from a rate table (ValueError if it rejects the rates)."""
-    if problem.kind == "I":
-        return reduced_curves_I(*lumped.lam[:3], lumped.n_vertices)
-    return (reduced_curves_II if problem.kind == "II" else reduced_curves_III)(lumped)
-
-
 def reference_objective(problem, x):
     """The objective from the oracle copies, and whether a curve cell took its 50-digit value."""
     with np.errstate(all="ignore"):
         try:
             lumped = problem.unpack(x)
-            curves = _public_curves(problem, lumped)
+            curves = reduced_curves(problem.kind, lumped)
         except ValueError:
             return 1e12, False
         res, d, repaired = _scored(problem, lumped, curves)
@@ -770,7 +803,7 @@ def reference_ls_residual(problem, outer_x):
     with np.errstate(all="ignore"):
         try:
             lumped = problem.assemble(outer_x)
-            curves = _public_curves(problem, lumped)
+            curves = reduced_curves(problem.kind, lumped)
         except ValueError:  # LumpedRates* reject a warm table with a rate of 0 or a non-finite one
             return np.full(problem.ls_length, 1e6), False
         res, deltas, repaired = _scored(problem, lumped, curves)
@@ -797,7 +830,7 @@ def _check_public_path(problem, x, data):
     with np.errstate(all="ignore"):
         try:
             lumped = problem.unpack(x)
-            curves = _public_curves(problem, lumped)
+            curves = reduced_curves(problem.kind, lumped)
         except ValueError:
             return
         t = np.array(data.draw(st.permutations(np.append(problem.grid, 1e-9).tolist())))
