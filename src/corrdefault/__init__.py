@@ -52,9 +52,8 @@ from .reduced import (
     coeff_check_III,
     feasibility_search,
     lump_generator,
+    lumped_residual,
     reduced_curves,
-    residual_I,
-    residual_bipartite,
 )
 
 __version__ = "0.1.0"

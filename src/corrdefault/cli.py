@@ -279,9 +279,6 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config)
         return handlers[args.command](config, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except InfeasibleTargetsError as exc:
         print(f"infeasible input: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

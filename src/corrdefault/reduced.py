@@ -23,7 +23,7 @@ from ._num import _pair_profile, _shared_profile, alpha_values
 from ._num import geometric_grid, inv_softplus, is_integer, popcounts, softplus
 from ._pool import cpu_map, usable_cpus
 from .ctmc import MonotoneGenerator
-from .io import float_field
+from .io import float_field, integer_field
 
 
 @dataclass(frozen=True)
@@ -286,6 +286,16 @@ class LumpedCurves:
         return CurveProfile(t, alpha, ap[:, 0], beta[0], bp[0])
 
 
+def _sizes(kind, lumped):
+    """The sizes (N,) or (M, N) of lumped, which must be the rates type Model kind takes."""
+    if kind not in _KERNEL:
+        raise ValueError(f"unknown model kind {kind!r}")
+    rates_type = LumpedRatesI if kind == "I" else LumpedRatesBi
+    if not isinstance(lumped, rates_type):
+        raise ValueError(f"Model {kind} curves need {rates_type.__name__}, got {type(lumped).__name__}")
+    return (lumped.n_vertices,) if kind == "I" else (lumped.n_hat, lumped.n_check)
+
+
 def reduced_curves(kind: str, lumped: Union[LumpedRatesI, LumpedRatesBi]) -> LumpedCurves:
     """Curves of Model kind ("I", "II" or "III") forced by its lowest lumped equations.
 
@@ -294,17 +304,10 @@ def reduced_curves(kind: str, lumped: Union[LumpedRatesI, LumpedRatesBi]) -> Lum
     equations, and Model III's by the (1,0), (0,1) and (1,1) ones (beta's
     small-t limit is log((hat00 check10 + check00 hat01) / (2 hat00 check00))).
     """
-    if kind not in _KERNEL:
-        raise ValueError(f"unknown model kind {kind!r}")
-    rates_type = LumpedRatesI if kind == "I" else LumpedRatesBi
-    if not isinstance(lumped, rates_type):
-        raise ValueError(f"Model {kind} curves need {rates_type.__name__}, got {type(lumped).__name__}")
-    if kind == "I":
-        if lumped.n_vertices == 2:
-            raise ValueError("Model I curves need N >= 3: at N = 2 the pair rate lam2 is the absorbing lam[N] = 0")
-        sizes, rates = (lumped.n_vertices,), lumped.lam[:3].tolist()
-    else:
-        sizes, rates = (lumped.n_hat, lumped.n_check), _ctor_rates(lumped)
+    sizes = _sizes(kind, lumped)
+    if sizes == (2,):
+        raise ValueError("Model I curves need N >= 3: at N = 2 the pair rate lam2 is the absorbing lam[N] = 0")
+    rates = lumped.lam[:3].tolist() if kind == "I" else _ctor_rates(lumped)
     violation = abs(rates[0] / sizes[0] - rates[4] / sizes[1]) if kind == "II" else 0.0
     return LumpedCurves(kind, sizes, _curve_constants(kind, sizes, rates), violation)
 
@@ -316,24 +319,36 @@ def _positive_times(t):
     return t
 
 
-def _residual_rows(layout, tab, curves, t):
-    """Residual (cells, T) of every layout cell, for the raw table tab under curves."""
+def lumped_residual(lumped: Union[LumpedRatesI, LumpedRatesBi], curves: LumpedCurves, t) -> np.ndarray:
+    """Lumped master-equation residuals of Model curves.kind at the times t.
+
+    Model I: shape (N, T), row k-1 holding  k alpha' + C(k,2) beta'
+    - (lam0 - lam_k) - lam_{k-1} (k/(N-k+1)) e^{-alpha - (k-1) beta}; rows
+    k = 1, 2 vanish by construction.  Models II and III: shape (M+1, N+1, T),
+    entry (m, n) holding  m alpha_hat' + n alpha_check' + m n beta' - r
+    + hat_mn + check_mn - (m/(M-m+1)) hat_{m-1,n} e^{-alpha_hat - n beta}
+    - (n/(N-n+1)) check_{m,n-1} e^{-alpha_check - m beta}, and a zero (0,0)
+    entry.  Under Model II's shared-alpha curves both alphas are alpha, and
+    the first two terms are evaluated as (m+n) alpha'.
+    """
+    sizes = _sizes(curves.kind, lumped)
+    if curves.sizes != sizes:
+        raise ValueError(f"lumped rates and curves disagree on {'N' if len(sizes) == 1 else '(M, N)'}")
+    t = _positive_times(t)
+    if curves.kind == "I":
+        (n,) = sizes
+        layout, tab = _layout_I(n, np.arange(1, n + 1)), lumped.lam
+    else:
+        m, n = sizes
+        layout = _layout_bi(m, n, [(i, j) for i in range(m + 1) for j in range(n + 1)], curves.kind == "II")
+        tab = _raw_bi(lumped)
     with np.errstate(over="ignore", invalid="ignore"):
         _, ena, ap, bp, beta = _KERNEL[curves.kind](t, *curves.constants)
-    return _block(layout, tab[:, None], ena, ap, bp, np.exp(layout.neg_j * beta))[:, 0]
-
-
-def residual_I(lumped: LumpedRatesI, curves: LumpedCurves, t) -> np.ndarray:
-    """Lumped master-equation residuals, one row per occupancy k = 1..N.
-
-    Row k-1 holds  k alpha' + C(k,2) beta' - (lam0 - lam_k)
-    - lam_{k-1} (k/(N-k+1)) e^{-alpha - (k-1) beta}  at each time.
-    Rows 0 and 1 (k = 1, 2) vanish by construction.
-    """
-    if curves.sizes != (lumped.n_vertices,):
-        raise ValueError("lumped rates and curves disagree on N")
-    n = lumped.n_vertices
-    return _residual_rows(_layout_I(n, np.arange(1, n + 1)), lumped.lam, curves, _positive_times(t))
+    res = _block(layout, tab[:, None], ena, ap, bp, np.exp(layout.neg_j * beta))[:, 0]
+    if curves.kind == "I":
+        return res
+    res[0] = 0.0
+    return res.reshape(m + 1, n + 1, -1)
 
 
 @dataclass(frozen=True)
@@ -370,17 +385,10 @@ def coeff_check_I(lumped: LumpedRatesI, beta_star: float) -> CoeffCheckI:
     return CoeffCheckI(float(beta_star), linear, exponential)
 
 
-def _shift_hat(table):
-    """table[m-1, n] with a zero row at m = 0."""
+def _upstream(table, axis):
+    """table shifted by one along axis 0 (table[m-1, n]) or 1 (table[m, n-1]), with zeros at index 0."""
     out = np.zeros_like(table)
-    out[1:, :] = table[:-1, :]
-    return out
-
-
-def _shift_check(table):
-    """table[m, n-1] with a zero column at n = 0."""
-    out = np.zeros_like(table)
-    out[:, 1:] = table[:, :-1]
+    np.moveaxis(out, axis, 0)[1:] = np.moveaxis(table, axis, 0)[:-1]
     return out
 
 
@@ -411,25 +419,6 @@ def coeff_check_II(n_hat: int, n_check: int, beta_star: float) -> float:
             f"rate-system gap {gap} disagrees with its closed form {closed_form}"
         )
     return closed_form
-
-
-def residual_bipartite(lumped: LumpedRatesBi, curves: LumpedCurves, t) -> np.ndarray:
-    """Occupancy-equation residuals, shape (M+1, N+1, len(t)); entry (0,0) is zero.
-
-    Entry (m, n) holds m alpha_hat' + n alpha_check' + m n beta' - r
-    + hat_mn + check_mn - (m/(M-m+1)) hat_{m-1,n} e^{-alpha_hat - n beta}
-    - (n/(N-n+1)) check_{m,n-1} e^{-alpha_check - m beta}.  Under Model II's
-    shared-alpha curves both alphas are alpha, and the first two terms are
-    evaluated as (m+n) alpha'.
-    """
-    m_hat, n_check = lumped.n_hat, lumped.n_check
-    if curves.sizes != (m_hat, n_check):
-        raise ValueError("lumped rates and curves disagree on (M, N)")
-    cells = [(m, n) for m in range(m_hat + 1) for n in range(n_check + 1)]
-    layout = _layout_bi(m_hat, n_check, cells, curves.kind == "II")
-    res = _residual_rows(layout, _raw_bi(lumped), curves, _positive_times(t))
-    res[0] = 0.0
-    return res.reshape(m_hat + 1, n_check + 1, -1)
 
 
 @dataclass(frozen=True)
@@ -476,10 +465,8 @@ def coeff_check_III(lumped: LumpedRatesBi, beta_star: float) -> CoeffCheckIII:
     m = np.arange(m_hat + 1, dtype=float)[:, None]
     n = np.arange(n_chk + 1, dtype=float)[None, :]
     hat00, check00 = float(hat[0, 0]), float(check[0, 0])
-    cond_hat = m * (hat00 / m_hat - _shift_hat(hat) * np.exp(-n * beta_star) / (m_hat - m + 1.0))
-    cond_check = n * (
-        check00 / n_chk - _shift_check(check) * np.exp(-m * beta_star) / (n_chk - n + 1.0)
-    )
+    cond_hat = m * (hat00 / m_hat - _upstream(hat, 0) * np.exp(-n * beta_star) / (m_hat - m + 1.0))
+    cond_check = n * (check00 / n_chk - _upstream(check, 1) * np.exp(-m * beta_star) / (n_chk - n + 1.0))
     cond_drift = (
         m * (r - hat[1, 0] - check[1, 0])
         + n * (r - hat[0, 1] - check[0, 1])
@@ -540,14 +527,13 @@ class SearchConfig:
 
     def __post_init__(self):
         for name, least in (("restarts", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            value = integer_field(getattr(self, name), name)
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
         if self.max_iter is not None and not (is_integer(self.max_iter) and self.max_iter > 0):
             raise ValueError(f"max_iter must be a positive integer or None, got {self.max_iter!r}")
-        geometric_grid(self.horizon, self.grid_points, self.t_min_fraction)  # checks the grid knobs, grid_points too
+        horizon, t_min_fraction = (float_field(getattr(self, name), name) for name in ("horizon", "t_min_fraction"))
+        geometric_grid(horizon, self.grid_points, t_min_fraction)  # checks the grid knobs, grid_points too
 
 
 # A restart whose warm start did not solve the system re-seeds Nelder-Mead up
@@ -612,8 +598,7 @@ def _parse_model(model):
         raise ValueError("model must carry sizes, e.g. ('I', 4) or ('II', 3, 3)")
     kind = model[0]
     for name, size in zip(("M", "N") if len(model) == 3 else ("N",), model[1:]):
-        if not is_integer(size):
-            raise ValueError(f"Model {kind} size {name} must be an integer, got {size!r}")
+        integer_field(size, f"Model {kind} size {name}")
     if kind == "I":
         if len(model) != 2 or model[1] < 2:
             raise ValueError("Model I needs ('I', N) with N >= 2")
@@ -632,7 +617,7 @@ def _parse_model(model):
 def _normalize_targets(kind, targets):
     names = _TARGETS[kind]
     t = dict(targets) if isinstance(targets, dict) else dict(zip(names, targets))
-    if set(t) != set(names):
+    if set(t) != set(names) or len(t) != len(targets):  # a tuple longer than names would lose its tail in zip
         raise ValueError(f"Model {kind} targets need keys {sorted(names)}")
     for key, value in t.items():
         t[key] = float_field(value, f"target {key}")
@@ -668,21 +653,35 @@ class _SearchProblem:
         self.sqrt_penalty = np.sqrt(_PENALTY_WEIGHT)
         if kind == "I":
             (n,) = sizes
-            self.dim = self.outer_dim = n
             self.table_size = n + 1
             self.scatter = self.outer_pos = np.arange(n)
-            self.inner = np.zeros(0, dtype=int)  # no rate is solved for
             self.ctor = [0, 1, 2]
             # lam2 enters the curves, and is lam[N] = 0 when N = 2; q = lam0 / N
             positive, q_at, q_div = np.arange(max(n, 3)), [0], [n]
             self.layout = _layout_I(n, np.arange(3, n + 1))  # rows k = 1, 2 hold by construction
         else:
             positive, q_at, q_div = self._init_bipartite(*sizes)
+        self.dim, self.outer_dim = ((kind == "II") + len(at) for at in (self.scatter, self.outer_pos))
+        # _solve_inner's unknowns: the rates the warm start does not search over (none for Model I)
+        self.inner = self.scatter[~np.isin(self.scatter, self.outer_pos)]
         # the rates the curves need positive, and those whose q = rate / size must not underflow to 0
         self.guard_at = np.concatenate([positive, q_at])
         self.guard_div = np.concatenate([np.ones(len(positive)), q_div])[:, None]
         self.warm_guard = ~np.isin(self.guard_at, self.inner)  # those the warm start has before its solve
         self.ls_length = self.layout.gather.shape[1] * len(self.grid) + len(self.targets)
+        if len(self.inner):
+            # where _block reads the unknowns: (cell, unknown) of each own rate, and (inflow, cell, unknown)
+            # of each upstream one
+            n_inflow = len(self.layout.inflow_coef)
+            self.own_at = np.nonzero(self.layout.gather[n_inflow:, :, None] == self.inner)[1:]
+            self.inflow_at = np.nonzero(self.layout.gather[:n_inflow, :, None] == self.inner)
+            # scipy.linalg.lstsq's gelsy driver, with the workspace size it would query on every call;
+            # scipy loads here, and in feasibility_search, so that model and dynamics runs never import it
+            from scipy.linalg import get_lapack_funcs
+
+            self.gelsy, gelsy_lwork = get_lapack_funcs(("gelsy", "gelsy_lwork"))
+            shape = (self.layout.gather.shape[1] * len(self.grid), len(self.inner))
+            self.gelsy_lwork = int(gelsy_lwork(*shape, 1, np.finfo(float).eps)[0])
 
     def _init_bipartite(self, m, n):
         kind = self.kind
@@ -691,36 +690,16 @@ class _SearchProblem:
         check = p + hat
         self.table_size = 2 * p + 1
         cells = [(i, j) for i in range(m + 1) for j in range(n + 1)]
-        ctor = _CTOR_CELLS
         skip = [(0, 0), (1, 0), (1, 1)] + ([(0, 1)] if kind == "III" else [])  # hold by construction
         scored = [cell for cell in cells if cell not in skip]
         # Model II pins check00 = (N/M) hat00 through one shared coordinate s
         hat_free = [(i, j) for i, j in cells if i < m and (kind == "III" or (i, j) != (0, 0))]
         check_free = [(i, j) for i, j in cells if j < n and (kind == "III" or (i, j) != (0, 0))]
-        check_ctor = ctor if kind == "III" else skip
-        hat_inner = [cell for cell in hat_free if cell not in ctor]
-        check_inner = [cell for cell in check_free if cell not in check_ctor]
-        self.dim = (kind == "II") + len(hat_free) + len(check_free)
         self.scatter = np.array([hat[c] for c in hat_free] + [check[c] for c in check_free])
-        self.ctor = [hat[c] for c in ctor] + [check[c] for c in ctor]
+        self.ctor = [hat[c] for c in _CTOR_CELLS] + [check[c] for c in _CTOR_CELLS]
         # outer coordinates: Model II s, hat10, hat01, hat11, check10, check11; Model III all of ctor
         self.outer_pos = np.array(self.ctor)[[1, 2, 3, 5, 7] if kind == "II" else slice(None)]
-        self.outer_dim = (kind == "II") + len(self.outer_pos)
         self.layout = _layout_bi(m, n, scored, kind == "II")
-
-        # _solve_inner's unknowns, and where _block reads them: (cell, unknown) of each own
-        # rate, and (inflow, cell, unknown) of each upstream one
-        self.inner = np.array([hat[c] for c in hat_inner] + [check[c] for c in check_inner])
-        n_inflow = len(self.layout.inflow_coef)
-        self.own_at = np.nonzero(self.layout.gather[n_inflow:, :, None] == self.inner)[1:]
-        self.inflow_at = np.nonzero(self.layout.gather[:n_inflow, :, None] == self.inner)
-        # scipy.linalg.lstsq's gelsy driver, with the workspace size it would query on every call;
-        # scipy loads here, and in feasibility_search, so that model and dynamics runs never import it
-        from scipy.linalg import get_lapack_funcs
-
-        self.gelsy, gelsy_lwork = get_lapack_funcs(("gelsy", "gelsy_lwork"))
-        shape = (len(scored) * len(self.grid), len(self.inner))
-        self.gelsy_lwork = int(gelsy_lwork(*shape, 1, np.finfo(float).eps)[0])
         # interior rates; q_hat = hat00 / M, and Model III's q_check = check00 / N
         q_at, q_div = ([self.ctor[0], self.ctor[4]], [m, n]) if kind == "III" else ([self.ctor[0]], [m])
         return np.concatenate([hat[:-1].ravel(), check[:, :-1].ravel()]), q_at, q_div

@@ -402,7 +402,7 @@ def lumped_profile(curves, t):
 
 
 def residual_I(lumped, curves, t):
-    """reduced.residual_I on an occupancy column k = 1..N."""
+    """reduced.lumped_residual on Model I, an occupancy column k = 1..N."""
     if curves.sizes != (lumped.n_vertices,):
         raise ValueError("lumped rates and curves disagree on N")
     t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -432,7 +432,7 @@ def _shift_check(table):
 
 
 def residual_bipartite(lumped, curves, t):
-    """reduced.residual_bipartite on (M+1, N+1) occupancy grids with shifted rate tables."""
+    """reduced.lumped_residual on Models II and III, (M+1, N+1) occupancy grids with shifted rate tables."""
     m_hat, n_check = lumped.n_hat, lumped.n_check
     if curves.sizes != (m_hat, n_check):
         raise ValueError("lumped rates and curves disagree on (M, N)")

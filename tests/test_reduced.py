@@ -36,9 +36,8 @@ from corrdefault.reduced import (
     independent_lumped_I,
     independent_lumped_bi,
     lump_generator,
+    lumped_residual,
     reduced_curves,
-    residual_I,
-    residual_bipartite,
 )
 
 import oracles
@@ -241,19 +240,19 @@ class TestResidualI:
     def test_constructing_levels_vanish(self):
         lumped = LumpedRatesI(4, np.array([1.3, 0.9, 0.7, 0.45, 0.0]))
         curves = reduced_curves("I", lumped)
-        res = residual_I(lumped, curves, geometric_grid(1.0, 16))
+        res = lumped_residual(lumped, curves, geometric_grid(1.0, 16))
         assert np.max(np.abs(res[:2])) < 1e-10
 
     def test_independent_rates_solve_every_level(self):
         lumped = independent_lumped_I(5, 0.4)
         curves = reduced_curves("I", lumped)
-        res = residual_I(lumped, curves, geometric_grid(1.0, 16))
+        res = lumped_residual(lumped, curves, geometric_grid(1.0, 16))
         assert np.max(np.abs(res)) < 1e-10
 
     def test_generic_rates_fail_above_pairs(self):
         lumped = LumpedRatesI(4, np.array([1.3, 0.9, 0.7, 0.45, 0.0]))
         curves = reduced_curves("I", lumped)
-        res = residual_I(lumped, curves, np.array([0.5]))
+        res = lumped_residual(lumped, curves, np.array([0.5]))
         assert abs(res[2, 0]) > 1e-3
 
 
@@ -312,20 +311,20 @@ class TestResidualII:
     def test_constructing_cells_vanish_for_compatible_rates(self, rng):
         lumped = compatible_bipartite_rates(rng, 3, 3)
         curves = reduced_curves("II", lumped)
-        res = residual_bipartite(lumped, curves, geometric_grid(1.0, 16))
+        res = lumped_residual(lumped, curves, geometric_grid(1.0, 16))
         for cell in ((1, 0), (0, 1), (1, 1)):
             assert np.max(np.abs(res[cell])) < 1e-9
 
     def test_independent_rates_solve_every_cell(self):
         lumped = independent_lumped_bi(3, 3, 0.4, 0.4)
         curves = reduced_curves("II", lumped)
-        res = residual_bipartite(lumped, curves, geometric_grid(1.0, 16))
+        res = lumped_residual(lumped, curves, geometric_grid(1.0, 16))
         assert np.max(np.abs(res)) < 1e-9
 
     def test_generic_cell_2_1_fails(self, rng):
         lumped = compatible_bipartite_rates(rng, 3, 3)
         curves = reduced_curves("II", lumped)
-        res = residual_bipartite(lumped, curves, np.array([0.5]))
+        res = lumped_residual(lumped, curves, np.array([0.5]))
         assert abs(res[2, 1, 0]) > 1e-3
 
 
@@ -463,20 +462,20 @@ class TestResidualIII:
     def test_constructing_cells_vanish(self, rng):
         lumped = compatible_bipartite_rates(rng, 4, 3)
         curves = reduced_curves("III", lumped)
-        res = residual_bipartite(lumped, curves, geometric_grid(1.0, 16))
+        res = lumped_residual(lumped, curves, geometric_grid(1.0, 16))
         for cell in ((1, 0), (0, 1), (1, 1)):
             assert np.max(np.abs(res[cell])) < 1e-9
 
     def test_independent_rates_solve_every_cell(self):
         lumped = independent_lumped_bi(4, 3, 0.5, -0.5)
         curves = reduced_curves("III", lumped)
-        res = residual_bipartite(lumped, curves, geometric_grid(1.0, 16))
+        res = lumped_residual(lumped, curves, geometric_grid(1.0, 16))
         assert np.max(np.abs(res)) < 1e-9
 
     def test_generic_cell_2_2_fails(self, rng):
         lumped = compatible_bipartite_rates(rng, 4, 3)
         curves = reduced_curves("III", lumped)
-        res = residual_bipartite(lumped, curves, np.array([0.5]))
+        res = lumped_residual(lumped, curves, np.array([0.5]))
         assert abs(res[2, 2, 0]) > 1e-3
 
 
@@ -490,16 +489,37 @@ class TestBipartiteKernel:
         drive_hat, drive_check = lumped.hat_rates[0, 1] / m, lumped.check_rates[1, 0] / n
         equal = LumpedCurves("III", (m, n), (q, delta, q, delta, drive_hat, drive_check, c))
         grid = geometric_grid(1.0, 16)
-        expected = residual_bipartite(lumped, shared, grid)
+        expected = lumped_residual(lumped, shared, grid)
         scale = np.max(np.abs(expected))
-        np.testing.assert_allclose(residual_bipartite(lumped, equal, grid), expected, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(lumped_residual(lumped, equal, grid), expected, rtol=0, atol=1e-12 * scale)
         # the shared-alpha e^beta is the pair e^beta with equal classes
         np.testing.assert_allclose(np.exp(shared.profile(grid).beta), np.exp(equal.profile(grid).beta), rtol=1e-10)
 
-    def test_sizes_must_match(self):
-        lumped = independent_lumped_bi(3, 3, 0.4, 0.4)
-        with pytest.raises(ValueError, match="disagree"):
-            residual_bipartite(independent_lumped_bi(3, 2, 0.4, 0.4), reduced_curves("II", lumped), [0.5])
+    @pytest.mark.parametrize(
+        "lumped, curves, message",
+        [
+            (
+                independent_lumped_bi(3, 2, 0.4, 0.4),
+                reduced_curves("II", independent_lumped_bi(3, 3, 0.4, 0.4)),
+                "lumped rates and curves disagree on (M, N)",
+            ),
+            (
+                independent_lumped_I(4, 0.4),
+                reduced_curves("II", independent_lumped_bi(3, 3, 0.4, 0.4)),
+                "Model II curves need LumpedRatesBi, got LumpedRatesI",
+            ),
+            (
+                independent_lumped_bi(3, 3, 0.4, 0.4),
+                reduced_curves("I", independent_lumped_I(4, 0.4)),
+                "Model I curves need LumpedRatesI, got LumpedRatesBi",
+            ),
+        ],
+    )
+    def test_bad_input_is_named(self, lumped, curves, message):
+        # rates of the wrong type for the curves' model raised AttributeError
+        with pytest.raises(ValueError) as exc:
+            lumped_residual(lumped, curves, [0.5])
+        assert str(exc.value) == message
 
 
 class TestCoeffCheckIII:
@@ -558,11 +578,13 @@ class TestFeasibilitySearch:
                 "Model III targets need keys ['alpha_check', 'alpha_hat', 'beta']",
             ),
             (("III", 3, 3), (0.5, -0.5), "Model III targets need keys ['alpha_check', 'alpha_hat', 'beta']"),
+            (("I", 3), (0.3, 0.5, 0.9), "Model I targets need keys ['alpha', 'beta']"),
         ],
     )
     def test_targets_are_checked(self, model, targets, message):
         # true was searched as 1.0, and a string failed in np.isfinite with a TypeError; Models I and II's key
-        # sets read "targets need keys {'alpha', 'beta'}", naming no model, and a short tuple raised IndexError
+        # sets read "targets need keys {'alpha', 'beta'}", naming no model, a short tuple raised IndexError, and
+        # a long one lost its tail
         with pytest.raises(ValueError) as exc:
             feasibility_search(model, targets, SearchConfig(restarts=1, max_iter=5))
         assert str(exc.value) == message
@@ -619,8 +641,8 @@ class TestFeasibilitySearch:
         "knobs",
         [{"restarts": 0}, {"restarts": -1}]
         + [{"max_iter": m} for m in (0, -3, 2.5, True)]
-        + [{"horizon": h} for h in (np.nan, np.inf, 0.0)]
-        + [{"t_min_fraction": f} for f in (2.0, 1.0, 0.0, np.nan)]
+        + [{"horizon": h} for h in (np.nan, np.inf, 0.0, "1.0", True)]
+        + [{"t_min_fraction": f} for f in (2.0, 1.0, 0.0, np.nan, "0.001")]
         + [{"restarts": r} for r in (2.5, True)]
         + [{"seed": s} for s in (-1, 1.9, True)]
         + [{"grid_points": g} for g in (1, 8.7, True)],
@@ -629,7 +651,7 @@ class TestFeasibilitySearch:
         # restarts=0 used to fail with KeyError('x'); max_iter 0 or 2.5 ran no polish and True (JSON true)
         # a one-evaluation one, a NaN horizon reported a NaN floor, and t_min_fraction 2.0 scored times
         # past the horizon; the CLI truncated restarts 2.5 to 2, True to 1, seed 1.9 to 1 and grid_points
-        # 8.7 to 8
+        # 8.7 to 8; a string horizon or t_min_fraction raised a TypeError naming neither
         with pytest.raises(ValueError, match=next(iter(knobs))):
             SearchConfig(**knobs)
 
@@ -837,14 +859,11 @@ def _check_public_path(problem, x, data):
         prof, ref = curves.profile(t), oracles.lumped_profile(curves, t)
         if problem.kind == "III":
             alphas = [ref.alpha_hat, ref.alpha_check], [ref.alpha_hat_prime, ref.alpha_check_prime]
-            res, expected = residual_bipartite(lumped, curves, t), oracles.residual_bipartite(lumped, curves, t)
         else:
             alphas = [ref.alpha], [ref.alpha_prime]
-            if problem.kind == "I":
-                res, expected = residual_I(lumped, curves, t), oracles.residual_I(lumped, curves, t)
-            else:
-                res, expected = residual_bipartite(lumped, curves, t), oracles.residual_bipartite(lumped, curves, t)
-        empty = (residual_I if problem.kind == "I" else residual_bipartite)(lumped, curves, [])
+        oracle = oracles.residual_I if problem.kind == "I" else oracles.residual_bipartite
+        res, expected = lumped_residual(lumped, curves, t), oracle(lumped, curves, t)
+        empty = lumped_residual(lumped, curves, [])
     assert empty.shape == expected.shape[:-1] + (0,)
     np.testing.assert_array_equal(prof.alpha, alphas[0])
     np.testing.assert_array_equal(prof.alpha_prime, alphas[1])
