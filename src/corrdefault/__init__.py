@@ -10,7 +10,6 @@ from .model import (
     ModelParams,
     SubsetDist,
     ZeroProbabilityError,
-    exact_sample,
     extract_interactions,
     family_membership_residual,
     fit_moments,

@@ -73,23 +73,14 @@ _KEYS = {
 }
 
 
-def _check_block(name, block):
-    """Require block to be a JSON object holding only the keys _KEYS[name] allows."""
-    if not isinstance(block, dict):
-        raise ConfigError(f"{name} must be a JSON object")
-    unknown = sorted(set(block) - _KEYS[name])
-    if unknown:
-        raise ConfigError(f"unknown {name} key(s): {', '.join(map(repr, unknown))}")
-
-
 def _load_config(path) -> dict:
     try:
         config = cdio.read_json(path)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    _check_block("config", config)
+    cdio.check_keys(config, _KEYS["config"], "config")
     for name in sorted(_KEYS.keys() & config.keys()):
-        _check_block(name, config[name])
+        cdio.check_keys(config[name], _KEYS[name], name)
     return config
 
 
@@ -132,6 +123,7 @@ def cmd_model(config, args) -> int:
         if targets_file is None:
             raise ConfigError("--fit needs io.targets_file")
         targets = cdio.read_json(targets_file)
+        cdio.check_keys(targets, {"vertex_targets", "pair_targets"}, "targets file")
         vertex_targets = np.array(cdio.float_fields(targets["vertex_targets"], "vertex_targets"))
         pair_targets = np.zeros(params.graph.n_edges)
         for entry in targets.get("pair_targets", []):

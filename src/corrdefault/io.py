@@ -83,6 +83,15 @@ def read_json(path):
         return json.load(handle, object_pairs_hook=JsonObject)
 
 
+def check_keys(block, allowed, name: str):
+    """Require block to be a JSON object holding only the keys in allowed; a ValueError names the others."""
+    if not isinstance(block, dict):
+        raise ValueError(f"{name} must be a JSON object")
+    unknown = sorted(set(block) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {name} key(s): {', '.join(map(repr, unknown))}")
+
+
 def integer_field(value, name: str) -> int:
     """A JSON field that must be an integer; a float, a bool (JSON true) or a string raises a ValueError naming it."""
     if not is_integer(value):
@@ -104,7 +113,7 @@ def float_fields(values, name: str) -> list:
 
 def model_to_dict(params: ModelParams) -> dict:
     graph = params.graph
-    payload = {
+    return {
         "n_vertices": graph.n_vertices,
         "edges": [list(edge) for edge in graph.edges],
         "alpha": [float(a) for a in params.alpha],
@@ -112,20 +121,14 @@ def model_to_dict(params: ModelParams) -> dict:
             {"edge": list(edge), "value": float(b)} for edge, b in zip(graph.edges, params.beta)
         ],
     }
-    if graph.bipartition is not None:
-        hat, check = graph.bipartition
-        payload["bipartition"] = {"hat": list(hat), "check": list(check)}
-    return payload
 
 
+# write_json adds "meta", so a written model or generator file reads back
 def model_from_dict(payload: Mapping) -> ModelParams:
+    check_keys(payload, {"meta", "n_vertices", "edges", "alpha", "beta"}, "model file")
     n_vertices = integer_field(payload["n_vertices"], "n_vertices")
     edges = tuple(tuple(integer_field(v, "edge end") for v in edge) for edge in payload.get("edges", []))
-    bipartition = None
-    if payload.get("bipartition") is not None:
-        bip = payload["bipartition"]
-        bipartition = tuple(tuple(integer_field(v, f"{side} vertex") for v in bip[side]) for side in ("hat", "check"))
-    graph = Graph(n_vertices, edges, bipartition)
+    graph = Graph(n_vertices, edges)
     alpha = np.array(float_fields(payload["alpha"], "alpha"))
     beta = np.zeros(graph.n_edges)
     for entry in payload.get("beta", []):
@@ -166,6 +169,7 @@ def generator_to_dict(gen: MonotoneGenerator) -> dict:
 
 
 def generator_from_dict(payload: Mapping) -> MonotoneGenerator:
+    check_keys(payload, {"meta", "n_vertices", "entries"}, "generator file")
     n_vertices = integer_field(payload["n_vertices"], "n_vertices")
     entries = [
         (integer_field(e["subset_bitmask"], "subset_bitmask"), integer_field(e["vertex"], "vertex"),
@@ -215,22 +219,6 @@ def _write_lattice_csv(path, columns, slices, config, first_mask: int = 0):
 
 def write_distribution_csv(path, dist: SubsetDist, config=None):
     _write_lattice_csv(path, ("subset_bitmask", "probability"), [("", dist.probs)], config)
-
-
-def read_distribution_csv(path) -> SubsetDist:
-    masks, probs = [], []
-    with open(path) as handle:
-        for line in handle:
-            if line.startswith("#") or line.startswith("subset_bitmask"):
-                continue
-            mask, prob = line.strip().split(",")
-            masks.append(int(mask))
-            probs.append(float(prob))
-    size = max(masks) + 1
-    vec = np.zeros(size)
-    vec[np.array(masks)] = probs
-    n = size.bit_length() - 1
-    return SubsetDist(n, vec)
 
 
 def write_trajectory_csv(path, solution: ForwardSolution, config=None):

@@ -90,15 +90,10 @@ def _canonical_edge(u, v):
 
 @dataclass(frozen=True)
 class Graph:
-    """Finite simple graph; vertices are 0..n_vertices-1.
-
-    ``bipartition`` optionally names two disjoint vertex classes covering all
-    vertices; when present every edge must join the classes.
-    """
+    """Finite simple graph; vertices are 0..n_vertices-1."""
 
     n_vertices: int
     edges: Tuple[Tuple[int, int], ...]
-    bipartition: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
 
     def __post_init__(self):
         if self.n_vertices < 1:
@@ -110,28 +105,11 @@ class Graph:
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
                 raise ValueError(f"edge ({u},{v}) out of range")
         object.__setattr__(self, "edges", tuple(canon))
-        if self.bipartition is not None:
-            hat, check = (tuple(int(v) for v in c) for c in self.bipartition)
-            if set(hat) & set(check):
-                raise ValueError("bipartition classes overlap")
-            if set(hat) | set(check) != set(range(self.n_vertices)):
-                raise ValueError("bipartition must cover all vertices")
-            for u, v in self.edges:
-                if (u in hat) == (v in hat):
-                    raise ValueError(f"edge ({u},{v}) does not join the bipartition classes")
-            object.__setattr__(self, "bipartition", (hat, check))
 
     @classmethod
     def complete(cls, n_vertices: int) -> "Graph":
         edges = tuple((u, v) for u in range(n_vertices) for v in range(u + 1, n_vertices))
         return cls(n_vertices, edges)
-
-    @classmethod
-    def complete_bipartite(cls, n_hat: int, n_check: int) -> "Graph":
-        hat = tuple(range(n_hat))
-        check = tuple(range(n_hat, n_hat + n_check))
-        edges = tuple((u, v) for u in hat for v in check)
-        return cls(n_hat + n_check, edges, bipartition=(hat, check))
 
     @classmethod
     def empty(cls, n_vertices: int) -> "Graph":
@@ -155,11 +133,7 @@ class Graph:
         """Graph with vertex v renamed to perm[v]."""
         perm = tuple(int(p) for p in perm)
         edges = tuple(_canonical_edge(perm[u], perm[v]) for (u, v) in self.edges)
-        bip = None
-        if self.bipartition is not None:
-            hat, check = self.bipartition
-            bip = (tuple(sorted(perm[v] for v in hat)), tuple(sorted(perm[v] for v in check)))
-        return Graph(self.n_vertices, edges, bip)
+        return Graph(self.n_vertices, edges)
 
 
 def _frozen_array(values, length, name):
@@ -244,7 +218,6 @@ class InteractionCoeffs:
 
     n_vertices: int
     coeffs: np.ndarray
-    log_p_empty: float
 
     def __post_init__(self):
         coeffs = np.array(self.coeffs, dtype=float)
@@ -357,10 +330,9 @@ def _log_probs(probs) -> np.ndarray:
 
 def extract_interactions(dist: SubsetDist) -> InteractionCoeffs:
     """Mobius inversion of log p into canonical interaction coordinates; every cell must be positive."""
-    logp = _log_probs(dist.probs)
-    coeffs = mobius_from_log(logp)
+    coeffs = mobius_from_log(_log_probs(dist.probs))
     coeffs[0] = 0.0
-    return InteractionCoeffs(dist.n_vertices, coeffs, float(logp[0]))
+    return InteractionCoeffs(dist.n_vertices, coeffs)
 
 
 def family_membership_residual(dist: SubsetDist, graph: Graph) -> float:
@@ -385,18 +357,6 @@ def _out_of_family_residuals(laws, graph: Graph) -> np.ndarray:
     np.abs(coeffs, out=coeffs)
     coeffs[np.concatenate(([0], 1 << np.arange(graph.n_vertices), _edge_masks(graph)))] = 0.0
     return coeffs.max(axis=0)
-
-
-def exact_sample(params: ModelParams, n_draws: int, seed: int) -> np.ndarray:
-    """i.i.d. subset bitmask draws by inverse CDF on the enumerated pmf."""
-    if n_draws < 0:
-        raise ValueError("n_draws must be nonnegative")
-    dist = full_distribution(params)
-    cdf = np.cumsum(dist.probs)
-    cdf[-1] = 1.0
-    rng = np.random.default_rng(seed)
-    u = rng.random(n_draws)
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)
 
 
 def moments(params: ModelParams) -> Tuple[np.ndarray, np.ndarray]:

@@ -430,7 +430,9 @@ class CoeffCheckIII:
     assembled from the forced entries) with the line C k + D at
     k = 0..min(M,N); with beta* != 0 a line can meet that curve at most
     twice (beta* > 0) or three times (beta* < 0), so needing more points is
-    a certificate of inconsistency.
+    a certificate of inconsistency.  At min(M,N) = 2 with beta* < 0 the
+    system has 3 equations, no more than the bound, so bound_violated is
+    False whatever the rates: the check certifies nothing there.
     """
 
     beta_star: float

@@ -1,4 +1,4 @@
-"""scipy stays off the import path and the run path of `model` and `dynamics`.
+"""scipy stays off the import path and the run path of `model` and `dynamics`, and sympy off those of all three subcommands.
 
 Each test starts a fresh interpreter, because the test session itself has
 scipy loaded (the search tests and the oracles import it).
@@ -36,14 +36,15 @@ CLI_RUNS = """
 import json, sys
 from corrdefault.cli import main
 
-def scipy_modules():
-    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+def modules(package):
+    return sorted(name for name in sys.modules if name.split(".")[0] == package)
 
 model, dynamics, search = sys.argv[1:]
 codes = [main(["model", "--config", model, "--fit"]), main(["dynamics", "--config", dynamics])]
-after_model_and_dynamics = scipy_modules()
+after_model_and_dynamics = modules("scipy")
 codes.append(main(["search", "--config", search]))
-print(json.dumps({"codes": codes, "before_search": after_model_and_dynamics, "after_search": scipy_modules()}))
+print(json.dumps({"codes": codes, "before_search": after_model_and_dynamics, "after_search": modules("scipy"),
+                  "sympy": modules("sympy")}))
 """
 
 
@@ -69,6 +70,7 @@ def test_model_and_dynamics_runs_load_no_scipy(tmp_path):
     assert report["codes"] == [0, 0, 0]
     assert report["before_search"] == []
     assert "scipy.optimize" in report["after_search"]
+    assert report["sympy"] == []
     assert (tmp_path / "out_model" / "fitted_model.json").is_file()
     assert (tmp_path / "out_dynamics" / "master_residual.csv").is_file()
 

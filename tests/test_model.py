@@ -3,7 +3,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
-from scipy.stats import chisquare
 
 from corrdefault._num import zeta_over_subsets
 from corrdefault.model import (
@@ -15,7 +14,6 @@ from corrdefault.model import (
     SubsetDist,
     ZeroProbabilityError,
     bernoulli_product_distribution,
-    exact_sample,
     extract_interactions,
     family_membership_residual,
     fit_moments,
@@ -48,15 +46,8 @@ class TestGraph:
         with pytest.raises(ValueError, match="out of range"):
             Graph(2, ((0, 2),))
 
-    def test_bipartition_must_cover_and_cross(self):
-        with pytest.raises(ValueError, match="cover"):
-            Graph(3, ((0, 1),), bipartition=((0,), (1,)))
-        with pytest.raises(ValueError, match="join"):
-            Graph(3, ((0, 1),), bipartition=((0, 1), (2,)))
-
     def test_complete_counts(self):
         assert Graph.complete(5).n_edges == 10
-        assert Graph.complete_bipartite(2, 3).n_edges == 6
 
 
 class TestHamiltonian:
@@ -231,27 +222,6 @@ class TestFamilyMembership:
         r1 = family_membership_residual(dist, params.graph)
         r2 = family_membership_residual(dist.relabel(perm), params.graph.relabel(perm))
         assert r1 == pytest.approx(r2, abs=1e-12)
-
-
-class TestSampling:
-    def test_determinism(self):
-        params = ModelParams(Graph.complete(2), [0.0, 0.0], [np.log(2.0)])
-        a = exact_sample(params, 1000, seed=42)
-        b = exact_sample(params, 1000, seed=42)
-        np.testing.assert_array_equal(a, b)
-
-    def test_single_vertex_frequency(self):
-        params = ModelParams(Graph.empty(1), [0.0], [])
-        draws = exact_sample(params, 100_000, seed=7)
-        freq = np.mean(draws == 1)
-        assert abs(freq - 0.5) < 3.0 * np.sqrt(0.25 / 100_000)
-
-    def test_k2_chi_square(self):
-        params = ModelParams(Graph.complete(2), [0.0, 0.0], [np.log(2.0)])
-        draws = exact_sample(params, 100_000, seed=11)
-        counts = np.bincount(draws, minlength=4)
-        expected = np.array([0.2, 0.2, 0.2, 0.4]) * 100_000
-        assert chisquare(counts, expected).pvalue > 0.01
 
 
 class TestMomentFit:

@@ -539,6 +539,13 @@ class TestCoeffCheckIII:
         assert report.intersection_bound == 2
         assert report.bound_violated
 
+    def test_smallest_sizes_at_negative_beta_star_certify_nothing(self):
+        # 3 diagonal equations against an intersection bound of 3: no rates can violate it
+        report = coeff_check_III(independent_lumped_bi(2, 2, 0.5, -0.5), -0.3)
+        assert report.n_equations == report.intersection_bound == 3
+        assert report.n_satisfied < report.n_equations
+        assert not report.bound_violated
+
     def test_curve_coefficients_positive(self, rng):
         lumped = compatible_bipartite_rates(rng, 4, 3)
         report = coeff_check_III(lumped, 0.3)
