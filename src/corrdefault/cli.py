@@ -127,6 +127,7 @@ def cmd_model(config, args) -> int:
         vertex_targets = np.array(cdio.float_fields(targets["vertex_targets"], "vertex_targets"))
         pair_targets = np.zeros(params.graph.n_edges)
         for entry in targets.get("pair_targets", []):
+            cdio.check_keys(entry, {"edge", "value"}, "pair target")
             u, v = (cdio.integer_field(x, "pair target edge end") for x in entry["edge"])
             pair_targets[params.graph.edge_position(u, v)] = cdio.float_field(entry["value"], "pair target value")
     with _staged(_out_dir(config, args)) as out:
@@ -156,8 +157,10 @@ def _dynamics_generator(config, horizon):
 def cmd_dynamics(config, args) -> int:
     if args.independent is not None:
         alpha_file, horizon_text = args.independent
-        payload = cdio.read_json(alpha_file)
-        alpha = payload["alpha"] if isinstance(payload, dict) else payload
+        alpha = cdio.read_json(alpha_file)
+        if isinstance(alpha, dict):
+            cdio.check_keys(alpha, {"alpha"}, "alpha file")
+            alpha = alpha["alpha"]
         # every writer hashes the config actually run
         config = {**config, "independent": {"alpha": cdio.float_fields(alpha, "alpha")}, "horizon": float(horizon_text)}
     numerics, horizon = _numerics(config)

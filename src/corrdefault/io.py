@@ -132,6 +132,7 @@ def model_from_dict(payload: Mapping) -> ModelParams:
     alpha = np.array(float_fields(payload["alpha"], "alpha"))
     beta = np.zeros(graph.n_edges)
     for entry in payload.get("beta", []):
+        check_keys(entry, {"edge", "value"}, "beta entry")
         u, v = (integer_field(x, "beta edge end") for x in entry["edge"])
         beta[graph.edge_position(u, v)] = float_field(entry["value"], "beta value")
     return ModelParams(graph, alpha, beta)
@@ -171,11 +172,11 @@ def generator_to_dict(gen: MonotoneGenerator) -> dict:
 def generator_from_dict(payload: Mapping) -> MonotoneGenerator:
     check_keys(payload, {"meta", "n_vertices", "entries"}, "generator file")
     n_vertices = integer_field(payload["n_vertices"], "n_vertices")
-    entries = [
-        (integer_field(e["subset_bitmask"], "subset_bitmask"), integer_field(e["vertex"], "vertex"),
-         float_field(e["rate"], "rate"))
-        for e in payload.get("entries", [])
-    ]
+    entries = []
+    for e in payload.get("entries", []):
+        check_keys(e, {"subset_bitmask", "vertex", "rate"}, "generator entry")
+        entries.append((integer_field(e["subset_bitmask"], "subset_bitmask"), integer_field(e["vertex"], "vertex"),
+                        float_field(e["rate"], "rate")))
     return MonotoneGenerator.from_entries(n_vertices, entries)
 
 

@@ -1048,12 +1048,23 @@ class TestConfigChecks:
             ("model --fit", "targets_file", {"vertex_targets": [0.4, 0.6],
                                              "pair_target": [{"edge": [0, 1], "value": 0.24}]},
              "unknown targets file key(s): 'pair_target'"),
+            ("model", "model_file", {"n_vertices": 2, "edges": [[0, 1]], "alpha": [0.1, 0.2],
+                                     "beta": [{"edge": [0, 1], "value": 0.5, "valeu": 9.0}]},
+             "unknown beta entry key(s): 'valeu'"),
+            ("dynamics", "generator_file", {"n_vertices": 2, "entries": [{"subset_bitmask": 0, "vertex": 0, "rate": 1.0,
+                                                                          "rates": 2.0}]},
+             "unknown generator entry key(s): 'rates'"),
+            ("model --fit", "targets_file", {"vertex_targets": [0.4, 0.6],
+                                             "pair_targets": [{"edge": [0, 1], "value": 0.24, "edges": [0, 1]}]},
+             "unknown pair target key(s): 'edges'"),
         ],
-        ids=["model_betas", "model_bipartition", "generator_entry", "targets_pair_target"],
+        ids=["model_betas", "model_bipartition", "generator_entry", "targets_pair_target", "model_beta_entry",
+             "generator_entries_entry", "targets_pair_targets_entry"],
     )
     def test_file_keys_are_checked(self, tmp_path, capsys, k2_model_file, command, file, payload, message):
         # a misspelled key fell back to its default: "betas" ran at beta = 0 and exited 0, and "pair_target"
-        # exited 3 on a pair target of 0.0; no file format has a "bipartition" key any more
+        # exited 3 on a pair target of 0.0; no file format has a "bipartition" key any more. An extra key
+        # inside a list entry was dropped: each entry case exited 0
         path, out = tmp_path / "input.json", tmp_path / "out"
         write_json(path, payload)
         write_json(tmp_path / "run.json", {"io": {"model_file": str(k2_model_file), file: str(path)}})
@@ -1143,6 +1154,13 @@ class TestConfigChecks:
             self.run_exits_2(tmp_path, capsys, ["dynamics"], {"independent": {"alpha": alpha}}, message)
         else:
             self.run_exits_2(tmp_path, capsys, ["dynamics", "--independent", str(alpha_path), "1.0"], {}, message)
+
+    def test_alpha_file_keys_are_checked(self, tmp_path, capsys):
+        # ran to exit 0 at the flag's horizon 2.0, dropping the file's "horizon"
+        alpha_path = tmp_path / "alpha.json"
+        write_json(alpha_path, {"alpha": [0.3, -0.7], "horizon": 5.0})
+        argv = ["dynamics", "--independent", str(alpha_path), "2.0"]
+        self.run_exits_2(tmp_path, capsys, argv, {}, "unknown alpha file key(s): 'horizon'")
 
     @pytest.mark.parametrize("command", ["dynamics", "search"])
     @pytest.mark.parametrize("horizon, shown", [("0.5", "'0.5'"), (True, "True")])
