@@ -62,7 +62,7 @@ def expm1_over(x):
     """(e^x - 1)/x with the limit value 1 at x = 0."""
     x = np.asarray(x, dtype=float)
     num = np.expm1(x)
-    if np.all(x != 0.0):
+    if x.all():
         return num / x
     return np.divide(num, x, out=np.ones_like(num), where=x != 0.0)
 
@@ -130,10 +130,7 @@ def _products(t, coefs, n_expm1):
     phi_minus(x t), because expm1(-y)/(-y) and (1 - e^{-y})/y round alike.
     """
     y = np.array(coefs).reshape(len(coefs), -1, 1) * t
-    head = y[:n_expm1]
-    if head.all():
-        return y, np.expm1(head) / head
-    return y, np.divide(np.expm1(head), head, out=np.ones_like(head), where=head != 0.0)
+    return y, expm1_over(y[:n_expm1])
 
 
 def _log_phi_minus(x):
@@ -257,15 +254,17 @@ def is_integer(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def geometric_grid(horizon, grid_points=32, t_min_fraction=1e-3):
-    """Geometric time grid on [t_min_fraction * horizon, horizon]."""
+# The one time grid of dynamics and search: GRID_POINTS geometric times on
+# [T_MIN_FRACTION * horizon, horizon].  benchmark/workloads.py restates both.
+GRID_POINTS = 32
+T_MIN_FRACTION = 1e-3
+
+
+def geometric_grid(horizon, grid_points=GRID_POINTS):
+    """Geometric time grid on [T_MIN_FRACTION * horizon, horizon]."""
     if not (np.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
-    if not 0.0 < t_min_fraction < 1.0:
-        raise ValueError(f"t_min_fraction must lie in (0, 1), got {t_min_fraction}")
-    if not (is_integer(grid_points) and grid_points >= 2):
-        raise ValueError(f"grid_points must be an integer of at least 2, got {grid_points!r}")
-    return np.geomspace(t_min_fraction * horizon, horizon, grid_points)
+    return np.geomspace(T_MIN_FRACTION * horizon, horizon, grid_points)
 
 
 def popcounts(n_vertices):

@@ -65,10 +65,9 @@ class ConfigError(ValueError):
 
 # The keys each config block may hold; one schema for every subcommand.
 _KEYS = {
-    "config": {"io", "numerics", "horizon", "independent", "model", "N", "M", "targets", "search"},
-    "io": {"model_file", "generator_file", "targets_file", "out_dir"},
+    "config": {"io", "horizon", "independent", "model", "N", "M", "targets", "search"},
+    "io": {"model_file", "generator_file", "targets_file"},
     "independent": {"alpha"},
-    "numerics": {"t_min_fraction", "grid_points"},
     "search": {"restarts", "max_iter", "seed"},
 }
 
@@ -84,22 +83,17 @@ def _load_config(path) -> dict:
     return config
 
 
-def _numerics(config) -> tuple:
-    """The numerics block's keys, as geometric_grid takes them (its defaults fill the others), and the horizon."""
-    numerics = dict(config.get("numerics", {}))
-    if "t_min_fraction" in numerics:
-        numerics["t_min_fraction"] = cdio.float_field(numerics["t_min_fraction"], "t_min_fraction")
-    # a bad horizon or grid raises ValueError, which exits 2 before any output directory is made
+def _horizon(config) -> float:
+    """The configured horizon; a bad one raises ValueError, which exits 2 before any output directory is made."""
     horizon = cdio.float_field(config.get("horizon", 1.0), "horizon")
-    geometric_grid(horizon, **numerics)
-    return numerics, horizon
+    geometric_grid(horizon)
+    return horizon
 
 
-def _out_dir(config, args) -> Path:
-    out = args.out or config.get("io", {}).get("out_dir")
-    if out is None:
-        raise ConfigError("no output directory (set io.out_dir or pass --out)")
-    path = Path(out)
+def _out_path(args) -> Path:
+    if not args.out:  # None, or an empty --out ""
+        raise ConfigError("no output directory (pass --out)")
+    path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -125,12 +119,8 @@ def cmd_model(config, args) -> int:
         targets = cdio.read_json(targets_file)
         cdio.check_keys(targets, {"vertex_targets", "pair_targets"}, "targets file")
         vertex_targets = np.array(cdio.float_fields(targets["vertex_targets"], "vertex_targets"))
-        pair_targets = np.zeros(params.graph.n_edges)
-        for entry in targets.get("pair_targets", []):
-            cdio.check_keys(entry, {"edge", "value"}, "pair target")
-            u, v = (cdio.integer_field(x, "pair target edge end") for x in entry["edge"])
-            pair_targets[params.graph.edge_position(u, v)] = cdio.float_field(entry["value"], "pair target value")
-    with _staged(_out_dir(config, args)) as out:
+        pair_targets = cdio.edge_values(targets.get("pair_targets", []), params.graph, "pair target")
+    with _staged(_out_path(args)) as out:
         dist = full_distribution(params)
         cdio.write_distribution_csv(out / "distribution.csv", dist, config)
         cdio.write_json(out / "ising.json", cdio.ising_to_dict(to_ising(params)), config)
@@ -163,10 +153,10 @@ def cmd_dynamics(config, args) -> int:
             alpha = alpha["alpha"]
         # every writer hashes the config actually run
         config = {**config, "independent": {"alpha": cdio.float_fields(alpha, "alpha")}, "horizon": float(horizon_text)}
-    numerics, horizon = _numerics(config)
+    horizon = _horizon(config)
     gen = _dynamics_generator(config, horizon)
-    with _staged(_out_dir(config, args)) as out:
-        grid = geometric_grid(horizon, **numerics)
+    with _staged(_out_path(args)) as out:
+        grid = geometric_grid(horizon)
         solution = forward_solve(gen, grid)
         cdio.write_trajectory_csv(out / "trajectory.csv", solution, config)
         curves = curves_from_rates(gen, horizon=horizon)
@@ -192,13 +182,13 @@ def _search_inputs(config):
 
 def cmd_search(config, args) -> int:
     model, targets = _search_inputs(config)
-    numerics, horizon = _numerics(config)
+    horizon = _horizon(config)
     search_block = dict(config.get("search", {}))
     if args.seed is not None:
         search_block["seed"] = args.seed
         config = {**config, "search": search_block}  # every writer hashes the config actually run
-    search_config = SearchConfig(horizon=horizon, **numerics, **search_block)
-    out = _out_dir(config, args)
+    search_config = SearchConfig(horizon=horizon, **search_block)
+    out = _out_path(args)
     result = feasibility_search(model, targets, search_config)  # a ValueError is a config error
     beta_star = targets["beta"]
     if model[0] == "I":
@@ -252,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="JSON run configuration")
-        cmd.add_argument("--out", default=None, help="output directory (overrides io.out_dir)")
+        cmd.add_argument("--out", default=None, help="output directory")
         if name == "search":
             cmd.add_argument("--seed", type=int, default=None, help="override the configured search seed")
         if name == "model":

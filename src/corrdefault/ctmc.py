@@ -104,8 +104,9 @@ class MonotoneGenerator:
 
     @classmethod
     def from_entries(cls, n_vertices: int, entries: Iterable[Tuple[int, int, float]]) -> "MonotoneGenerator":
-        """Build from sparse (subset_bitmask, vertex, rate) triples; missing rates are zero."""
+        """Build from sparse (subset_bitmask, vertex, rate) triples; missing rates are zero, repeated ones raise."""
         rates = np.zeros(_table_shape(n_vertices))
+        listed = set()
         for mask, vertex, rate in entries:
             mask, vertex = int(mask), int(vertex)
             for name, value, size in (("subset_bitmask", mask, len(rates)), ("vertex", vertex, n_vertices)):
@@ -114,6 +115,9 @@ class MonotoneGenerator:
                     raise ValueError(f"generator entry ({entry}): {name} {value} lies outside 0..{size - 1}")
             if (mask >> vertex) & 1:
                 raise ValueError(f"vertex {vertex} already in subset {mask}")
+            if (mask, vertex) in listed:
+                raise ValueError(f"generator lists subset_bitmask {mask}, vertex {vertex} twice")
+            listed.add((mask, vertex))
             rates[mask, vertex] = rate
         return cls(n_vertices, rates)
 

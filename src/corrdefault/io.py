@@ -111,6 +111,27 @@ def float_fields(values, name: str) -> list:
     return [float_field(value, f"{name}[{i}]") for i, value in enumerate(values)]
 
 
+def edge_field(value, name: str) -> tuple:
+    """A JSON field that must be a list of two integers, its ends named "name end"; anything else raises a ValueError."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValueError(f"{name} must be a list of two integers, got {value!r}")
+    return tuple(integer_field(end, f"{name} end") for end in value)
+
+
+def edge_values(entries, graph: Graph, name: str) -> np.ndarray:
+    """The values of a JSON list of {edge, value} entries by edge position, 0 where unlisted; a repeated edge raises."""
+    values = np.zeros(graph.n_edges)
+    listed = set()
+    for entry in entries:
+        check_keys(entry, {"edge", "value"}, f"{name} entry")
+        position = graph.edge_position(*edge_field(entry["edge"], f"{name} edge"))
+        if position in listed:
+            raise ValueError(f"{name} lists edge {graph.edges[position]} twice")
+        listed.add(position)
+        values[position] = float_field(entry["value"], f"{name} value")
+    return values
+
+
 def model_to_dict(params: ModelParams) -> dict:
     graph = params.graph
     return {
@@ -127,15 +148,9 @@ def model_to_dict(params: ModelParams) -> dict:
 def model_from_dict(payload: Mapping) -> ModelParams:
     check_keys(payload, {"meta", "n_vertices", "edges", "alpha", "beta"}, "model file")
     n_vertices = integer_field(payload["n_vertices"], "n_vertices")
-    edges = tuple(tuple(integer_field(v, "edge end") for v in edge) for edge in payload.get("edges", []))
-    graph = Graph(n_vertices, edges)
+    graph = Graph(n_vertices, tuple(edge_field(edge, "edge") for edge in payload.get("edges", [])))
     alpha = np.array(float_fields(payload["alpha"], "alpha"))
-    beta = np.zeros(graph.n_edges)
-    for entry in payload.get("beta", []):
-        check_keys(entry, {"edge", "value"}, "beta entry")
-        u, v = (integer_field(x, "beta edge end") for x in entry["edge"])
-        beta[graph.edge_position(u, v)] = float_field(entry["value"], "beta value")
-    return ModelParams(graph, alpha, beta)
+    return ModelParams(graph, alpha, edge_values(payload.get("beta", []), graph, "beta"))
 
 
 def write_model_json(path, params: ModelParams, config=None):

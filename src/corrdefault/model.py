@@ -371,7 +371,7 @@ def _logit(p):
 
 
 def _check_target_feasibility(graph, vertex_targets, pair_targets):
-    if np.any(vertex_targets <= 0.0) or np.any(vertex_targets >= 1.0):
+    if not np.all((vertex_targets > 0.0) & (vertex_targets < 1.0)):
         raise InfeasibleTargetsError("vertex targets must lie strictly inside (0, 1)")
     for (u, v), p_uv in zip(graph.edges, pair_targets):
         lo = max(0.0, vertex_targets[u] + vertex_targets[v] - 1.0)

@@ -385,13 +385,6 @@ def coeff_check_I(lumped: LumpedRatesI, beta_star: float) -> CoeffCheckI:
     return CoeffCheckI(float(beta_star), linear, exponential)
 
 
-def _upstream(table, axis):
-    """table shifted by one along axis 0 (table[m-1, n]) or 1 (table[m, n-1]), with zeros at index 0."""
-    out = np.zeros_like(table)
-    np.moveaxis(out, axis, 0)[1:] = np.moveaxis(table, axis, 0)[:-1]
-    return out
-
-
 def coeff_check_II(n_hat: int, n_check: int, beta_star: float) -> float:
     """Scalar inconsistency of the constant-beta bipartite rate system.
 
@@ -425,7 +418,6 @@ def coeff_check_II(n_hat: int, n_check: int, beta_star: float) -> float:
 class CoeffCheckIII:
     """Report on the constant-beta coefficient system for Model III.
 
-    The three per-(m,n) condition residuals score the supplied rate tables.
     The diagonal system compares the curve (B - A k) e^{k beta*} (A, B > 0
     assembled from the forced entries) with the line C k + D at
     k = 0..min(M,N); with beta* != 0 a line can meet that curve at most
@@ -436,9 +428,6 @@ class CoeffCheckIII:
     """
 
     beta_star: float
-    cond_hat: np.ndarray
-    cond_check: np.ndarray
-    cond_drift: np.ndarray
     coeff_a: float
     coeff_b: float
     coeff_c: float
@@ -454,27 +443,16 @@ class CoeffCheckIII:
 
 
 def coeff_check_III(lumped: LumpedRatesBi, beta_star: float) -> CoeffCheckIII:
-    """Evaluate the constant-beta coefficient conditions and the diagonal system.
+    """Evaluate the constant-beta diagonal system.
 
-    The per-(m,n) conditions are the coefficients (drift, e^{-alpha_hat},
-    e^{-alpha_check}) that must all vanish for the occupancy equations to
-    hold with beta identically beta*.  The diagonal system is assembled from
-    the forced rate tables those conditions imply.
+    The per-(m,n) coefficients (drift, e^{-alpha_hat}, e^{-alpha_check}) of
+    the occupancy equations must all vanish for beta to stay identically
+    beta*.  Those conditions force the rate tables from their (0, 0) entries
+    and r; the diagonal system is assembled from the forced tables.
     """
     m_hat, n_chk = lumped.n_hat, lumped.n_check
-    hat, check = lumped.hat_rates, lumped.check_rates
     r = lumped.r
-    m = np.arange(m_hat + 1, dtype=float)[:, None]
-    n = np.arange(n_chk + 1, dtype=float)[None, :]
-    hat00, check00 = float(hat[0, 0]), float(check[0, 0])
-    cond_hat = m * (hat00 / m_hat - _upstream(hat, 0) * np.exp(-n * beta_star) / (m_hat - m + 1.0))
-    cond_check = n * (check00 / n_chk - _upstream(check, 1) * np.exp(-m * beta_star) / (n_chk - n + 1.0))
-    cond_drift = (
-        m * (r - hat[1, 0] - check[1, 0])
-        + n * (r - hat[0, 1] - check[0, 1])
-        + (hat + check)
-        - r
-    )
+    hat00, check00 = float(lumped.hat_rates[0, 0]), float(lumped.check_rates[0, 0])
 
     # Forced tables: hat_{m,n} = ((M-m)/M) hat00 e^{n b*}, check_{m,n} = ((N-n)/N) check00 e^{m b*}
     b = float(beta_star)
@@ -498,9 +476,6 @@ def coeff_check_III(lumped: LumpedRatesBi, beta_star: float) -> CoeffCheckIII:
         bound = len(k)
     return CoeffCheckIII(
         beta_star=b,
-        cond_hat=cond_hat,
-        cond_check=cond_check,
-        cond_drift=cond_drift,
         coeff_a=float(coeff_a),
         coeff_b=float(coeff_b),
         coeff_c=float(coeff_c),
@@ -523,8 +498,6 @@ class SearchConfig:
     restarts: int = 16
     max_iter: Optional[int] = None
     seed: int = 0
-    grid_points: int = 32
-    t_min_fraction: float = 1e-3
     horizon: float = 1.0
 
     def __post_init__(self):
@@ -534,8 +507,7 @@ class SearchConfig:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
         if self.max_iter is not None and not (is_integer(self.max_iter) and self.max_iter > 0):
             raise ValueError(f"max_iter must be a positive integer or None, got {self.max_iter!r}")
-        horizon, t_min_fraction = (float_field(getattr(self, name), name) for name in ("horizon", "t_min_fraction"))
-        geometric_grid(horizon, self.grid_points, t_min_fraction)  # checks the grid knobs, grid_points too
+        geometric_grid(float_field(self.horizon, "horizon"))  # checks the horizon
 
 
 # A restart whose warm start did not solve the system re-seeds Nelder-Mead up
@@ -650,7 +622,7 @@ class _SearchProblem:
     def __init__(self, kind, sizes, targets, config):
         self.kind = kind
         self.sizes = sizes
-        self.grid = geometric_grid(config.horizon, config.grid_points, config.t_min_fraction)
+        self.grid = geometric_grid(config.horizon)
         self.targets = np.array([targets[name] for name in _TARGETS[kind]])
         self.sqrt_penalty = np.sqrt(_PENALTY_WEIGHT)
         if kind == "I":

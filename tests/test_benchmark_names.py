@@ -9,6 +9,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 from corrdefault import _num, ctmc
@@ -101,3 +102,23 @@ def test_every_benchmark_import_resolves():
     for cls, attrs in methods.items():
         missing = [attr for attr in attrs if not hasattr(cls, attr)]
         assert not missing, f"{cls.__name__} has no {missing}"
+
+
+def test_benchmark_toy_inputs_run(tmp_path, monkeypatch):
+    # benchmark/test_selftest.py is not in this suite, so a config key the package drops would fail
+    # benchmark/run.py while every package test passed
+    monkeypatch.syspath_prepend(str(BENCHMARK))
+    names = ("workloads", "checks", "reference")  # benchmark/ modules, imported by these bare names
+    try:
+        workloads = importlib.import_module("workloads")
+        for name, workload in workloads.WORKLOADS.items():
+            folder = tmp_path / name
+            folder.mkdir()
+            inputs = workload(1, workloads.TOY)
+            inputs.write_inputs(folder)
+            for op in inputs.operations(folder):
+                if op.is_cli:
+                    assert op.execute(folder / op.name) == 0, f"{name}: {op.name}"
+    finally:
+        for name in names:
+            sys.modules.pop(name, None)

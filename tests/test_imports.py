@@ -39,10 +39,13 @@ from corrdefault.cli import main
 def modules(package):
     return sorted(name for name in sys.modules if name.split(".")[0] == package)
 
-model, dynamics, search = sys.argv[1:]
-codes = [main(["model", "--config", model, "--fit"]), main(["dynamics", "--config", dynamics])]
+model, dynamics, search, out = sys.argv[1:]
+codes = [
+    main(["model", "--config", model, "--out", f"{out}/out_model", "--fit"]),
+    main(["dynamics", "--config", dynamics, "--out", f"{out}/out_dynamics"]),
+]
 after_model_and_dynamics = modules("scipy")
-codes.append(main(["search", "--config", search]))
+codes.append(main(["search", "--config", search, "--out", f"{out}/out_search"]))
 print(json.dumps({"codes": codes, "before_search": after_model_and_dynamics, "after_search": modules("scipy"),
                   "sympy": modules("sympy")}))
 """
@@ -65,8 +68,8 @@ def test_model_and_dynamics_runs_load_no_scipy(tmp_path):
     }
     paths = [tmp_path / f"{name}_run.json" for name in configs]
     for path, (name, config) in zip(paths, configs.items()):
-        path.write_text(json.dumps({**config, "io": {**config.get("io", {}), "out_dir": str(tmp_path / f"out_{name}")}}))
-    report = run_fresh(CLI_RUNS, *map(str, paths))
+        path.write_text(json.dumps(config))
+    report = run_fresh(CLI_RUNS, *map(str, paths), str(tmp_path))
     assert report["codes"] == [0, 0, 0]
     assert report["before_search"] == []
     assert "scipy.optimize" in report["after_search"]

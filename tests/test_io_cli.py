@@ -206,9 +206,9 @@ class TestLatticeWriters:
 
         out = tmp_path / "out"
         config = tmp_path / "run.json"
-        write_json(config, {"io": {"model_file": str(k2_model_file), "out_dir": str(out)}})
+        write_json(config, {"io": {"model_file": str(k2_model_file)}})
         with mock.patch.object(cdio, "_LATTICE_CHUNK", 1), mock.patch.object(cdio, "_fmt", fails_in_worker), n_cpus(2):
-            assert main(["model", "--config", str(config)]) == 2
+            assert main(["model", "--config", str(config), "--out", str(out)]) == 2
         assert "formatting failed in worker" in capsys.readouterr().err
         assert list(out.iterdir()) == []
         assert multiprocessing.active_children() == []
@@ -327,10 +327,10 @@ class TestTimeSliceWriters:
 class TestCmdModel:
     def test_distribution_output(self, tmp_path, k2_model_file):
         out = tmp_path / "out"
-        config = {"io": {"model_file": str(k2_model_file), "out_dir": str(out)}}
+        config = {"io": {"model_file": str(k2_model_file)}}
         cfg_path = tmp_path / "run.json"
         write_json(cfg_path, config)
-        assert main(["model", "--config", str(cfg_path)]) == 0
+        assert main(["model", "--config", str(cfg_path), "--out", str(out)]) == 0
         probs = read_probabilities(out / "distribution.csv")
         assert probs[3] == pytest.approx(0.4, abs=1e-14)
         assert (out / "ising.json").exists()
@@ -342,8 +342,8 @@ class TestCmdModel:
         cdio.write_model_json(model_path, params)
         out = tmp_path / "out"
         cfg_path = tmp_path / "run.json"
-        write_json(cfg_path, {"io": {"model_file": str(model_path), "out_dir": str(out)}})
-        assert main(["model", "--config", str(cfg_path)]) == 0
+        write_json(cfg_path, {"io": {"model_file": str(model_path)}})
+        assert main(["model", "--config", str(cfg_path), "--out", str(out)]) == 0
         coeffs = extract_interactions(SubsetDist(4, read_probabilities(out / "distribution.csv")))
         for u in range(4):
             assert coeffs.single(u) == pytest.approx(params.alpha[u], abs=1e-10)
@@ -359,17 +359,8 @@ class TestCmdModel:
         write_json(targets_path, targets)
         out = tmp_path / "out"
         cfg_path = tmp_path / "run.json"
-        write_json(
-            cfg_path,
-            {
-                "io": {
-                    "model_file": str(k2_model_file),
-                    "targets_file": str(targets_path),
-                    "out_dir": str(out),
-                }
-            },
-        )
-        assert main(["model", "--config", str(cfg_path), "--fit"]) == 0
+        write_json(cfg_path, {"io": {"model_file": str(k2_model_file), "targets_file": str(targets_path)}})
+        assert main(["model", "--config", str(cfg_path), "--out", str(out), "--fit"]) == 0
         fitted = cdio.read_model_json(out / "fitted_model.json")
         np.testing.assert_allclose(fitted.beta, 0.0, atol=1e-6)
 
@@ -380,17 +371,18 @@ class TestCmdModel:
             {"vertex_targets": [0.3, 0.5], "pair_targets": [{"edge": [0, 1], "value": 0.4}]},
         )
         cfg_path = tmp_path / "run.json"
-        write_json(
-            cfg_path,
-            {
-                "io": {
-                    "model_file": str(k2_model_file),
-                    "targets_file": str(targets_path),
-                    "out_dir": str(tmp_path / "out"),
-                }
-            },
-        )
-        assert main(["model", "--config", str(cfg_path), "--fit"]) == 3
+        write_json(cfg_path, {"io": {"model_file": str(k2_model_file), "targets_file": str(targets_path)}})
+        assert main(["model", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--fit"]) == 3
+
+    def test_nan_vertex_target_exits_3(self, tmp_path, capsys):
+        # NaN passed the (0, 1) check, and the fit exited 2 with "alpha must be finite"
+        model, targets, out = tmp_path / "model.json", tmp_path / "targets.json", tmp_path / "out"
+        write_json(model, {"n_vertices": 2, "alpha": [0.0, 0.0]})
+        write_json(targets, {"vertex_targets": [float("nan"), 0.5]})
+        write_json(tmp_path / "run.json", {"io": {"model_file": str(model), "targets_file": str(targets)}})
+        assert main(["model", "--config", str(tmp_path / "run.json"), "--out", str(out), "--fit"]) == 3
+        assert capsys.readouterr().err == "infeasible input: vertex targets must lie strictly inside (0, 1)\n"
+        assert list(out.iterdir()) == []
 
     def test_fit_that_does_not_converge_exits_4(self, tmp_path, capsys, monkeypatch, k2_model_file):
         # one sweep from the product start cannot reach a pair target of 0.3
@@ -426,8 +418,8 @@ class TestCmdModel:
 
     def test_missing_model_file_key_exits_2(self, tmp_path):
         cfg_path = tmp_path / "run.json"
-        write_json(cfg_path, {"io": {"out_dir": str(tmp_path / "out")}})
-        assert main(["model", "--config", str(cfg_path)]) == 2
+        write_json(cfg_path, {})
+        assert main(["model", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
 
 
 class TestCmdDynamics:
@@ -436,9 +428,9 @@ class TestCmdDynamics:
         write_json(alpha_path, {"alpha": [0.0, 0.0]})
         out = tmp_path / "out"
         cfg_path = tmp_path / "run.json"
-        write_json(cfg_path, {"io": {"out_dir": str(out)}, "numerics": {"grid_points": 8}})
+        write_json(cfg_path, {})
         code = main(
-            ["dynamics", "--config", str(cfg_path), "--independent", str(alpha_path), "1.0"]
+            ["dynamics", "--config", str(cfg_path), "--out", str(out), "--independent", str(alpha_path), "1.0"]
         )
         assert code == 0
         header = (out / "membership.csv").read_text().splitlines()
@@ -447,13 +439,12 @@ class TestCmdDynamics:
 
     def test_independent_flag_is_the_hashed_block(self, tmp_path):
         # the flag's runs used to write one config_hash for every alpha file and horizon
-        numerics = {"grid_points": 8}
         flag_path, alpha_path, block_path = tmp_path / "flag.json", tmp_path / "alpha.json", tmp_path / "block.json"
-        write_json(flag_path, {"numerics": numerics})
+        write_json(flag_path, {})
         heads = set()
         for alpha, horizon in (([0.3, -0.7], 1.0), ([1.5, 0.2], 1.0), ([0.3, -0.7], 2.0)):
             write_json(alpha_path, {"alpha": alpha})
-            block = {"numerics": numerics, "independent": {"alpha": alpha}, "horizon": horizon}
+            block = {"independent": {"alpha": alpha}, "horizon": horizon}
             write_json(block_path, block)
             outputs = []
             for name, argv in (
@@ -475,14 +466,8 @@ class TestCmdDynamics:
         cdio.write_generator_json(gen_path, gen)
         out = tmp_path / "out"
         cfg_path = tmp_path / "run.json"
-        write_json(
-            cfg_path,
-            {
-                "io": {"generator_file": str(gen_path), "out_dir": str(out)},
-                "numerics": {"grid_points": 8},
-            },
-        )
-        assert main(["dynamics", "--config", str(cfg_path)]) == 0
+        write_json(cfg_path, {"io": {"generator_file": str(gen_path)}})
+        assert main(["dynamics", "--config", str(cfg_path), "--out", str(out)]) == 0
         empty_rows = [
             line.split(",")
             for line in (out / "trajectory.csv").read_text().splitlines()
@@ -499,14 +484,8 @@ class TestCmdDynamics:
         cdio.write_generator_json(gen_path, gen)
         out = tmp_path / "out"
         cfg_path = tmp_path / "run.json"
-        write_json(
-            cfg_path,
-            {
-                "io": {"generator_file": str(gen_path), "out_dir": str(out)},
-                "numerics": {"grid_points": 8},
-            },
-        )
-        assert main(["dynamics", "--config", str(cfg_path)]) == 0
+        write_json(cfg_path, {"io": {"generator_file": str(gen_path)}})
+        assert main(["dynamics", "--config", str(cfg_path), "--out", str(out)]) == 0
         rows = [
             line.split(",")
             for line in (out / "master_residual.csv").read_text().splitlines()
@@ -569,7 +548,7 @@ class TestCmdDynamics:
         gen_path = tmp_path / "gen.json"
         cdio.write_generator_json(gen_path, random_generator(3, seed=2))
         cfg_path = tmp_path / "run.json"
-        write_json(cfg_path, {"io": {"generator_file": str(gen_path)}, "numerics": {"grid_points": 6}})
+        write_json(cfg_path, {"io": {"generator_file": str(gen_path)}})
         with mock.patch("corrdefault.consistency.forward_solve", side_effect=AssertionError("solved again")):
             assert main(["dynamics", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
 
@@ -600,13 +579,7 @@ class TestCmdDynamics:
         gen_path = tmp_path / "gen.json"
         cdio.write_generator_json(gen_path, random_generator(3, seed=7))
         cfg_path = tmp_path / "run.json"
-        write_json(
-            cfg_path,
-            {
-                "io": {"generator_file": str(gen_path), "out_dir": str(tmp_path / "a")},
-                "numerics": {"grid_points": 6},
-            },
-        )
+        write_json(cfg_path, {"io": {"generator_file": str(gen_path)}})
         outputs = []
         for run in ("a", "b"):
             out = tmp_path / run
@@ -621,8 +594,8 @@ class TestCmdDynamics:
         gen_path = tmp_path / "gen.json"
         cdio.write_generator_json(gen_path, unreachable_triple_generator())
         cfg_path = tmp_path / "run.json"
-        write_json(cfg_path, {"io": {"generator_file": str(gen_path), "out_dir": str(tmp_path / "out")}})
-        assert main(["dynamics", "--config", str(cfg_path)]) == 4
+        write_json(cfg_path, {"io": {"generator_file": str(gen_path)}})
+        assert main(["dynamics", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 4
 
     def test_failed_run_leaves_nothing_behind(self, tmp_path):
         # this run fails (exit 4) after trajectory.csv and curves.csv have been written
@@ -654,17 +627,14 @@ class TestCmdDynamics:
         names = sorted(p.name for p in (tmp_path / "out").iterdir())
         assert names == ["curves.csv", "master_residual.csv", "membership.csv", "trajectory.csv"]
 
-    @pytest.mark.parametrize("numerics", [{"rtol": 1e-9}, {"atol": 1e-12, "grid_points": 8}, {"grid_point": 8}])
-    def test_unknown_numerics_key_exits_2(self, tmp_path, capsys, numerics):
+    def test_unknown_numerics_key_exits_2(self, tmp_path, capsys):
+        # the time grid is fixed: a numerics block once set its size and first time
         gen_path = tmp_path / "gen.json"
         cdio.write_generator_json(gen_path, random_generator(3, seed=1))
         cfg_path = tmp_path / "run.json"
-        write_json(cfg_path, {"io": {"generator_file": str(gen_path)}, "numerics": numerics})
+        write_json(cfg_path, {"io": {"generator_file": str(gen_path)}, "numerics": {"grid_points": 8}})
         assert main(["dynamics", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert "unknown numerics key" in err
-        for key in set(numerics) - {"grid_points"}:
-            assert repr(key) in err
+        assert capsys.readouterr().err == "config error: unknown config key(s): 'numerics'\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -730,15 +700,15 @@ class TestCmdDynamics:
 
     def test_missing_generator_exits_2(self, tmp_path):
         cfg_path = tmp_path / "run.json"
-        write_json(cfg_path, {"io": {"out_dir": str(tmp_path / "out")}})
-        assert main(["dynamics", "--config", str(cfg_path)]) == 2
+        write_json(cfg_path, {})
+        assert main(["dynamics", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
 
 
 class TestCmdSearch:
-    def _run(self, tmp_path, config):
+    def _run(self, tmp_path, config, out="out"):
         cfg_path = tmp_path / "run.json"
         write_json(cfg_path, config)
-        return main(["search", "--config", str(cfg_path)])
+        return main(["search", "--config", str(cfg_path), "--out", str(tmp_path / out)])
 
     def test_model_I_zero_target(self, tmp_path):
         out = tmp_path / "out"
@@ -749,7 +719,6 @@ class TestCmdSearch:
                 "N": 4,
                 "targets": {"alpha": 0.3, "beta": 0.0},
                 "search": {"restarts": 2, "seed": 0},
-                "io": {"out_dir": str(out)},
             },
         )
         assert code == 0
@@ -766,7 +735,6 @@ class TestCmdSearch:
                 "N": 4,
                 "targets": {"alpha": 0.3, "beta": 0.5},
                 "search": {"restarts": 2, "seed": 0},
-                "io": {"out_dir": str(out)},
             },
         )
         assert code == 0
@@ -783,7 +751,6 @@ class TestCmdSearch:
                 "N": 3,
                 "targets": {"alpha": 0.3, "beta": 0.5},
                 "search": {"restarts": 1, "seed": 0},
-                "io": {"out_dir": str(out)},
             },
         )
         assert code == 0
@@ -819,13 +786,12 @@ class TestCmdSearch:
                 "model": "I",
                 "N": 1,
                 "targets": {"alpha": 0.3, "beta": 0.0},
-                "io": {"out_dir": str(tmp_path / "out")},
             },
         )
         assert code == 2
 
     def test_model_I_with_two_vertices_exits_2(self, tmp_path, capsys):
-        config = {"model": "I", "N": 2, "targets": {"alpha": 0.3, "beta": 0.0}, "io": {"out_dir": str(tmp_path / "out")}}
+        config = {"model": "I", "N": 2, "targets": {"alpha": 0.3, "beta": 0.0}}
         assert self._run(tmp_path, config) == 2
         assert "N >= 3" in capsys.readouterr().err
 
@@ -835,12 +801,7 @@ class TestCmdSearch:
             ("search", {"search": {"max_iter": 0}}, "max_iter must be a positive integer or None, got 0"),
             ("search", {"search": {"max_iter": 2.5}}, "max_iter must be a positive integer or None, got 2.5"),
             ("search", {"horizon": float("nan")}, "horizon must be finite and positive, got nan"),
-            ("search", {"numerics": {"t_min_fraction": 2.0}}, "t_min_fraction must lie in (0, 1), got 2.0"),
             ("dynamics", {"horizon": float("inf")}, "horizon must be finite and positive, got inf"),
-            ("dynamics", {"numerics": {"t_min_fraction": 2.0}}, "t_min_fraction must lie in (0, 1), got 2.0"),
-            ("search", {"numerics": {"grid_points": 8.7}}, "grid_points must be an integer of at least 2, got 8.7"),
-            ("search", {"numerics": {"grid_points": True}}, "grid_points must be an integer of at least 2, got True"),
-            ("dynamics", {"numerics": {"grid_points": 8.7}}, "grid_points must be an integer of at least 2, got 8.7"),
             # the first two ran as N = 4 and M = 3, and true was read as N = 1
             ("search", {"N": 4.5}, "Model I size N must be an integer, got 4.5"),
             ("search", {"model": "II", "M": "3", "N": 3}, "Model II size M must be an integer, got '3'"),
@@ -848,8 +809,8 @@ class TestCmdSearch:
         ],
     )
     def test_bad_numerics_exit_2(self, tmp_path, capsys, command, patch, message):
-        # the search cases used to exit 0, with a warm-start floor, a NaN floor or times past the horizon;
-        # dynamics exited 2 without naming the bad knob; both ran grid_points 8.7 as 8
+        # the search cases used to exit 0, with a warm-start floor or a NaN floor; dynamics exited 2
+        # without naming the bad knob
         gen_path = tmp_path / "gen.json"
         cdio.write_generator_json(gen_path, random_generator(3, seed=1))
         config = {"model": "I", "N": 3, "targets": {"alpha": 0.3, "beta": 0.0}, "io": {"generator_file": str(gen_path)}}
@@ -876,7 +837,6 @@ class TestCmdSearch:
         # restarts 2.5 ran 2 restarts and True 1, and seed 1.9 ran seed 1; a search block that is not an
         # object exited 2 naming only a TypeError, and [["seed", 1]] ran seed 1
         config = {"model": "I", "N": 3, "targets": {"alpha": 0.3, "beta": 0.0}, "search": search}
-        config["io"] = {"out_dir": str(tmp_path / "out")}
         assert self._run(tmp_path, config) == 2
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -887,7 +847,6 @@ class TestCmdSearch:
     def test_unknown_search_key_exits_2(self, tmp_path, capsys, search):
         # {"restart": 1} used to run the default 16 restarts and exit 0; penalty_weight is a constant now
         config = {"model": "I", "N": 3, "targets": {"alpha": 0.3, "beta": 0.0}, "search": search}
-        config["io"] = {"out_dir": str(tmp_path / "out")}
         assert self._run(tmp_path, config) == 2
         err = capsys.readouterr().err
         assert "unknown search key" in err
@@ -901,9 +860,9 @@ class TestCmdSearch:
         for cpus in (1, 2):
             out = tmp_path / f"out{cpus}"
             config = {"model": "II", "M": 3, "N": 3, "targets": {"alpha": 0.3, "beta": 0.25}}
-            config.update(search={"restarts": 4, "seed": 975633704}, io={"out_dir": str(out)})
+            config["search"] = {"restarts": 4, "seed": 975633704}
             with n_cpus(cpus):
-                assert self._run(tmp_path, config) == 0
+                assert self._run(tmp_path, config, out.name) == 0
             rows = (out / "restarts.csv").read_text().splitlines()[3:]
             assert rows[1] == "1,420,inf,inf,inf"
             assert json.loads((out / "result.json").read_text())["best_index"] != 1
@@ -933,7 +892,7 @@ class TestCmdSearch:
             raise ValueError("interior lumped rates must be positive and finite")
 
         config = {"model": "III", "M": 3, "N": 2, "targets": {"alpha_hat": 0.3, "alpha_check": 0.1, "beta": 0.0}}
-        config.update(search={"restarts": 2}, io={"out_dir": str(tmp_path / "out")})
+        config["search"] = {"restarts": 2}
         with mock.patch.object(_SearchProblem, "assemble", reject):
             assert self._run(tmp_path, config) == 4
         assert "numeric failure: no warm start of the 2 restart(s) gave a valid rate table" in capsys.readouterr().err
@@ -949,15 +908,15 @@ class TestConfigChecks:
             ({"horizn": 2.0}, "unknown config key(s): 'horizn'"),
             ({"io": 5}, "io must be a JSON object"),
             ({"io": {"model_fle": "m.json", "gen_file": "g.json"}}, "unknown io key(s): 'gen_file', 'model_fle'"),
-            ({"numerics": [32]}, "numerics must be a JSON object"),
+            ({"io": {"out_dir": "out"}}, "unknown io key(s): 'out_dir'"),
             ({"search": {"seed": 1, "penalty_weight": 1e4}}, "unknown search key(s): 'penalty_weight'"),
             ({"independent": [0.3, -0.7]}, "independent must be a JSON object"),
             ({"independent": {"alpha": [0.3, -0.7], "horizon": 2.0}}, "unknown independent key(s): 'horizon'"),
         ],
     )
     def test_every_block_is_checked(self, tmp_path, capsys, command, config, message):
-        # {"io": 5} exited 1 with an AttributeError, {"horizn": 2.0} ran at horizon 1.0, and a block
-        # horizon overrode the top-level one without its check
+        # {"io": 5} exited 1 with an AttributeError, {"horizn": 2.0} ran at horizon 1.0, a block horizon
+        # overrode the top-level one without its check, and io.out_dir was a second spelling of --out
         cfg_path = tmp_path / "run.json"
         write_json(cfg_path, config)
         assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
@@ -1056,7 +1015,7 @@ class TestConfigChecks:
              "unknown generator entry key(s): 'rates'"),
             ("model --fit", "targets_file", {"vertex_targets": [0.4, 0.6],
                                              "pair_targets": [{"edge": [0, 1], "value": 0.24, "edges": [0, 1]}]},
-             "unknown pair target key(s): 'edges'"),
+             "unknown pair target entry key(s): 'edges'"),
         ],
         ids=["model_betas", "model_bipartition", "generator_entry", "targets_pair_target", "model_beta_entry",
              "generator_entries_entry", "targets_pair_targets_entry"],
@@ -1071,6 +1030,62 @@ class TestConfigChecks:
         assert main([*command.split(), "--config", str(tmp_path / "run.json"), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, file, payload, message",
+        [
+            ("model", "model_file", {"n_vertices": 2, "edges": [[0, 1]], "alpha": [0.1, 0.2],
+                                     "beta": [{"edge": [0, 1], "value": 0.5}, {"edge": [1, 0], "value": 9.0}]},
+             "beta lists edge (0, 1) twice"),
+            ("model --fit", "targets_file", {"vertex_targets": [0.4, 0.6],
+                                             "pair_targets": [{"edge": [0, 1], "value": 0.24},
+                                                              {"edge": [0, 1], "value": 0.3}]},
+             "pair target lists edge (0, 1) twice"),
+            ("dynamics", "generator_file", {"n_vertices": 2, "entries": [
+                {"subset_bitmask": mask, "vertex": v, "rate": rate}
+                for mask, v, rate in ((0, 0, 1.0), (0, 1, 1.0), (0b01, 1, 1.0), (0b10, 0, 1.0), (0, 0, 2.0))]},
+             "generator lists subset_bitmask 0, vertex 0 twice"),
+            ("model", "model_file", {"n_vertices": 3, "edges": [[0, 1, 2]], "alpha": [0.1, 0.2, 0.3]},
+             "edge must be a list of two integers, got [0, 1, 2]"),
+            ("model", "model_file", {"n_vertices": 2, "edges": [[0, 1]], "alpha": [0.1, 0.2],
+                                     "beta": [{"edge": [0], "value": 0.5}]},
+             "beta edge must be a list of two integers, got [0]"),
+            ("model", "model_file", {"n_vertices": 2, "edges": [[0, 1]], "alpha": [0.1, 0.2],
+                                     "beta": [{"edge": 0, "value": 0.5}]},
+             "beta edge must be a list of two integers, got 0"),
+            ("model --fit", "targets_file", {"vertex_targets": [0.4, 0.6],
+                                             "pair_targets": [{"edge": [0, 1, 1], "value": 0.24}]},
+             "pair target edge must be a list of two integers, got [0, 1, 1]"),
+        ],
+        ids=["model_beta_repeat", "pair_target_repeat", "generator_entry_repeat", "model_edge_of_three",
+             "beta_edge_of_one", "beta_edge_not_a_list", "pair_target_edge_of_three"],
+    )
+    def test_repeated_and_malformed_entries(self, tmp_path, capsys, k2_model_file, command, file, payload, message):
+        # each repeat exited 0 with its last entry's value, and each malformed edge exited 2 with Python's own
+        # unpacking or iteration error
+        path = tmp_path / "input.json"
+        write_json(path, payload)
+        config = {"io": {"model_file": str(k2_model_file), file: str(path)}}
+        self.run_exits_2(tmp_path, capsys, command.split(), config, message)
+
+    @pytest.mark.parametrize("command", ["model", "dynamics", "search"])
+    def test_out_is_the_output_directory(self, tmp_path, capsys, monkeypatch, k2_model_file, command):
+        # io.out_dir was a second spelling of --out, hashed into every header; a config error is still
+        # reported before a missing --out
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path / "bad.json", {"horizn": 2.0})
+        assert main([command, "--config", str(tmp_path / "bad.json")]) == 2
+        assert capsys.readouterr().err == "config error: unknown config key(s): 'horizn'\n"
+        config = {
+            "model": {"io": {"model_file": str(k2_model_file)}},
+            "dynamics": {"independent": {"alpha": [0.3, -0.7]}},
+            "search": {"model": "I", "N": 3, "targets": {"alpha": 0.3, "beta": 0.0}, "search": {"restarts": 1}},
+        }[command]
+        write_json(tmp_path / "run.json", config)
+        before = sorted(tmp_path.iterdir())
+        assert main([command, "--config", str(tmp_path / "run.json")]) == 2
+        assert capsys.readouterr().err == "config error: no output directory (pass --out)\n"
+        assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize(
         "generator, message",
@@ -1204,19 +1219,6 @@ class TestConfigChecks:
         # alphas; Models I and II's key sets read "targets need keys {'alpha', 'beta'}", which named no model
         config = {**model, "targets": targets, "search": {"restarts": 1, "max_iter": 5}}
         self.run_exits_2(tmp_path, capsys, ["search"], config, message)
-
-    @pytest.mark.parametrize("command", ["dynamics", "search"])
-    def test_t_min_fraction_is_a_number(self, tmp_path, capsys, command):
-        # each exited 2 with "'<' not supported between instances of 'float' and 'str'", naming neither key nor value
-        config = {
-            "independent": {"alpha": [0.3, -0.7]},
-            "model": "I",
-            "N": 3,
-            "targets": {"alpha": 0.3, "beta": 0.0},
-            "search": {"restarts": 1, "max_iter": 5},
-            "numerics": {"t_min_fraction": "0.001"},
-        }
-        self.run_exits_2(tmp_path, capsys, [command], config, "t_min_fraction must be a number, got '0.001'")
 
     @pytest.mark.parametrize(
         "targets, message",

@@ -196,7 +196,7 @@ def test_log_factorial_is_within_4_ulp_of_40_digits():
 
 
 def test_geometric_grid_endpoints():
-    grid = geometric_grid(2.0, 16, 1e-3)
+    grid = geometric_grid(2.0, 16)
     assert grid[0] == pytest.approx(2e-3)
     assert grid[-1] == pytest.approx(2.0)
     assert len(grid) == 16
