@@ -627,15 +627,33 @@ class TestCmdDynamics:
         names = sorted(p.name for p in (tmp_path / "out").iterdir())
         assert names == ["curves.csv", "master_residual.csv", "membership.csv", "trajectory.csv"]
 
-    def test_unknown_numerics_key_exits_2(self, tmp_path, capsys):
-        # the time grid is fixed: a numerics block once set its size and first time
+    @pytest.mark.parametrize("numerics", [{"grid_points": 8}, {"t_min_fraction": 1e-2}, {}])
+    @pytest.mark.parametrize("command", ["dynamics", "search"])
+    def test_unknown_numerics_key_exits_2(self, tmp_path, capsys, command, numerics):
+        # the time grid is fixed: a numerics block once set its size and first time, and is not run as 32 times
         gen_path = tmp_path / "gen.json"
         cdio.write_generator_json(gen_path, random_generator(3, seed=1))
+        config = {"io": {"generator_file": str(gen_path)}, "numerics": numerics}
+        if command == "search":
+            config = {"model": "I", "N": 3, "targets": {"alpha": 0.3, "beta": 0.0}, "numerics": numerics}
         cfg_path = tmp_path / "run.json"
-        write_json(cfg_path, {"io": {"generator_file": str(gen_path)}, "numerics": {"grid_points": 8}})
-        assert main(["dynamics", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        write_json(cfg_path, config)
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "config error: unknown config key(s): 'numerics'\n"
         assert not (tmp_path / "out").exists()
+
+    def test_time_grid_is_fixed(self, tmp_path):
+        # every file is written on 32 geometric times on [1e-3 T, T]
+        cfg_path = tmp_path / "run.json"
+        write_json(cfg_path, {"independent": {"alpha": [0.3, -0.7]}, "horizon": 2.0})
+        out = tmp_path / "out"
+        assert main(["dynamics", "--config", str(cfg_path), "--out", str(out)]) == 0
+        expected = np.geomspace(2e-3, 2.0, 32)
+        for f in sorted(out.iterdir()):
+            rows = [line for line in f.read_text().splitlines() if not line.startswith("#")]
+            assert rows[0].startswith("t,"), f.name
+            times = sorted({float(row.split(",")[0]) for row in rows[1:]})
+            np.testing.assert_array_equal(times, expected, err_msg=f.name)
 
     @pytest.mark.parametrize(
         "config, message",
@@ -802,6 +820,8 @@ class TestCmdSearch:
             ("search", {"search": {"max_iter": 2.5}}, "max_iter must be a positive integer or None, got 2.5"),
             ("search", {"horizon": float("nan")}, "horizon must be finite and positive, got nan"),
             ("dynamics", {"horizon": float("inf")}, "horizon must be finite and positive, got inf"),
+            ("dynamics", {"horizon": 0.0}, "horizon must be finite and positive, got 0.0"),
+            ("search", {"horizon": -1.0}, "horizon must be finite and positive, got -1.0"),
             # the first two ran as N = 4 and M = 3, and true was read as N = 1
             ("search", {"N": 4.5}, "Model I size N must be an integer, got 4.5"),
             ("search", {"model": "II", "M": "3", "N": 3}, "Model II size M must be an integer, got '3'"),

@@ -607,6 +607,11 @@ class TestFeasibilitySearch:
         problem = _SearchProblem(kind, (3,) if kind == "I" else (3, 3), normalized, SearchConfig())
         np.testing.assert_array_equal(problem.targets, targets)
 
+    def test_search_grid_is_fixed(self):
+        # the residuals are scored on 32 geometric times on [1e-3 T, T]
+        problem = _SearchProblem("II", (3, 3), _normalize_targets("II", (0.3, 0.25)), SearchConfig(horizon=2.0))
+        np.testing.assert_array_equal(problem.grid, np.geomspace(2e-3, 2.0, 32))
+
     def test_floor_non_increasing_in_restarts(self):
         # restarts run in lockstep, and restart k's record must not depend on how many run beside it
         for model, targets, max_iter in ((("I", 4), (0.3, 0.5), None), (("II", 3, 3), (0.3, 0.25), 300),
