@@ -52,11 +52,11 @@ def _run(job):
 
 
 @contextmanager
-def cpu_map(task, jobs, fork: bool = True):
+def cpu_map(task, jobs):
     """Yield an iterator of task(job) over jobs, in job order: from forked workers, or computed here as it is read.
 
-    It forks min(usable CPUs, jobs) workers if that is at least 2, fork is
-    true and the platform can fork; they all start on entry, and the task
+    It forks min(usable CPUs, jobs) workers if that is at least 2 and the
+    platform can fork; they all start on entry, and the task
     reaches them by the fork, so it need not pickle (the jobs and results
     do).  A worker's exception, or its death (BrokenProcessPool), raises
     where its result is read.  On exit the workers are joined, and after a
@@ -64,7 +64,7 @@ def cpu_map(task, jobs, fork: bool = True):
     """
     jobs = list(jobs)
     workers = min(usable_cpus(), len(jobs))
-    if workers < 2 or not fork or "fork" not in multiprocessing.get_all_start_methods():
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
         yield map(task, jobs)
         return
     context = multiprocessing.get_context("fork")

@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 config error, 3 infeasible input, 4 numeric failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -147,12 +148,16 @@ def _dynamics_generator(config, horizon):
 def cmd_dynamics(config, args) -> int:
     if args.independent is not None:
         alpha_file, horizon_text = args.independent
+        try:
+            horizon = float(horizon_text)
+        except ValueError:
+            raise ConfigError(f"--independent HORIZON must be a number, got {horizon_text!r}") from None
         alpha = cdio.read_json(alpha_file)
         if isinstance(alpha, dict):
             cdio.check_keys(alpha, {"alpha"}, "alpha file")
             alpha = alpha["alpha"]
         # every writer hashes the config actually run
-        config = {**config, "independent": {"alpha": cdio.float_fields(alpha, "alpha")}, "horizon": float(horizon_text)}
+        config = {**config, "independent": {"alpha": cdio.float_fields(alpha, "alpha")}, "horizon": horizon}
     horizon = _horizon(config)
     gen = _dynamics_generator(config, horizon)
     with _staged(_out_path(args)) as out:
@@ -172,6 +177,8 @@ def _search_inputs(config):
     kind = config.get("model")
     if kind not in ("I", "II", "III"):
         raise ConfigError(f"unknown search model {kind!r}")
+    if kind == "I" and "M" in config:
+        raise ConfigError("Model I has no size M; its one size is N")
     model = (kind, config["N"]) if kind == "I" else (kind, config["M"], config["N"])
     _parse_model(model)  # a bad size or target exits 2 before any output directory is made
     targets = config.get("targets")
@@ -228,6 +235,7 @@ def cmd_search(config, args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process; parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="corrdefault",

@@ -20,6 +20,8 @@ from .model import SubsetDist, bernoulli_product_distribution
 
 # Paths advance together in blocks of this many; the output does not depend on it.
 _PATH_BLOCK = 4096
+# forward_solve adds this many series terms into its output per matrix product.
+_SERIES_BLOCK = 16
 
 
 def __getattr__(name):
@@ -177,7 +179,7 @@ class ForwardSolution:
 
 
 def _uniformised_step(gen: MonotoneGenerator, rate_bound: float):
-    """p -> P p for P = I + Q / L, in the form with non-negative terms only.
+    """p -> P p for P = I + Q / L, in the form with non-negative terms only, into out if given.
 
     (P p)_A = (1 - R_A / L) p_A + sum_{v in A} q(A - v, v) / L p_{A - v}; with
     L >= max R_A no coefficient is negative, so no step cancels.
@@ -185,12 +187,18 @@ def _uniformised_step(gen: MonotoneGenerator, rate_bound: float):
     n = gen.n_vertices
     stay = 1.0 - gen.exit_rates / rate_bound
     flows = [halves(gen.rates[:, v], v)[0] / rate_bound for v in range(n)]
+    # rows of 2^v <= 4 cells cost more than 2^v strided slices: (2^v, slice i's rates as row i) for v < 3
+    strided = [(1 << v, np.ascontiguousarray(flows[v].T)) for v in range(min(n, 3))]
 
-    def step(p):
-        out = stay * p
-        for v, q in enumerate(flows):
+    def step(p, out=None):
+        out = np.multiply(stay, p, out=out)
+        for width, columns in strided:
+            for i, q in enumerate(columns):
+                added = out[width + i :: 2 * width]
+                added += q * p[i :: 2 * width]
+        for v in range(len(strided), n):
             added = halves(out, v)[1]
-            added += q * halves(p, v)[0]
+            added += flows[v] * halves(p, v)[0]
         return out
 
     return step
@@ -204,8 +212,9 @@ def forward_solve(gen: MonotoneGenerator, t_grid) -> ForwardSolution:
     cells of order t^|A| keep their relative precision.  Each time t_j takes
     the terms k <= n + L t_j + 10 sqrt(L t_j) + 30: level n is reached after
     n steps, and the Poisson tail beyond is below e^-50.  The weights are
-    formed in log space, so none underflows before its term is reached.  Terms are added
-    into the output as they are produced and not stored.  An output vector is
+    formed in log space, so none underflows before its term is reached.  The
+    terms are produced _SERIES_BLOCK at a time, as the rows of one buffer, and
+    each block is added into the output by one matrix product.  An output vector is
     renormalized only when its mass drifts beyond 1e-10, and the event is
     flagged; n_terms counts the terms of the longest series.
     """
@@ -227,15 +236,17 @@ def forward_solve(gen: MonotoneGenerator, t_grid) -> ForwardSolution:
     with np.errstate(divide="ignore"):  # a zero time's log mean; its k log(mean) is 0 at k = 0
         k_log_mean = np.multiply(k, np.log(mean)[:, None], out=np.zeros((len(mean), n_terms)), where=k > 0)
     weights = np.exp(k_log_mean - mean[:, None] - log_factorial(n_terms))
-    # the grid increases, so the times still summing term k are a suffix of it
-    first = np.searchsorted(last, k)
+    weights[k > last[:, None]] = 0.0  # time t_j takes no term past last[j]
     step = _uniformised_step(gen, rate_bound)
-    term = np.zeros(1 << n)
-    term[0] = 1.0
-    for j in range(n_terms):
-        probs[first[j] :] += weights[first[j] :, j, None] * term
-        if j + 1 < n_terms:
-            term = step(term)
+    terms = np.zeros((_SERIES_BLOCK, 1 << n))
+    terms[0, 0] = 1.0
+    for j0 in range(0, n_terms, _SERIES_BLOCK):
+        rows = min(_SERIES_BLOCK, n_terms - j0)
+        for i in range(1, rows):
+            step(terms[i - 1], out=terms[i])
+        probs += weights[:, j0 : j0 + rows] @ terms[:rows]
+        if j0 + rows < n_terms:
+            step(terms[rows - 1], out=terms[0])
     totals = probs.sum(axis=1)
     flags = np.abs(totals - 1.0) > 1e-10
     probs[flags] /= totals[flags, None]
@@ -265,6 +276,34 @@ class PathSample:
             raise ValueError("terminal subset must collect the jump vertices")
 
 
+def _checked_paths(times, verts, jumps, terminals) -> List[PathSample]:
+    """PathSamples of a block of rows, row i holding jumps[i] jumps, checked in one vectorised pass.
+
+    The pass raises what PathSample.__post_init__ would (bits are distinct if their sum is their OR), so the
+    objects are built without running it, the rows of one jump count from one tolist.
+    """
+    jumped = np.arange(times.shape[1]) < jumps[:, None]
+    if np.any((times[:, 1:] <= times[:, :-1]) & jumped[:, 1:]):
+        raise ValueError("jump times must be strictly increasing")
+    bits = np.where(jumped, 1 << verts, 0)
+    union = np.bitwise_or.reduce(bits, axis=1)
+    if np.any(bits.sum(axis=1) != union):
+        raise ValueError("a vertex can default only once")
+    if np.any(union != terminals):
+        raise ValueError("terminal subset must collect the jump vertices")
+    paths = [None] * len(jumps)
+    for m in range(times.shape[1] + 1):
+        rows = np.flatnonzero(jumps == m)
+        for row, row_t, row_v, terminal in zip(
+            rows.tolist(), times[rows, :m].tolist(), verts[rows, :m].tolist(), terminals[rows].tolist()
+        ):
+            path = paths[row] = object.__new__(PathSample)
+            object.__setattr__(path, "times", tuple(row_t))
+            object.__setattr__(path, "vertices", tuple(row_v))
+            object.__setattr__(path, "terminal", terminal)
+    return paths
+
+
 def _inverse_cdf(cum_rates, u):
     """Vertex with cum_rates[v-1] <= u * total < cum_rates[v] for each row.
 
@@ -290,7 +329,8 @@ def sample_paths(
     the exponential clock and one for the vertex.  Path k therefore depends
     only on (seed, k), so any partition of the paths reproduces the same
     output.  Paths advance in blocks of _PATH_BLOCK, each in at most n jump
-    rounds.  Returns the paths and the empirical terminal distribution.
+    rounds; each block's paths are checked in one vectorised pass
+    (_checked_paths).  Returns the paths and the empirical terminal distribution.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
@@ -305,6 +345,7 @@ def sample_paths(
         size = min(_PATH_BLOCK, n_paths - start)
         draws = rng.random((size, n, 2))
         mask = np.zeros(size, dtype=np.int64)
+        jumps = np.zeros(size, dtype=np.int64)
         t = np.zeros(size)
         times = np.zeros((size, n))
         verts = np.zeros((size, n), dtype=np.int64)
@@ -322,10 +363,8 @@ def sample_paths(
             mask[live] |= 1 << v
             t[live] = times[live, j] = t_next
             verts[live, j] = v
-        # each jump adds one vertex, so a path's jump count is its terminal's size
-        for row_t, row_v, terminal in zip(times.tolist(), verts.tolist(), mask.tolist()):
-            m = terminal.bit_count()
-            paths.append(PathSample(tuple(row_t[:m]), tuple(row_v[:m]), terminal))
+            jumps[live] += 1
+        paths += _checked_paths(times, verts, jumps, mask)
         terminals.append(mask)
     counts = np.bincount(np.concatenate(terminals), minlength=1 << n)
     return paths, SubsetDist(n, counts / n_paths)

@@ -106,9 +106,16 @@ def float_field(value, name: str) -> float:
     return float(value)
 
 
+def list_field(value, name: str) -> list:
+    """A JSON field that must be a list; a number, a string or an object raises a ValueError naming it."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
+
+
 def float_fields(values, name: str) -> list:
     """float_field of every entry of a JSON list, named name[i]."""
-    return [float_field(value, f"{name}[{i}]") for i, value in enumerate(values)]
+    return [float_field(value, f"{name}[{i}]") for i, value in enumerate(list_field(values, name))]
 
 
 def edge_field(value, name: str) -> tuple:
@@ -122,7 +129,7 @@ def edge_values(entries, graph: Graph, name: str) -> np.ndarray:
     """The values of a JSON list of {edge, value} entries by edge position, 0 where unlisted; a repeated edge raises."""
     values = np.zeros(graph.n_edges)
     listed = set()
-    for entry in entries:
+    for entry in list_field(entries, name):
         check_keys(entry, {"edge", "value"}, f"{name} entry")
         position = graph.edge_position(*edge_field(entry["edge"], f"{name} edge"))
         if position in listed:
@@ -148,7 +155,7 @@ def model_to_dict(params: ModelParams) -> dict:
 def model_from_dict(payload: Mapping) -> ModelParams:
     check_keys(payload, {"meta", "n_vertices", "edges", "alpha", "beta"}, "model file")
     n_vertices = integer_field(payload["n_vertices"], "n_vertices")
-    graph = Graph(n_vertices, tuple(edge_field(edge, "edge") for edge in payload.get("edges", [])))
+    graph = Graph(n_vertices, tuple(edge_field(edge, "edge") for edge in list_field(payload.get("edges", []), "edges")))
     alpha = np.array(float_fields(payload["alpha"], "alpha"))
     return ModelParams(graph, alpha, edge_values(payload.get("beta", []), graph, "beta"))
 
@@ -188,7 +195,7 @@ def generator_from_dict(payload: Mapping) -> MonotoneGenerator:
     check_keys(payload, {"meta", "n_vertices", "entries"}, "generator file")
     n_vertices = integer_field(payload["n_vertices"], "n_vertices")
     entries = []
-    for e in payload.get("entries", []):
+    for e in list_field(payload.get("entries", []), "entries"):
         check_keys(e, {"subset_bitmask", "vertex", "rate"}, "generator entry")
         entries.append((integer_field(e["subset_bitmask"], "subset_bitmask"), integer_field(e["vertex"], "vertex"),
                         float_field(e["rate"], "rate")))
@@ -204,31 +211,39 @@ def read_generator_json(path) -> MonotoneGenerator:
 
 
 def _lattice_text(job) -> str:
-    """Rows lead + "mask,value" of one chunk (lead, values, first mask), each distinct value formatted once."""
-    lead, values, start = job
+    """Rows lead + "mask,value" of a job's (lead, values, first mask) pieces; each distinct value formatted once."""
+    values = np.concatenate([piece for _, piece, _ in job], dtype=float)
     # unlike float values, the int64 view keeps -0.0 apart from 0.0
-    bits, which = np.unique(np.ascontiguousarray(values, dtype=float).view(np.int64), return_inverse=True)
+    bits, which = np.unique(values.view(np.int64), return_inverse=True)
     text = [_fmt(value) for value in bits.view(float).tolist()]
-    return lead + lead.join([f"{mask},{text[k]}\n" for mask, k in enumerate(which.tolist(), start)])
+    which = iter(which.tolist())  # each piece takes its own rows: zip ends at the piece's last mask first
+    return "".join(
+        lead + lead.join([f"{mask},{text[k]}\n" for mask, k in zip(range(start, start + len(piece)), which)])
+        for lead, piece, start in job
+    )
 
 
 def _write_lattice_csv(path, columns, slices, config, first_mask: int = 0):
     """write_csv's bytes, formatted in bulk: rows lead + "mask,value" for mask >= first_mask, per (lead, values).
 
-    Each slice is cut into jobs of at most _LATTICE_CHUNK rows.  A file of
-    more than _LATTICE_CHUNK rows is formatted on every CPU the process may
-    use (_pool.cpu_map), because repr holds the GIL.  The workers fork
-    before the file opens, so none holds a copy of its buffer.  The texts
-    are written in job order as they arrive.  A worker's exception, or its
-    death, raises here.
+    The rows are cut into jobs of at most _LATTICE_CHUNK rows, which may
+    span several slices: a grid of small slices is one job, while a slice of
+    2^20 rows is 16.  A file of more than _LATTICE_CHUNK rows is formatted
+    on every CPU the process may use (_pool.cpu_map), because repr holds the
+    GIL.  The workers fork before the file opens, so none holds a copy of
+    its buffer.  The texts are written in job order as they arrive.  A
+    worker's exception, or its death, raises here.
     """
-    jobs = [
-        (lead, values[start : start + _LATTICE_CHUNK], start)
-        for lead, values in slices
-        for start in range(first_mask, len(values), _LATTICE_CHUNK)
-    ]
-    rows = sum(len(values) for _, values, _ in jobs)
-    with cpu_map(_lattice_text, jobs, fork=rows > _LATTICE_CHUNK) as texts, open(path, "w") as handle:
+    jobs, rows = [], _LATTICE_CHUNK
+    for lead, values in slices:
+        for start in range(first_mask, len(values), _LATTICE_CHUNK):
+            piece = values[start : start + _LATTICE_CHUNK]
+            if rows + len(piece) > _LATTICE_CHUNK:
+                jobs.append([])
+                rows = 0
+            jobs[-1].append((lead, piece, start))
+            rows += len(piece)
+    with cpu_map(_lattice_text, jobs) as texts, open(path, "w") as handle:
         handle.write(_csv_head(columns, config))
         handle.writelines(texts)
 
@@ -254,20 +269,20 @@ def write_master_residual_csv(path, t_grid, residuals_by_t, config=None):
 
 
 def write_curves_csv(path, curves, t_grid, config=None):
-    """Curve dump: one row per time per vertex (alpha) and per pair (beta); each curve is evaluated once."""
+    """Curve dump: one row per time per vertex (alpha) and per pair (beta); each curve and each time done once."""
     t_grid = np.asarray(t_grid, dtype=float)
     alpha, alpha_prime, _ = curves.alpha(t_grid)
     b, bp = curves.beta_matrices(t_grid)
-    pairs = [(f"e{u}-{v}", b[:, u, v], bp[:, u, v]) for u, v in curves.pairs.tolist()]
-
-    def rows():
-        for i, t in enumerate(t_grid):
-            for u in range(curves.n_vertices):
-                yield (_fmt(t), f"v{u}", "alpha", float(alpha[i, u]), float(alpha_prime[i, u]))
-            for name, beta, beta_prime in pairs:
-                yield (_fmt(t), name, "beta", float(beta[i]), float(beta_prime[i]))
-
-    write_csv(path, ("t", "vertex_or_edge", "alpha_or_beta", "value", "derivative"), rows(), config)
+    names = [f"v{u},alpha" for u in range(curves.n_vertices)] + [f"e{u}-{v},beta" for u, v in curves.pairs.tolist()]
+    u, v = curves.pairs.T
+    values = np.concatenate([alpha, b[:, u, v]], axis=1).tolist()
+    derivatives = np.concatenate([alpha_prime, bp[:, u, v]], axis=1).tolist()
+    fmt = float.__repr__
+    with open(path, "w") as handle:
+        handle.write(_csv_head(("t", "vertex_or_edge", "alpha_or_beta", "value", "derivative"), config))
+        for t, row, row_prime in zip(t_grid.tolist(), values, derivatives):
+            lead = fmt(t)
+            handle.writelines([f"{lead},{name},{fmt(x)},{fmt(d)}\n" for name, x, d in zip(names, row, row_prime)])
 
 
 def lumped_to_dict(rates) -> dict:

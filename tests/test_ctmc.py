@@ -9,6 +9,7 @@ from corrdefault import ctmc
 from corrdefault._num import geometric_grid
 from corrdefault.ctmc import (
     MonotoneGenerator,
+    PathSample,
     _inverse_cdf,
     _uniformised_step,
     forward_solve,
@@ -203,6 +204,18 @@ class TestForwardSolve:
             moved = SubsetDist(len(perm), row).relabel(perm).probs
             np.testing.assert_allclose(moved, row_p, rtol=1e-12, atol=0)
 
+    def test_times_stopping_inside_a_block_match_the_oracle(self):
+        # the times stop their series at different terms, most of them inside a block of the matrix product
+        gen = random_generator(6, seed=11)
+        grid = geometric_grid(4.0, 12)
+        mean = gen.exit_rates.max() * grid
+        last = np.ceil(6 + mean + 10.0 * np.sqrt(mean) + 30.0).astype(int)
+        assert len(set(last)) == len(grid) and len(set(last % ctmc._SERIES_BLOCK)) > 6
+        for row, t in zip(forward_solve(gen, grid).probs, grid):
+            oracle = uniformization_solve(gen, t)
+            assert np.all(oracle > 0.0)
+            np.testing.assert_array_less(np.abs(row - oracle), 1e-12 * oracle)
+
     def test_grid_must_increase(self):
         gen = random_generator(2, seed=0)
         with pytest.raises(ValueError, match="increasing"):
@@ -304,6 +317,49 @@ class TestPathSampling:
         short, _ = sample_paths(gen, 1.0, block + 2, seed=10)
         longer, _ = sample_paths(gen, 1.0, 2 * block + 1, seed=10)
         assert longer[: block + 2] == short
+
+    @settings(max_examples=30)
+    @given(sparse_generators(), st.integers(1, 40), seeds)
+    def test_paths_equal_checked_construction(self, gen, n_paths, seed):
+        # the sampler builds its paths without PathSample.__post_init__; each must pass it
+        paths, _ = sample_paths(gen, 2.0, n_paths, seed)
+        assert len(paths) == n_paths
+        for p in paths:
+            assert type(p) is PathSample
+            assert p == PathSample(p.times, p.vertices, p.terminal)
+
+    def test_zero_holding_time_is_rejected(self):
+        # a clock draw of 0 gives a second jump at the first one's time
+        class Stream:
+            def __init__(self, seed):
+                pass
+
+            def random(self, shape):
+                draws = np.full(shape, 0.5)
+                draws[:, :, 0] = 0.1
+                draws[:, 1, 0] = 0.0
+                return draws
+
+        gen = random_generator(3, seed=2)
+        with mock.patch.object(ctmc.np.random, "default_rng", Stream):
+            with pytest.raises(ValueError, match="^jump times must be strictly increasing$"):
+                sample_paths(gen, 5.0, 10, seed=0)
+
+    @pytest.mark.parametrize(
+        "times, vertices, terminal, message",
+        [
+            ((0.1, 0.1), (0, 1), 3, "jump times must be strictly increasing"),
+            ((0.1, 0.2), (1, 1), 2, "a vertex can default only once"),
+            ((0.1, 0.2), (0, 1), 7, "terminal subset must collect the jump vertices"),
+        ],
+    )
+    def test_block_check_raises_the_path_messages(self, times, vertices, terminal, message):
+        # the vectorised block check and PathSample.__post_init__ reject a path with the same message
+        rows = (np.array([times, (0.3, 0.4)]), np.array([vertices, (0, 2)]), np.array([2, 2]), np.array([terminal, 5]))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ctmc._checked_paths(*rows)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PathSample(times, vertices, terminal)
 
     @settings(max_examples=30)
     @given(sparse_generators(), seeds)

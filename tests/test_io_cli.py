@@ -1179,10 +1179,16 @@ class TestConfigChecks:
     @pytest.mark.parametrize("source", ["block", "flag"])
     @pytest.mark.parametrize(
         "alpha, message",
-        [(["0.3", True], "alpha[0] must be a number, got '0.3'"), ([0.3, True], "alpha[1] must be a number, got True")],
+        [
+            (["0.3", True], "alpha[0] must be a number, got '0.3'"),
+            ([0.3, True], "alpha[1] must be a number, got True"),
+            ("03", "alpha must be a list, got '03'"),
+            (5, "alpha must be a list, got 5"),
+        ],
     )
     def test_independent_alpha_number_fields(self, tmp_path, capsys, source, alpha, message):
-        # each ran the independent construction to exit 0, reading "0.3" as 0.3 and true as 1.0
+        # each list ran the independent construction to exit 0, reading "0.3" as 0.3 and true as 1.0; "03" was
+        # read by character ("alpha[0] must be a number, got '0'") and 5 gave "'int' object is not iterable"
         alpha_path = tmp_path / "alpha.json"
         write_json(alpha_path, {"alpha": alpha})
         if source == "block":
@@ -1196,6 +1202,44 @@ class TestConfigChecks:
         write_json(alpha_path, {"alpha": [0.3, -0.7], "horizon": 5.0})
         argv = ["dynamics", "--independent", str(alpha_path), "2.0"]
         self.run_exits_2(tmp_path, capsys, argv, {}, "unknown alpha file key(s): 'horizon'")
+
+    def test_independent_horizon_is_named(self, tmp_path, capsys):
+        # exited 2 with Python's own "could not convert string to float: 'one'"
+        alpha_path = tmp_path / "alpha.json"
+        write_json(alpha_path, {"alpha": [0.3, -0.7]})
+        argv = ["dynamics", "--independent", str(alpha_path), "one"]
+        self.run_exits_2(tmp_path, capsys, argv, {}, "--independent HORIZON must be a number, got 'one'")
+
+    @pytest.mark.parametrize(
+        "argv, file, payload, message",
+        [
+            (["model"], "model_file", {"n_vertices": 2, "edges": [[0, 1]], "alpha": [0.1, 0.2], "beta": 5},
+             "beta must be a list, got 5"),
+            (["model"], "model_file", {"n_vertices": 2, "edges": 5, "alpha": [0.1, 0.2]}, "edges must be a list, got 5"),
+            (["model"], "model_file", {"n_vertices": 2, "edges": [[0, 1]], "alpha": "03"},
+             "alpha must be a list, got '03'"),
+            (["dynamics"], "generator_file", {"n_vertices": 2, "entries": 5}, "entries must be a list, got 5"),
+            (["model", "--fit"], "targets_file", {"vertex_targets": "0.4"}, "vertex_targets must be a list, got '0.4'"),
+            (["model", "--fit"], "targets_file", {"vertex_targets": [0.4, 0.6], "pair_targets": {"edge": [0, 1]}},
+             "pair target must be a list, got {'edge': [0, 1]}"),
+            (["dynamics", "--independent", "ALPHA", "1.0"], "alpha_file", 5, "alpha must be a list, got 5"),
+        ],
+        ids=["model_beta", "model_edges", "model_alpha", "generator_entries", "vertex_targets", "pair_targets",
+             "alpha_file_number"],
+    )
+    def test_list_fields_must_be_lists(self, tmp_path, capsys, k2_model_file, argv, file, payload, message):
+        # the numbers exited 2 with "'int' object is not iterable", and the strings were read by character:
+        # "0.4" gave "vertex_targets[0] must be a number, got '0'"
+        path = tmp_path / "input.json"
+        write_json(path, payload)
+        argv = [str(path) if arg == "ALPHA" else arg for arg in argv]
+        config = {"io": {"model_file": str(k2_model_file), file: str(path)}} if file != "alpha_file" else {}
+        self.run_exits_2(tmp_path, capsys, argv, config, message)
+
+    def test_model_I_rejects_M(self, tmp_path, capsys):
+        # exited 0 ignoring M, while config_hash hashed it
+        config = {"model": "I", "N": 3, "M": 7, "targets": {"alpha": 0.3, "beta": 0.0}, "search": {"restarts": 1}}
+        self.run_exits_2(tmp_path, capsys, ["search"], config, "Model I has no size M; its one size is N")
 
     @pytest.mark.parametrize("command", ["dynamics", "search"])
     @pytest.mark.parametrize("horizon, shown", [("0.5", "'0.5'"), (True, "True")])
